@@ -8,7 +8,7 @@ Conv4N32/Conv5N32 where the grid is too small to fill the device
 as the batch grows.
 """
 
-from harness import emit, layer_result, prewarm_layer_measurements
+from harness import emit, layer_result
 
 from repro.common import format_grid
 from repro.models import paper_layers
@@ -17,10 +17,9 @@ LAYERS = [p.name for p in paper_layers()]
 
 
 def sol_series(device_name):
-    # The heavy per-device measurement triple can come from a pool
-    # worker (and the persistent simulation cache); the per-layer
-    # extrapolation below is pure arithmetic once it is seeded.
-    prewarm_layer_measurements([device_name])
+    # The first layer simulates the per-device measurement triple; the
+    # simulation cache replays it for the rest, whose extrapolation is
+    # pure arithmetic.
     main, total = [], []
     for layer in LAYERS:
         r = layer_result(layer, device_name)

@@ -5,15 +5,16 @@ it prints the same rows/series the paper reports (side by side with the
 paper's values where the text gives them) and exposes the underlying
 computation to pytest-benchmark.
 
-Simulator measurements are cached at module level so a full
-``pytest benchmarks/ --benchmark-only`` run re-uses each main-loop /
-layer-model simulation instead of repeating it per figure.  The memo is
-keyed by the canonical ``(device, Tunables)`` pair — sweeps that spell
-the same configuration differently (``yield_strategy="natural"`` vs the
-default) share one measurement — and can be pre-warmed through the
-``benchmarks/parallel.py`` process pool (``prewarm_*`` below), with the
+Main-loop measurements are cached at module level so a full
+``pytest benchmarks/ --benchmark-only`` run re-uses each one instead of
+repeating it per figure.  The memo is keyed by the canonical
+``(device, Tunables)`` pair — sweeps that spell the same configuration
+differently (``yield_strategy="natural"`` vs the default) share one
+measurement — and can be pre-warmed through the
+``repro.runtime.parallel`` process pool (``prewarm_*`` below), with the
 persistent simulation cache (``repro.kernels.get_sim_cache_stats``)
-making repeated sweeps nearly free.
+making repeated sweeps nearly free.  The layer model memoizes through
+that simulation cache on its own.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import os
 import re
 import sys
 
-import parallel
 from repro.common import format_table
 from repro.gpusim import RTX2070, V100
-from repro.kernels import Tunables, measure_main_loop
+from repro.kernels import Tunables, WinogradF22Kernel, measure_main_loop
 from repro.models import paper_layers
 from repro.perfmodel import cudnn_time, our_layer_performance
-from repro.perfmodel.layer_model import prime_measurement_cache
+from repro.runtime.parallel import parallel_map
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -49,6 +49,12 @@ _MEASUREMENTS: dict = {}
 
 def seed_main_loop_measurement(device_name: str, tunables: Tunables, meas) -> None:
     _MEASUREMENTS[(device_name, tunables)] = meas
+
+
+def main_loop_worker(args):
+    """Pool worker: one (device, tunables) main-loop measurement."""
+    device_name, tunables = args
+    return measure_main_loop(_SURROGATE, device=DEVICES[device_name], tunables=tunables)
 
 
 def main_loop_measurement(device_name: str, context=None, **tunable_kwargs):
@@ -82,7 +88,7 @@ def prewarm_main_loop_measurements(device_name: str, variant_kwargs) -> int:
         key = (device_name, tunables)
         if key not in _MEASUREMENTS and (device_name, tunables) not in pending:
             pending.append((device_name, tunables))
-    results = parallel.parallel_map(parallel.main_loop_worker, pending)
+    results = parallel_map(main_loop_worker, pending)
     for (dev, tunables), meas in zip(pending, results):
         seed_main_loop_measurement(dev, tunables, meas)
     return len(pending)
@@ -111,16 +117,6 @@ def schedule_tflops(layer_name: str, device_name: str, schedule) -> float:
     return main_loop_tflops(layer_name, device_name, **schedule.to_dict())
 
 
-def prewarm_layer_measurements(device_names, tunables: Tunables | None = None) -> int:
-    """Fan the per-device layer-model measurement triples out in parallel."""
-    tunables = tunables or Tunables()
-    pending = [(name, tunables) for name in device_names]
-    results = parallel.parallel_map(parallel.layer_measurements_worker, pending)
-    for (name, tun), (main, overhead, overhead_fma) in zip(pending, results):
-        prime_measurement_cache(name, tun, main, overhead, overhead_fma)
-    return len(pending)
-
-
 @functools.lru_cache(maxsize=None)
 def layer_result(layer_name: str, device_name: str):
     prob = next(p for p in paper_layers() if p.name == layer_name)
@@ -135,16 +131,9 @@ def cudnn_layer_time(layer_name: str, device_name: str, algo: str) -> float:
 
 def grid_utilization(prob, device, tunables: Tunables | None = None):
     """Tail-wave utilization of the fused kernel's launch (Figs. 7-11)."""
-    import math
-
-    tunables = tunables or Tunables()
-
-    from repro.kernels import WinogradF22Kernel
-
-    gen = WinogradF22Kernel(prob, tunables)
+    gen = WinogradF22Kernel(prob, tunables or Tunables())
     blocks = gen.grid[0] * gen.grid[1]
-    waves = math.ceil(blocks / device.num_sms)
-    return blocks / (waves * device.num_sms)
+    return blocks / (device.waves(blocks) * device.num_sms)
 
 
 def main_loop_tflops(layer_name: str, device_name: str, **tunable_kwargs) -> float:

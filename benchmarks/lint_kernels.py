@@ -25,8 +25,12 @@ import sys
 from repro.common.problem import ConvProblem
 from repro.kernels.ftf import FilterTransformKernel
 from repro.kernels.gemm import BatchedGemmKernel
-from repro.kernels.winograd_f22 import Tunables, WinogradF22Kernel
-from repro.kernels.winograd_fused import WinogradF44Kernel, default_tunables
+from repro.kernels.winograd_fused import (
+    Tunables,
+    WinogradF22Kernel,
+    WinogradF44Kernel,
+    default_tunables,
+)
 from repro.sass.analysis import (
     Severity,
     lint_kernel,

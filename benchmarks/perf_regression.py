@@ -27,10 +27,11 @@ one profile per gate configuration::
 the per-PR CI configuration); without it the ``full`` profile (the
 entire 54-point f22 grid + 27-point f44 grid — the nightly
 configuration).  ``--update-baselines`` regenerates only the profile it
-ran, preserving the other.  Legacy flat / single-profile baselines are
-migrated on read.  A baseline whose embedded device spec no longer
-matches the registry fails the run (exit 2): the numbers were measured
-on a different machine model, so comparing against them is meaningless.
+ran, preserving the other.  A baseline file that is not schema 2, or
+whose embedded device spec no longer matches the registry, fails the
+run (exit 2) and prints the regeneration command: the numbers were
+measured in another layout or on a different machine model, so
+comparing against them is meaningless.
 
 The fresh measurements are always written to
 ``<out-dir>/BENCH_sched_regression_<device>.json`` so CI can upload
@@ -168,47 +169,6 @@ def collect_metrics(device_key: str, quick: bool) -> dict:
     }
 
 
-def migrate_baseline(baseline: dict, profile: str) -> dict:
-    """Lift any historical baseline layout into the schema-2 shape.
-
-    * schema 2 passes through unchanged;
-    * the single-profile families layout (``{"device", "iters",
-      "families"}``) becomes that payload filed under *profile* — the
-      space-signature check downstream catches a quick/full mismatch;
-    * the original flat layout (implicit single f22 metric set) is first
-      lifted into families, then filed the same way.
-
-    Migrated baselines carry no embedded device spec (``spec: None``),
-    which skips the spec-drift check until ``--update-baselines``
-    rewrites them.
-    """
-    if baseline.get("schema") == SCHEMA_VERSION:
-        return baseline
-    if "families" not in baseline:
-        baseline = {
-            "device": baseline.get("device"),
-            "iters": baseline.get("iters"),
-            "families": {
-                "f22": {
-                    "space": baseline.get("space"),
-                    "winner": baseline.get("winner"),
-                    "metrics": baseline.get("metrics", {}),
-                }
-            },
-        }
-    return {
-        "schema": SCHEMA_VERSION,
-        "device": baseline.get("device"),
-        "spec": None,
-        "profiles": {
-            profile: {
-                "iters": baseline.get("iters"),
-                "families": baseline["families"],
-            }
-        },
-    }
-
-
 def compare(fresh: dict, baseline: dict, tolerance: float) -> tuple[list, list]:
     """(regressions, notes) from comparing *fresh* against *baseline*.
 
@@ -261,26 +221,26 @@ def compare(fresh: dict, baseline: dict, tolerance: float) -> tuple[list, list]:
     return regressions, notes
 
 
-def _load_baseline(device_key: str, profile: str) -> dict | None:
+def _load_baseline(device_key: str) -> dict | None:
     path = baseline_path(device_key)
     if not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        return migrate_baseline(json.load(fh), profile)
+        return json.load(fh)
 
 
 def update_baseline(device_key: str, profile: str, fresh_profile: dict) -> str:
-    """Merge *fresh_profile* into the device baseline, preserving others."""
-    baseline = _load_baseline(device_key, profile) or {
+    """Merge *fresh_profile* into the device baseline, preserving the
+    other profiles of a schema-2 file (any other layout is replaced)."""
+    old = _load_baseline(device_key) or {}
+    profiles = old["profiles"] if old.get("schema") == SCHEMA_VERSION else {}
+    profiles[profile] = fresh_profile
+    baseline = {
         "schema": SCHEMA_VERSION,
         "device": device_key,
-        "spec": None,
-        "profiles": {},
+        "spec": DEVICES[device_key].to_dict(),
+        "profiles": profiles,
     }
-    baseline["schema"] = SCHEMA_VERSION
-    baseline["device"] = device_key
-    baseline["spec"] = DEVICES[device_key].to_dict()
-    baseline["profiles"][profile] = fresh_profile
     os.makedirs(BASELINE_DIR, exist_ok=True)
     path = baseline_path(device_key)
     with open(path, "w", encoding="utf-8") as fh:
@@ -356,24 +316,28 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     path = baseline_path(device_key)
-    baseline = _load_baseline(device_key, profile)
+    baseline = _load_baseline(device_key)
     if baseline is None:
         print(f"error: no baseline for device {device_key} at {path}; "
               f"generate it with:\n  {_regen_command(device_key, profile)}",
               file=sys.stderr)
         return 2
-    if baseline.get("spec") is not None:
-        current = DEVICES[device_key].to_dict()
-        if baseline["spec"] != current:
-            drifted = sorted(
-                k for k in set(baseline["spec"]) | set(current)
-                if baseline["spec"].get(k) != current.get(k)
-            )
-            print(f"error: baseline {path} was measured on a different "
-                  f"{device_key} spec (drifted fields: {', '.join(drifted)}); "
-                  f"regenerate it with:\n  {_regen_command(device_key, profile)}",
-                  file=sys.stderr)
-            return 2
+    if baseline.get("schema") != SCHEMA_VERSION:
+        print(f"error: baseline {path} is not schema {SCHEMA_VERSION}; "
+              f"regenerate it with:\n  {_regen_command(device_key, profile)}",
+              file=sys.stderr)
+        return 2
+    spec = baseline.get("spec") or {}
+    current = DEVICES[device_key].to_dict()
+    if spec != current:
+        drifted = sorted(
+            k for k in set(spec) | set(current) if spec.get(k) != current.get(k)
+        )
+        print(f"error: baseline {path} was measured on a different "
+              f"{device_key} spec (drifted fields: {', '.join(drifted)}); "
+              f"regenerate it with:\n  {_regen_command(device_key, profile)}",
+              file=sys.stderr)
+        return 2
     base_profile = baseline["profiles"].get(profile)
     if base_profile is None:
         have = sorted(baseline["profiles"]) or ["none"]

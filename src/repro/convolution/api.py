@@ -27,7 +27,6 @@ from ..common.layouts import kcrs_to_crsk, khwn_to_nkhw, nchw_to_chwn
 from ..winograd.fused import FusedWinogradConv
 from ..winograd.nonfused import NonFusedWinogradConv
 from ..winograd.reference import winograd_conv2d_nchw
-from ..winograd.tilespec import TILE_F44
 from .direct import direct_conv2d
 from .dwm import dwm_conv2d_with_plan
 from .fft import fft_conv2d, fft_tiling_conv2d
@@ -46,6 +45,22 @@ ALGORITHMS = (
     "WINOGRAD_NONFUSED",   # non-fused F(4×4, 3×3) with global workspace
     "WINOGRAD_REFERENCE",  # plain oracle implementation (any F(m×m, r×r))
 )
+
+#: Winograd tile family each algorithm executes on; algorithms missing
+#: here are not Winograd.  DWM decomposes onto f22-family parts.
+TILE_FOR_ALGO = {
+    "WINOGRAD": "f22",
+    "WINOGRAD_F44": "f44",
+    "WINOGRAD_DWM": "f22",
+    "WINOGRAD_NONFUSED": "f44",
+    "WINOGRAD_REFERENCE": "f22",
+}
+
+#: The fused SASS-kernel algorithms: the ones whose plans carry a tuned
+#: schedule, searched over this tile family.
+FUSED_TILE_FOR_ALGO = {
+    algo: TILE_FOR_ALGO[algo] for algo in ("WINOGRAD", "WINOGRAD_F44")
+}
 
 # Automatic selection modes layered on top of the concrete ALGORITHMS.
 META_ALGORITHMS = (
@@ -140,10 +155,8 @@ def _run_concrete(
         )
     x_chwn = nchw_to_chwn(x)
     f_crsk = kcrs_to_crsk(f)
-    if algo == "WINOGRAD":
-        y_khwn = FusedWinogradConv()(x_chwn, f_crsk)
-    elif algo == "WINOGRAD_F44":
-        y_khwn = FusedWinogradConv(tile=TILE_F44)(x_chwn, f_crsk)
+    if algo in FUSED_TILE_FOR_ALGO:
+        y_khwn = FusedWinogradConv(tile=FUSED_TILE_FOR_ALGO[algo])(x_chwn, f_crsk)
     else:  # WINOGRAD_NONFUSED
         y_khwn = NonFusedWinogradConv(m=4)(x_chwn, f_crsk)
     return khwn_to_nkhw(y_khwn)

@@ -40,6 +40,7 @@ import numpy as np
 
 from ..common.errors import ConvConfigError, ReproError
 from ..common.problem import ConvProblem
+from .api import FUSED_TILE_FOR_ALGO, _run_concrete
 
 AUTO_MODES = ("AUTO", "AUTO_HEURISTIC")
 
@@ -201,9 +202,6 @@ def set_plan_cache_limit(max_entries: int) -> None:
 def _execute(
     algo: str, x: np.ndarray, f: np.ndarray, pad: int, stride: int = 1
 ) -> np.ndarray:
-    # Late import: api.py imports this module for the AUTO branch.
-    from .api import _run_concrete
-
     return _run_concrete(algo, x, f, pad, stride)
 
 
@@ -216,11 +214,6 @@ def _select_candidates(prob, device, workspace_limit):
     ranked, excluded = rank_algorithms(prob, device, workspace_limit)
     predictions = {a: predicted_time(prob, device, a) for a in ranked}
     return ranked, excluded, predictions
-
-
-#: Fused-SASS algorithms whose plans carry a tuned schedule, and the
-#: kernel family each one's search targets.
-TUNED_TILE_FOR_ALGO = {"WINOGRAD": "f22", "WINOGRAD_F44": "f44"}
 
 
 def _tune_plan_schedule(plan: ConvPlan, device, ctx) -> None:
@@ -236,7 +229,7 @@ def _tune_plan_schedule(plan: ConvPlan, device, ctx) -> None:
     from ..sched import ScheduleSearchConfig, ensure_schedule
 
     config = ctx.schedule_search or ScheduleSearchConfig()
-    config = config.with_tile(TUNED_TILE_FOR_ALGO[plan.algo])
+    config = config.with_tile(FUSED_TILE_FOR_ALGO[plan.algo])
     result = ensure_schedule(device=device, config=config, context=ctx)
     plan.schedule = result.best.schedule
 
@@ -298,7 +291,7 @@ def autotune_conv2d(
             if (
                 tune_schedule
                 and plan.schedule is None
-                and plan.algo in TUNED_TILE_FOR_ALGO
+                and plan.algo in FUSED_TILE_FOR_ALGO
             ):
                 # A plan cached before tuning was enabled: attach the
                 # (memoized) winner so later snapshots see it too.
@@ -328,10 +321,10 @@ def autotune_conv2d(
                     key, ranked, excluded, predictions, x, f, pad, stride, stats
                 )
             span["algo"] = plan.algo
-            if tune_schedule and plan.algo in TUNED_TILE_FOR_ALGO:
+            if tune_schedule and plan.algo in FUSED_TILE_FOR_ALGO:
                 _tune_plan_schedule(plan, device, ctx)
                 span["schedule"] = plan.schedule.label()
-                span["tile"] = TUNED_TILE_FOR_ALGO[plan.algo]
+                span["tile"] = FUSED_TILE_FOR_ALGO[plan.algo]
         ctx.plans.store(key, plan)
         stats.record_choice(plan.algo)
         return y

@@ -25,7 +25,6 @@ from .launch import (
     LaunchResult,
     PreparedKernel,
     build_const_bank,
-    estimate_grid_time,
     prepare_kernel,
     run_grid,
     simulate_batch,
@@ -68,7 +67,6 @@ __all__ = [
     "canonical_device_key",
     "coalesced_sectors",
     "device_key",
-    "estimate_grid_time",
     "execute",
     "prepare_kernel",
     "profile_report",

@@ -98,6 +98,15 @@ class DeviceSpec:
         )
         return max(0, min(by_warps, by_regs, by_smem))
 
+    def waves(self, blocks: int, blocks_per_sm: int = 1) -> int:
+        """Sequential rounds a *blocks*-block launch takes on this device.
+
+        ``⌈blocks / (SMs · blocks_per_sm)⌉``: the single-SM extrapolation
+        behind every whole-launch estimate; a partial last round is the
+        tail wave that dilutes small grids' utilization (§7.2).
+        """
+        return math.ceil(blocks / (self.num_sms * blocks_per_sm))
+
     def to_dict(self) -> dict:
         """Every simulator-visible constant, for baseline fingerprints.
 

@@ -12,7 +12,7 @@ Typical flow::
 
 ``run_grid`` executes every block (functional correctness);
 ``simulate_resident_blocks`` runs only one SM's worth of concurrent
-blocks for timing studies, and :func:`estimate_grid_time` extrapolates a
+blocks for timing studies, and :meth:`DeviceSpec.waves` extrapolates a
 full launch from that measurement the way one extrapolates from a
 single-SM microbenchmark on real hardware.
 """
@@ -20,7 +20,6 @@ single-SM microbenchmark on real hardware.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -135,9 +134,9 @@ def run_grid(
 
     ``grid`` may be an int (1-D) or an (x, y[, z]) tuple.  Blocks are
     simulated in rounds of ``concurrent`` (defaults to the occupancy
-    limit), mimicking one SM draining the whole grid; use
-    :func:`estimate_grid_time` to convert the counters to a multi-SM
-    device time.
+    limit), mimicking one SM draining the whole grid.  Multi-SM device
+    time comes from a :func:`simulate_resident_blocks` run scaled by
+    :meth:`DeviceSpec.waves`, as the layer model does.
     """
     meta, program = _kernel_parts(kernel)
     if threads_per_block % 32:
@@ -247,21 +246,3 @@ def simulate_batch(
         )
         for kernel, params, num_blocks in jobs
     ]
-
-
-def estimate_grid_time(
-    device: DeviceSpec,
-    resident: LaunchResult,
-    total_blocks: int,
-    blocks_simulated: int | None = None,
-) -> float:
-    """Extrapolate a full-grid time (seconds) from a resident-group run.
-
-    ``waves × group_cycles / clock``: the standard single-SM
-    microbenchmark extrapolation.  The tail wave is modelled at the same
-    rate (slightly pessimistic for partial waves, like real launches).
-    """
-    blocks_simulated = blocks_simulated or resident.occupancy
-    per_wave = device.num_sms * blocks_simulated
-    waves = math.ceil(total_blocks / per_wave)
-    return waves * resident.counters.cycles / (device.clock_ghz * 1e9)

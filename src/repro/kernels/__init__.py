@@ -28,7 +28,7 @@ from .schedules import (
     is_float_line,
     weave,
 )
-from .winograd_f22 import BC, BN, THREADS, WARPS, Tunables, WinogradF22Kernel
+from .winograd_fused import BC, BN, THREADS, WARPS, Tunables, WinogradF22Kernel
 
 __all__ = [
     "BC",

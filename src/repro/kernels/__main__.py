@@ -20,7 +20,7 @@ from ..models import resnet_layer
 from ..sass.cubin import write_cubin
 from .ftf import FilterTransformKernel
 from .gemm import BatchedGemmKernel
-from .winograd_f22 import Tunables, WinogradF22Kernel
+from .winograd_fused import Tunables, WinogradF22Kernel
 
 
 def _tunables(args: argparse.Namespace) -> Tunables:

@@ -64,7 +64,6 @@ _FINGERPRINT_FILES = (
     "kernels/cache.py",
     "kernels/runner.py",
     "kernels/schedules.py",
-    "kernels/winograd_f22.py",
     "kernels/winograd_fused.py",
     "perfmodel/layer_model.py",
 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
 from ..sass.assembler import AssembledKernel, assemble
-from .winograd_f22 import THREADS, _magic_u32
+from .winograd_fused import THREADS, _magic_u32
 
 TILES_PER_THREAD = 2
 TILES_PER_BLOCK = THREADS * TILES_PER_THREAD  # 512, as in §4.1

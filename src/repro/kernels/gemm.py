@@ -28,7 +28,7 @@ import numpy as np
 from ..common.errors import ConvConfigError
 from ..sass.assembler import AssembledKernel, assemble
 from .schedules import apply_yield_strategy, weave
-from .winograd_f22 import BC, THREADS, Tunables, WinogradF22Kernel, _magic_u32
+from .winograd_fused import BC, THREADS, Tunables, WinogradF22Kernel, _magic_u32
 
 E_PER_BLOCK = 16
 BM = 64  # M tile per block (the Winograd bk)

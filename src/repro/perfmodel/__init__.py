@@ -7,7 +7,7 @@ from .cudnn_model import (
     cudnn_winograd_time,
     tile_overcompute,
 )
-from .layer_model import LayerPerformance, clear_cache, our_layer_performance
+from .layer_model import LayerPerformance, our_layer_performance
 from .paper_data import (
     ALGO_ORDER,
     LAYER_ORDER,
@@ -60,7 +60,6 @@ __all__ = [
     "RooflinePoint",
     "algorithm_supports",
     "break_even_k",
-    "clear_cache",
     "cudnn_time",
     "cudnn_winograd_time",
     "direct_conv_intensity",

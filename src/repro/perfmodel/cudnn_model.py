@@ -73,8 +73,7 @@ def _gemm_utilization(prob: ConvProblem, device: DeviceSpec, tile: int = 128) ->
     """
     m_dim = prob.n * prob.out_h * prob.out_w
     blocks = math.ceil(m_dim / tile) * math.ceil(prob.k / tile)
-    waves = math.ceil(blocks / device.num_sms)
-    return blocks / (waves * device.num_sms)
+    return blocks / (device.waves(blocks) * device.num_sms)
 
 
 def implicit_precomp_gemm_time(prob: ConvProblem, device: DeviceSpec) -> float:

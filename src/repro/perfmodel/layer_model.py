@@ -10,20 +10,19 @@ what one does on real hardware with a single-SM microbenchmark:
    output transform) by simulating the *full* kernel on a surrogate
    problem and subtracting the main-loop portion;
 3. extrapolate: ``time = waves × block_cycles / clock`` with
-   ``waves = ⌈blocks / (SMs · occupancy)⌉`` — which also captures the
-   small-batch tail effect behind the Conv4N32/Conv5N32 SOL dips in
-   Figs. 10-11.
+   ``waves = ⌈blocks / (SMs · occupancy)⌉`` (:meth:`DeviceSpec.waves`)
+   — which also captures the small-batch tail effect behind the
+   Conv4N32/Conv5N32 SOL dips in Figs. 10-11.
 
 Per-block work is layer-independent at fixed (bk, bn, bc) — layers only
 change the iteration count (C/8), the grid size and the tail — so the
-two measurements are cached per (device, tunables) pair and reused for
-all 16 layers.
+two measurements depend on the (device, tunables) pair alone; the
+current context's simulation cache memoizes them across all 16 layers.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from ..common.problem import ConvProblem
 from ..gpusim.arch import DeviceSpec
@@ -33,26 +32,9 @@ from ..kernels.runner import (
     _simulate_main_loop,
     measure_main_loop,
 )
-from ..kernels.winograd_f22 import BC, BN, Tunables, WinogradF22Kernel
+from ..kernels.winograd_fused import BC, Tunables, WinogradF22Kernel
 
 _SURROGATE = ConvProblem(n=32, c=32, h=16, w=16, k=64, name="surrogate")
-
-_cache: dict = {}
-
-
-def prime_measurement_cache(
-    device_name: str,
-    tunables: Tunables,
-    main: MainLoopMeasurement,
-    overhead: float,
-    overhead_fma: float,
-) -> None:
-    """Seed the per-(device, tunables) measurement memo.
-
-    Used by the parallel benchmark harness to install measurements that
-    were computed in worker processes, so the parent never re-simulates.
-    """
-    _cache[(device_name, tunables)] = (main, overhead, overhead_fma)
 
 
 @dataclasses.dataclass
@@ -76,10 +58,12 @@ class LayerPerformance:
 def _measurements(
     device: DeviceSpec, tunables: Tunables
 ) -> tuple[MainLoopMeasurement, float, float]:
-    """(main-loop measurement, overhead cycles, overhead fma-busy) cached."""
-    key = (device.name, tunables)
-    if key in _cache:
-        return _cache[key]
+    """(main-loop measurement, overhead cycles, overhead fma-busy).
+
+    All three simulations behind it go through the current context's
+    simulation cache, so repeated calls replay them instead of
+    re-simulating.
+    """
     surrogate = _SURROGATE
     if tunables.bk != 64:
         surrogate = dataclasses.replace(surrogate, k=tunables.bk)
@@ -94,9 +78,7 @@ def _measurements(
     overhead_fma_busy = max(
         0, full.counters.fma_pipe_busy - main_only.counters.fma_pipe_busy
     )
-    result = (main, overhead, float(overhead_fma_busy))
-    _cache[key] = result
-    return result
+    return main, overhead, float(overhead_fma_busy)
 
 
 def _simulate_full_kernel(prob, device, tunables, iters):
@@ -148,7 +130,7 @@ def our_layer_performance(
     occupancy = device.occupancy(256, gen.num_regs, gen.launch_smem_bytes)
     iters = prob.c // BC
     block_cycles = overhead + iters * main.cycles_per_iter
-    waves = math.ceil(blocks / (device.num_sms * occupancy))
+    waves = device.waves(blocks, occupancy)
     time_s = waves * block_cycles / (device.clock_ghz * 1e9)
     tflops = prob.direct_flops / time_s / 1e12
 
@@ -172,7 +154,3 @@ def our_layer_performance(
         sol_main_loop=main.sol * util,
         sol_total=sol_total,
     )
-
-
-def clear_cache() -> None:
-    _cache.clear()

@@ -1,8 +1,7 @@
 """Process-pool fan-out for independent, pure computations.
 
-Promoted from ``benchmarks/parallel.py`` (which now re-exports these)
-so the runtime's pipelined :class:`~repro.runtime.session.InferenceSession`
-can use the same machinery as the benchmark suite.  Results come back in
+The runtime's pipelined :class:`~repro.runtime.session.InferenceSession`
+and the benchmark harness share this machinery.  Results come back in
 **deterministic input order** (a worker finishing early never reorders a
 result series).
 

@@ -34,21 +34,13 @@ import numpy as np
 
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
+from ..convolution.api import FUSED_TILE_FOR_ALGO, TILE_FOR_ALGO
 from .arena import ArenaStats
 from .context import ExecutionContext, activate, current_context
 
 #: Selection modes accepted by :class:`InferenceSession` on top of any
 #: concrete algorithm name from ``repro.convolution.ALGORITHMS``.
 SESSION_MODES = ("AUTO", "AUTO_HEURISTIC")
-
-#: Winograd tile family each algorithm executes on (``None`` for
-#: non-Winograd algorithms).  DWM decomposes onto f22-family parts.
-TILE_FOR_ALGO = {
-    "WINOGRAD": "f22",
-    "WINOGRAD_NONFUSED": "f22",
-    "WINOGRAD_DWM": "f22",
-    "WINOGRAD_F44": "f44",
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,13 +334,13 @@ class InferenceSession:
                     f"{excluded[algo]}"
                 )
         schedule = None
-        if self.tune_schedule and algo in ("WINOGRAD", "WINOGRAD_F44"):
+        if self.tune_schedule and algo in FUSED_TILE_FOR_ALGO:
             from ..sched import ScheduleSearchConfig, ensure_schedule
 
             config = self.context.schedule_search or ScheduleSearchConfig()
             schedule = ensure_schedule(
                 device=self.device, config=config, context=self.context,
-                tile=TILE_FOR_ALGO[algo],
+                tile=FUSED_TILE_FOR_ALGO[algo],
             ).best.schedule
         return LayerPlan(
             prob=prob,

@@ -92,7 +92,7 @@ def _plan_layers(
             context=ctx, tune_schedule=True,
         )
         rows.append(prob)
-    from ..convolution.autotune import TUNED_TILE_FOR_ALGO
+    from ..convolution.api import FUSED_TILE_FOR_ALGO
 
     plans = ctx.plans.snapshot()
     report = []
@@ -103,7 +103,7 @@ def _plan_layers(
                 report.append({
                     "layer": prob.label(),
                     "algo": plan.algo,
-                    "tile": TUNED_TILE_FOR_ALGO.get(plan.algo),
+                    "tile": FUSED_TILE_FOR_ALGO.get(plan.algo),
                     "schedule": (
                         plan.schedule.to_dict() if plan.schedule else None
                     ),

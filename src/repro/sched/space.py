@@ -10,7 +10,7 @@ and :class:`ScheduleSpace` enumerates the candidate grid the
 :mod:`repro.sched.search` tuner prunes.
 
 A :class:`Schedule` is deliberately *not* a
-:class:`~repro.kernels.winograd_f22.Tunables`: ``Tunables`` also carries
+:class:`~repro.kernels.winograd_fused.Tunables`: ``Tunables`` also carries
 structural knobs (``bk``, ``smem_layout``, ``use_p2r``) that change the
 kernel's resource shape and are selected by the planner, not the
 scheduler.  :meth:`Schedule.to_tunables` grafts a schedule onto any

@@ -43,14 +43,11 @@ import dataclasses
 import math
 
 from ..common.errors import ReproError, ServingError
+from ..convolution.api import FUSED_TILE_FOR_ALGO
 from ..gpusim.arch import DeviceSpec, canonical_device_key, resolve_device
 from ..runtime.context import ExecutionContext
 from .config import ServingConfig
 from .frontend import ModelSpec, ServingFrontend
-
-#: Fused tile families the router costs with the wave model, mapped from
-#: the dispatcher algorithm names ``rank_algorithms`` emits.
-_FUSED_FAMILIES = {"WINOGRAD": "f22", "WINOGRAD_F44": "f44"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,8 +207,7 @@ class FleetRouter:
                 f"({gen.launch_smem_bytes} B smem/block)"
             )
         iters = prob.c // spec.bc
-        waves = math.ceil(blocks / (dev.spec.num_sms * occupancy))
-        cycles = waves * iters * result.best.cycles_per_iter
+        cycles = dev.spec.waves(blocks, occupancy) * iters * result.best.cycles_per_iter
         return cycles / (dev.spec.clock_ghz * 1e9)
 
     def _model_cost(self, model: ModelSpec, dev: _FleetDevice) -> tuple[float, list[str]]:
@@ -229,7 +225,7 @@ class FleetRouter:
                     notes.append(f"{batched.label()}: {algo} excluded ({reason})")
             best = math.inf
             for algo in ranked:
-                family = _FUSED_FAMILIES.get(algo)
+                family = FUSED_TILE_FOR_ALGO.get(algo)
                 if family is not None:
                     try:
                         est = self._fused_layer_cost(dev, batched, family)

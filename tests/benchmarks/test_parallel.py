@@ -1,14 +1,12 @@
-"""The benchmark process-pool fan-out: determinism, sizing, fallbacks."""
+"""The process-pool fan-out the benchmarks and the pipelined session
+share: determinism, sizing, fallbacks."""
 
 import multiprocessing
 import os
-import sys
 
 import pytest
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks"))
-
-import parallel  # noqa: E402
+from repro.runtime import parallel
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 

@@ -96,32 +96,6 @@ def test_compare_missing_family_fails_loudly():
     assert "un-gated" in regressions[0]
 
 
-def test_migrate_baseline_lifts_flat_schema():
-    flat = {
-        "device": "RTX2070",
-        "space": "quick",
-        "iters": 3,
-        "winner": "w",
-        "metrics": {"a": 1.0},
-    }
-    lifted = perf_regression.migrate_baseline(flat, "quick")
-    assert lifted["schema"] == perf_regression.SCHEMA_VERSION
-    assert lifted["spec"] is None  # drift check skipped until regenerated
-    profile = lifted["profiles"]["quick"]
-    assert set(profile["families"]) == {"f22"}
-    assert profile["families"]["f22"]["metrics"] == {"a": 1.0}
-    assert profile["iters"] == 3
-    # already-migrated payloads pass through untouched
-    assert perf_regression.migrate_baseline(lifted, "quick") is lifted
-
-
-def test_migrate_baseline_lifts_single_profile_families_schema():
-    v1 = _payload({"a": 1.0})
-    lifted = perf_regression.migrate_baseline(v1, "full")
-    assert set(lifted["profiles"]) == {"full"}
-    assert lifted["profiles"]["full"]["families"]["f22"]["metrics"] == {"a": 1.0}
-
-
 # ---------------------------------------------------------------------------
 # main(): update -> pass -> injected failure, all against a tmp baseline
 # ---------------------------------------------------------------------------
@@ -199,24 +173,34 @@ def test_gate_update_then_pass_then_injected_failure(gate_env, capsys):
     assert bench["injected_regression_pct"] == 15.0
 
 
-def test_gate_flat_baseline_fails_on_missing_f44(gate_env, capsys):
-    """A pre-tile-family baseline migrates, then loudly fails the gate."""
+def test_gate_baseline_without_f44_fails(gate_env, capsys):
+    """A schema-2 baseline that never measured f44 loudly fails the gate."""
     argv, _ = gate_env
     assert perf_regression.main(argv + ["--update-baselines"]) == 0
     path = perf_regression.baseline_path("RTX2070")
-    full = json.loads(open(path).read())
-    f22 = full["profiles"]["quick"]["families"]["f22"]
-    flat = {
-        "device": full["device"],
-        "iters": full["profiles"]["quick"]["iters"],
-        "space": f22["space"],
-        "winner": f22["winner"],
-        "metrics": f22["metrics"],
-    }
+    baseline = json.loads(open(path).read())
+    del baseline["profiles"]["quick"]["families"]["f44"]
     with open(path, "w") as fh:
-        json.dump(flat, fh)
+        json.dump(baseline, fh)
     assert perf_regression.main(argv) == 1
     assert "tile family 'f44'" in capsys.readouterr().err
+
+
+def test_gate_schemaless_baseline_exits_2_with_regen_command(gate_env, capsys):
+    """A pre-schema-2 file is regenerated, never compared or migrated."""
+    argv, _ = gate_env
+    path = perf_regression.baseline_path("RTX2070")
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w") as fh:  # the original flat, f22-only layout
+        json.dump({"device": "RTX2070", "space": "quick", "iters": 3,
+                   "winner": "w", "metrics": {"a": 1.0}}, fh)
+    assert perf_regression.main(argv) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "--device RTX2070 --quick --update-baselines" in err
+    # The printed command replaces the file with one that gates.
+    assert perf_regression.main(argv + ["--update-baselines"]) == 0
+    assert perf_regression.main(argv) == 0
 
 
 def test_gate_rejects_baseline_from_other_space(gate_env):

@@ -9,7 +9,6 @@ from repro.gpusim import (
     RTX2070,
     V100,
     build_const_bank,
-    estimate_grid_time,
     run_grid,
     simulate_resident_blocks,
 )
@@ -215,14 +214,10 @@ def test_threads_must_be_warp_multiple():
         run_grid(_demo(), V100, 1, 33, {}, GlobalMemory(1 << 12))
 
 
-def test_estimate_grid_time_waves():
-    kernel = _demo()
-    gmem = GlobalMemory(1 << 12)
-    res = simulate_resident_blocks(kernel, V100, params={}, gmem=gmem,
-                                   threads_per_block=32, num_blocks=1)
-    one_wave = estimate_grid_time(V100, res, total_blocks=80, blocks_simulated=1)
-    two_waves = estimate_grid_time(V100, res, total_blocks=81, blocks_simulated=1)
-    assert two_waves == pytest.approx(2 * one_wave)
+def test_device_waves():
+    assert V100.waves(80) == 1  # one block on each of the 80 SMs
+    assert V100.waves(81) == 2  # one block spills into a tail wave
+    assert V100.waves(161, blocks_per_sm=2) == 2
 
 
 def test_occupancy_zero_rejected():

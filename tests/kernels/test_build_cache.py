@@ -19,7 +19,7 @@ from repro.kernels import (
     set_kernel_cache_limit,
 )
 from repro.kernels.cache import KernelBuildCache, sim_cache_key
-from repro.kernels.winograd_f22 import WinogradF22Kernel
+from repro.kernels.winograd_fused import WinogradF22Kernel
 
 PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64, name="cache-test")
 

@@ -15,7 +15,7 @@ from repro.common.problem import ConvProblem
 from repro.kernels.ftf import FilterTransformKernel
 from repro.kernels.gemm import BatchedGemmKernel
 from repro.kernels.runner import ensure_lint_clean
-from repro.kernels.winograd_f22 import Tunables, WinogradF22Kernel
+from repro.kernels.winograd_fused import Tunables, WinogradF22Kernel
 from repro.sass import parse_program
 from repro.sass.analysis import Severity, errors, lint_kernel
 from repro.sass.assembler import AssembledKernel

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import ConvConfigError, ConvProblem
 from repro.kernels import BC, BN, Tunables, WinogradF22Kernel
-from repro.kernels.winograd_f22 import _magic_u32
+from repro.kernels.winograd_fused import _magic_u32
 from repro.sass import validate_control
 
 PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64, name="test")

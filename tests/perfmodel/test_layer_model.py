@@ -61,11 +61,21 @@ def test_small_grid_dilutes_sol():
     assert small.sol_main_loop < big.sol_main_loop
 
 
-def test_measurement_cache_reused():
-    from repro.perfmodel import layer_model
+def test_measurement_cache_reused(monkeypatch):
+    """The measurements live in the context's simulation cache: shared by
+    every layer on one (device, tunables), and gone after ``ctx.reset()``."""
+    from repro.kernels import get_sim_cache_stats
+    from repro.runtime import ExecutionContext, activate
 
-    layer_model.clear_cache()
-    our_layer_performance(resnet_layer("Conv2", 32), V100)
-    n_entries = len(layer_model._cache)
-    our_layer_performance(resnet_layer("Conv5", 128), V100)
-    assert len(layer_model._cache) == n_entries  # same (device, tunables)
+    monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)  # no disk hits
+    ctx = ExecutionContext(device=V100)
+    with activate(ctx):
+        our_layer_performance(resnet_layer("Conv2", 32), V100)
+        cold = get_sim_cache_stats().misses
+        assert cold > 0
+        our_layer_performance(resnet_layer("Conv5", 128), V100)
+        assert get_sim_cache_stats().misses == cold  # same (device, tunables)
+        ctx.reset()
+        our_layer_performance(resnet_layer("Conv3", 32), V100)
+        assert get_sim_cache_stats().misses == cold  # re-simulated, not memoized

@@ -52,6 +52,20 @@ def test_forced_algorithm_mode():
     assert result.arena.peak_bytes == 0  # DIRECT needs no workspace
 
 
+@pytest.mark.parametrize("mode, tile", [
+    ("WINOGRAD", "f22"),
+    ("WINOGRAD_F44", "f44"),
+    ("WINOGRAD_NONFUSED", "f44"),  # runs F(4×4,3×3) on 6×6 tiles
+    ("DIRECT", None),
+])
+def test_plan_tile_is_the_family_the_algorithm_runs(mode, tile):
+    from repro.models import resnet_layer
+
+    session = InferenceSession([resnet_layer("Conv3", 4)], mode=mode,
+                               context=ExecutionContext())
+    assert session.compile()[0].tile == tile
+
+
 def test_auto_mode_compiles_from_trials():
     ctx = ExecutionContext()
     session = InferenceSession(TINY[:1], mode="AUTO", context=ctx)
