@@ -108,7 +108,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="lowest severity that fails the job "
                              "(default: error)")
     parser.add_argument("--no-space", action="store_true",
-                        help="skip the 54-candidate schedule-space sweep")
+                        help="skip the 81-candidate schedule-space sweeps "
+                             "(54 f22 + 27 f44)")
     args = parser.parse_args(argv)
 
     json_dir = None

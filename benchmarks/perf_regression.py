@@ -68,7 +68,6 @@ from repro.sched import (
     SCHEDULE_FIELDS,
     SearchBudget,
     evaluate_schedule,
-    prefetch_schedules,
     successive_halving,
 )
 
@@ -126,10 +125,6 @@ def _collect_family(device, tile: str, space, budget, ctx,
                 label = schedule.label()
                 if label not in metrics and label not in pending:
                     pending[label] = schedule
-    prefetch_schedules(
-        list(pending.values()), device, iters=budget.base_iters, context=ctx,
-        tile=tile,
-    )
     for label, schedule in pending.items():
         metrics[label] = evaluate_schedule(
             schedule, device, iters=budget.base_iters, context=ctx, tile=tile,

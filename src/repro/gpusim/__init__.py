@@ -23,11 +23,8 @@ from .counters import Counters
 from .engine import ExecResult, ExecutionContext, execute
 from .launch import (
     LaunchResult,
-    PreparedKernel,
     build_const_bank,
-    prepare_kernel,
     run_grid,
-    simulate_batch,
     simulate_resident_blocks,
 )
 from .memory import (
@@ -53,7 +50,6 @@ __all__ = [
     "ExecutionContext",
     "GlobalMemory",
     "LaunchResult",
-    "PreparedKernel",
     "ProfileReport",
     "ProfileSection",
     "RTX2070",
@@ -68,12 +64,10 @@ __all__ = [
     "coalesced_sectors",
     "device_key",
     "execute",
-    "prepare_kernel",
     "profile_report",
     "register_device",
     "resolve_device",
     "run_grid",
-    "simulate_batch",
     "simulate_resident_blocks",
     "validate_device",
 ]

@@ -15,6 +15,11 @@ Typical flow::
 blocks for timing studies, and :meth:`DeviceSpec.waves` extrapolates a
 full launch from that measurement the way one extrapolates from a
 single-SM microbenchmark on real hardware.
+
+Both accept an :class:`~repro.sass.assembler.AssembledKernel` or a
+:class:`~repro.sass.cubin.LoadedCubin`.  The fused Winograd kernels
+reach ``simulate_resident_blocks`` through one function,
+:mod:`repro.kernels.runner`'s cached and lint-gated simulate path.
 """
 
 from __future__ import annotations
@@ -35,37 +40,13 @@ from .sm import BlockSpec, SMSimulator
 CONST_BANK_BYTES = 4096
 
 
-@dataclasses.dataclass
-class PreparedKernel:
-    """A kernel with its launchable parts resolved exactly once.
-
-    ``run_grid`` / ``simulate_resident_blocks`` accept this wherever they
-    accept an :class:`AssembledKernel` or :class:`LoadedCubin`; preparing
-    a kernel up front lets callers launch the same object many times
-    without re-decoding cubin instructions or re-validating the type per
-    call (the build-once/run-many path used by the kernel build cache).
-    The simulator never mutates instructions, so one prepared kernel may
-    be shared by any number of sequential or threaded launches.
-    """
-
-    meta: KernelMeta
-    instructions: list
-
-
-def prepare_kernel(kernel) -> PreparedKernel:
-    """Resolve a kernel's meta + instruction list for repeated launches."""
-    if isinstance(kernel, PreparedKernel):
-        return kernel
-    if isinstance(kernel, AssembledKernel):
-        return PreparedKernel(kernel.meta, kernel.instructions)
-    if isinstance(kernel, LoadedCubin):
-        return PreparedKernel(kernel.meta, kernel.instructions())
-    raise SimLaunchError(f"cannot launch object of type {type(kernel).__name__}")
-
-
 def _kernel_parts(kernel) -> tuple[KernelMeta, list]:
-    prepared = prepare_kernel(kernel)
-    return prepared.meta, prepared.instructions
+    """The (meta, instruction list) of an assembled or loaded kernel."""
+    if isinstance(kernel, AssembledKernel):
+        return kernel.meta, kernel.instructions
+    if isinstance(kernel, LoadedCubin):
+        return kernel.meta, kernel.instructions()
+    raise SimLaunchError(f"cannot launch object of type {type(kernel).__name__}")
 
 
 def _launch_span(label: str, **attrs):
@@ -210,39 +191,3 @@ def simulate_resident_blocks(
         sim = SMSimulator(device, program, gmem)
         counters = sim.run(specs)
     return LaunchResult(counters=counters, groups=1, occupancy=occupancy)
-
-
-def simulate_batch(
-    jobs,
-    device: DeviceSpec,
-    gmem: GlobalMemory,
-    threads_per_block: int = 256,
-) -> list[LaunchResult]:
-    """Run many candidate kernels against one shared memory image.
-
-    *jobs* is a sequence of ``(kernel, params, num_blocks)`` triples
-    (``num_blocks=None`` for full occupancy).  Buffer *contents* never
-    affect timing — only layout does — so a single
-    :class:`~repro.gpusim.memory.GlobalMemory` image whose allocations
-    cover every job's pointers serves the whole batch; each unique
-    program is decoded once up front (the schedule search's
-    successive-halving rungs and the perf-regression sweep route their
-    candidate measurements through here).  Results are returned in job
-    order.
-    """
-    from .decode import decode_program
-
-    jobs = list(jobs)
-    seen: set[int] = set()
-    for kernel, _params, _num_blocks in jobs:
-        _meta, program = _kernel_parts(kernel)
-        if id(program) not in seen:
-            seen.add(id(program))
-            decode_program(program)  # warm the shared decode cache
-    return [
-        simulate_resident_blocks(
-            kernel, device, params=params, gmem=gmem,
-            threads_per_block=threads_per_block, num_blocks=num_blocks,
-        )
-        for kernel, params, num_blocks in jobs
-    ]

@@ -7,7 +7,7 @@ gives the hot path the same build-once/run-many structure that maxDNN
 and the Volta tensor-core generators use for their compiled kernels:
 
 * :class:`KernelBuildCache` — a thread-safe LRU of assembled kernels
-  keyed by ``(ConvProblem, Tunables, device, main_loop_only, iters)``.
+  keyed by ``(ConvProblem, Tunables, main_loop_only, iters, tile)``.
   A hit returns the exact
   :class:`~repro.sass.assembler.AssembledKernel` object that the first
   build produced (the simulator never mutates instructions, so sharing
@@ -105,11 +105,15 @@ def _env_enabled(name: str) -> bool:
 # ---------------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class BuildKey:
-    """Identity of one generated-and-assembled kernel."""
+    """Identity of one generated-and-assembled kernel.
+
+    Everything the generator reads and nothing else: the emitted SASS
+    does not depend on the device, so builds for different devices
+    (or different names of one device) share one entry.
+    """
 
     prob: ConvProblem
     tunables: Tunables
-    device: str
     main_loop_only: bool = False
     iters: int | None = None
     tile: str = "f22"
@@ -179,7 +183,6 @@ class KernelBuildCache:
                     and k.iters != key.iters
                     and k.prob == key.prob
                     and k.tunables == key.tunables
-                    and k.device == key.device
                     and k.main_loop_only == key.main_loop_only
                     and k.tile == key.tile
                 ):
@@ -225,7 +228,7 @@ def _reiterate_kernel(
 ) -> AssembledKernel | None:
     """Derive an ``iters=new_iters`` build from an assembled sibling.
 
-    Builds of one (problem, tunables, device, build mode) family differ
+    Builds of one (problem, tunables, build mode, tile) family differ
     in exactly one instruction: the ``MOV R_iter, <imm>`` trip-count
     override emitted after the prologue.  Cloning the sibling with that
     immediate swapped and the one 16-byte word re-encoded in place is
@@ -294,7 +297,9 @@ def build_fused_kernel(
     cache lives on the :class:`~repro.runtime.ExecutionContext`
     (*context*, default: the current one); ``REPRO_KERNEL_CACHE=0``
     bypasses it and rebuilds every call (the uncached baseline path).
-    Every actual assembler pass records a ``"build"`` trace span.  When a
+    Every actual assembler pass records a ``"build"`` trace span, which
+    *device_name* only labels: the generated kernel is the same for
+    every device, so the cache key leaves it out.  When a
     sibling differing only in ``iters`` is already cached, the kernel is
     derived from it by patching the trip-count immediate instead of
     assembling from scratch (see :func:`_reiterate_kernel`).
@@ -314,7 +319,7 @@ def build_fused_kernel(
 
     if not _env_enabled("REPRO_KERNEL_CACHE"):
         return _full_build()
-    key = BuildKey(prob, tunables, device_name, main_loop_only, iters, spec.name)
+    key = BuildKey(prob, tunables, main_loop_only, iters, spec.name)
 
     def _build():
         if iters is not None:

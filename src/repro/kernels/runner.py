@@ -9,6 +9,12 @@ simulation, and the output back as NCHW.
 it builds the main-loop-only kernel for a layer, runs one SM's worth of
 resident blocks for a few iterations, and reports the achieved
 main-loop TFLOPS extrapolated to the whole device.
+
+``_simulate_fused_kernel`` is the one place a fused kernel, main-loop
+or full, becomes a simulated ``LaunchResult``: build, lint gate, the
+shared per-problem arena, ``simulate_resident_blocks``, then the
+simulation cache.  ``measure_main_loop`` (and through it the schedule
+search) and the layer model's overhead measurement both go through it.
 """
 
 from __future__ import annotations
@@ -22,12 +28,7 @@ from ..common.layouts import kcrs_to_crsk, khwn_to_nkhw, nchw_to_chwn
 from ..common.problem import ConvProblem
 from ..gpusim.arch import DeviceSpec, V100
 from ..gpusim.counters import Counters
-from ..gpusim.launch import (
-    LaunchResult,
-    run_grid,
-    simulate_batch,
-    simulate_resident_blocks,
-)
+from ..gpusim.launch import LaunchResult, run_grid, simulate_resident_blocks
 from ..gpusim.memory import GlobalMemory
 from ..sass.analysis import errors as lint_errors
 from ..sass.analysis import lint_kernel
@@ -35,7 +36,7 @@ from ..sass.assembler import AssembledKernel
 from ..winograd.fused import FusedWinogradConv
 from ..winograd.tilespec import get_tile
 from .cache import build_fused_kernel, sim_cache_key, simulation_cache
-from .winograd_fused import Tunables, default_tunables, kernel_for_tile
+from .winograd_fused import BC, Tunables, default_tunables, kernel_for_tile
 
 class LintGate:
     """Launch gate: refuse kernels with error-severity lint findings.
@@ -59,7 +60,7 @@ class LintGate:
         on hardware, so it must not run here either.
 
         *family* (hashable, optional) names a group of kernels known to
-        share one lint verdict: same problem/tunables/device/build mode,
+        share one lint verdict: same problem/tile/tunables/build mode,
         differing only in the main-loop trip count.  The generator emits
         the same per-iteration instruction stream regardless of
         ``iters``, so once one member lints clean the whole family does
@@ -102,18 +103,18 @@ def ensure_lint_clean(kernel: AssembledKernel, context=None, family=None) -> Non
     _ctx(context).lint_gate.ensure(kernel, family=family)
 
 
-def lint_family_key(prob, device, tunables, main_loop_only=True, tile=None):
+def lint_family_key(prob, tunables, main_loop_only=True, tile=None):
     """Family key for :meth:`LintGate.ensure`: everything but ``iters``.
 
-    Builds of the same (problem, tile family, tunables, device, build
-    mode) differ only in how many times the identical bc-iteration body
-    runs, so one clean lint covers every iteration count.
+    Builds of the same (problem, tile family, tunables, build mode)
+    differ only in how many times the identical bc-iteration body runs,
+    so one clean lint covers every iteration count.  The device is no
+    part of it: the generator and the linter never read one.
     """
     return (
         "main_loop" if main_loop_only else "full",
         get_tile(tile).name,
         dataclasses.astuple(prob),
-        device.name,
         dataclasses.astuple(tunables),
     )
 
@@ -206,22 +207,25 @@ _ARENAS: dict = {}  # prob signature -> (GlobalMemory, params)
 _MAX_ARENAS = 8
 
 
-def _main_loop_arena(prob, tile=None) -> tuple[GlobalMemory, dict[str, int]]:
-    """The shared synthetic buffer image for main-loop sims of *prob*.
+def _problem_arena(prob, tile=None) -> tuple[GlobalMemory, dict[str, int]]:
+    """The shared synthetic buffer image for resident-blocks sims of *prob*.
 
     Buffer contents never affect timing — only layout, size and L2
     residency do, and those are a pure function of the problem and the
     tile family — so one :class:`GlobalMemory` image serves every
-    candidate schedule and iteration count (the batched measurement path
-    hands it to :func:`~repro.gpusim.launch.simulate_batch`).
+    candidate schedule, iteration count and build variant.  The buffers
+    are the ones ``alloc_buffers`` lays out for a real launch, in the
+    same order and at the same sizes: the input, the L2-resident
+    transformed filter (each padded by one ``bc`` block), then the
+    output.
     """
     spec = get_tile(tile)
     key = (spec.name, dataclasses.astuple(prob))
     arena = _ARENAS.get(key)
     if arena is None:
         gmem = GlobalMemory(size=128 << 20)
-        in_elems = (prob.c + 8) * prob.h * prob.w * prob.n
-        fil_elems = (prob.c + 8) * spec.elements * prob.k
+        in_elems = (prob.c + BC) * prob.h * prob.w * prob.n
+        fil_elems = (prob.c + BC) * spec.elements * prob.k
         in_ptr = gmem.alloc(4 * in_elems)
         fil_ptr = gmem.alloc(4 * fil_elems, l2_resident=True)
         out_ptr = gmem.alloc(4 * prob.k * prob.out_h * prob.out_w * prob.n)
@@ -232,94 +236,53 @@ def _main_loop_arena(prob, tile=None) -> tuple[GlobalMemory, dict[str, int]]:
     return arena
 
 
-def _main_loop_key(prob, device, tunables, iters, num_blocks, tile=None) -> str:
-    return sim_cache_key(
-        "main_loop",
+def _simulate_fused_kernel(
+    prob, device, tunables, iters, num_blocks, context=None, tile=None,
+    main_loop_only=True,
+) -> LaunchResult:
+    """One resident-blocks simulation of a fused kernel, memoized.
+
+    *main_loop_only* picks the build variant: the main-loop
+    microbenchmark of Figs. 7-9, or the full kernel with its prologue
+    and OTF epilogue, which the layer model differences against it.
+    Either way the kernel comes from the context's build cache and
+    passes its :class:`LintGate` before it runs.  The result is a pure
+    function of the signature (buffer *contents* never affect timing,
+    only layout, which the signature determines), so it is served from
+    the context's (or disk) simulation cache when available and is
+    bit-identical either way.
+    """
+    spec = get_tile(tile)
+    ctx = _ctx(context)
+    cache = simulation_cache(ctx)
+    key = sim_cache_key(
+        "resident_blocks",
         prob=prob,
         device=device,
         tunables=tunables,
+        main_loop_only=main_loop_only,
         iters=iters,
         num_blocks=num_blocks,
-        tile=get_tile(tile).name,
+        tile=spec.name,
     )
-
-
-def _simulate_main_loop(
-    prob, device, tunables, iters, num_blocks, context=None, tile=None
-):
-    """One main-loop-only resident-blocks simulation, memoized.
-
-    The simulation is a pure function of its signature (synthetic buffer
-    *contents* never affect timing, only layout — which the signature
-    determines), so the result is served from the context's (or disk)
-    simulation cache when available and is bit-identical either way.
-    """
-    spec = get_tile(tile)
-    cache = simulation_cache(context)
-    key = _main_loop_key(prob, device, tunables, iters, num_blocks, spec)
     payload = cache.get(key)
     if payload is not None:
         return LaunchResult.from_payload(payload)
     kernel = build_fused_kernel(
-        prob, tunables, device.name, main_loop_only=True, iters=iters, tile=spec
+        prob, tunables, device.name, main_loop_only, iters, tile=spec,
+        context=ctx,
     )
     ensure_lint_clean(
-        kernel, family=lint_family_key(prob, device, tunables, tile=spec)
+        kernel, context=ctx,
+        family=lint_family_key(prob, tunables, main_loop_only, spec),
     )
-    gmem, params = _main_loop_arena(prob, spec)
+    gmem, params = _problem_arena(prob, spec)
     result = simulate_resident_blocks(
         kernel, device, params=params, gmem=gmem, threads_per_block=256,
         num_blocks=num_blocks,
     )
     cache.put(key, result.to_payload())
     return result
-
-
-def prefetch_main_loop_sims(
-    prob,
-    device,
-    tunables_list,
-    iters_list,
-    num_blocks=None,
-    context=None,
-    tile=None,
-) -> int:
-    """Batch-simulate every (tunables × iters) pair not already cached.
-
-    The batched front door to :func:`~repro.gpusim.launch.simulate_batch`:
-    one shared decode per program and one shared ``GlobalMemory`` image
-    across the whole candidate set.  Afterwards every
-    :func:`_simulate_main_loop` call for these pairs is a cache hit, so
-    callers (the successive-halving rungs, the perf-regression sweep)
-    keep their per-candidate scoring unchanged.  Returns the number of
-    simulations actually run.
-    """
-    spec = get_tile(tile)
-    cache = simulation_cache(context)
-    gmem, params = _main_loop_arena(prob, spec)
-    jobs = []
-    keys = []
-    for tunables in tunables_list:
-        for iters in iters_list:
-            key = _main_loop_key(prob, device, tunables, iters, num_blocks, spec)
-            if cache.get(key) is not None or key in keys:
-                continue
-            kernel = build_fused_kernel(
-                prob, tunables, device.name, main_loop_only=True, iters=iters,
-                tile=spec, context=context,
-            )
-            ensure_lint_clean(
-                kernel, context=context,
-                family=lint_family_key(prob, device, tunables, tile=spec),
-            )
-            keys.append(key)
-            jobs.append((kernel, params, num_blocks))
-    if not jobs:
-        return 0
-    results = simulate_batch(jobs, device, gmem, threads_per_block=256)
-    for key, result in zip(keys, results):
-        cache.put(key, result.to_payload())
-    return len(results)
 
 
 def measure_main_loop(
@@ -344,13 +307,15 @@ def measure_main_loop(
     spec = get_tile(tile)
     tunables = tunables or default_tunables(spec)
     if iters < 3:
-        raise ValueError("need at least 3 iterations for a differential measure")
+        raise ConvConfigError(
+            f"need at least 3 iterations for a differential measure, got {iters}"
+        )
     ctx = _ctx(context)
     with activate(ctx):
-        long_run = _simulate_main_loop(
+        long_run = _simulate_fused_kernel(
             prob, device, tunables, iters, num_blocks, ctx, spec
         )
-        short_run = _simulate_main_loop(
+        short_run = _simulate_fused_kernel(
             prob, device, tunables, iters - 2, num_blocks, ctx, spec
         )
     c_long, c_short = long_run.counters, short_run.counters

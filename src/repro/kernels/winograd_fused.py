@@ -52,12 +52,19 @@ from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
 from ..sass.assembler import AssembledKernel, assemble
 from ..winograd.tilespec import TILE_F44, TileSpec, get_tile
-from .schedules import apply_yield_strategy, weave
+from .schedules import YIELD_STRATEGIES, apply_yield_strategy, weave
 
 BC = 8  # channels per iteration; fixed as in the paper
 BN = 32  # input tiles per block; fixed (one tile per thread per iteration)
 THREADS = 256
 WARPS = 8
+
+
+def _check_yield_strategy(strategy: str) -> None:
+    if strategy not in YIELD_STRATEGIES:
+        raise ConvConfigError(
+            f"unknown yield strategy {strategy!r}; use one of {YIELD_STRATEGIES}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,6 +80,7 @@ class Tunables:
     double_buffer: int = 2           # fragment buffer depth       (§3.4)
 
     def __post_init__(self) -> None:
+        _check_yield_strategy(self.yield_strategy)
         if self.bk not in (32, 64):
             raise ConvConfigError("bk must be 32 (cuDNN-like) or 64 (paper)")
         if self.smem_layout not in ("transposed", "tile_major"):
@@ -100,6 +108,7 @@ class F44Tunables(Tunables):
     bk: int = 16
 
     def __post_init__(self) -> None:
+        _check_yield_strategy(self.yield_strategy)
         if self.bk != 16:
             raise ConvConfigError(
                 "the F(4×4) kernel implements bk=16 (the best feasible "
@@ -134,6 +143,11 @@ class WinogradF22Kernel:
 
     def __init__(self, prob: ConvProblem, tunables: Tunables | None = None):
         tunables = tunables or Tunables()
+        if tunables.bk not in (32, 64):
+            raise ConvConfigError(
+                "the F(2×2) kernel implements bk=32 or bk=64, "
+                f"got bk={tunables.bk}"
+            )
         if prob.r != 3 or prob.s != 3 or prob.pad != 1:
             raise ConvConfigError("the fused kernel implements 3×3 / pad 1")
         if prob.n % BN:

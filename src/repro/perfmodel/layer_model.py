@@ -8,7 +8,8 @@ what one does on real hardware with a single-SM microbenchmark:
    simulated SM (differential measurement, see ``kernels.runner``);
 2. measure the **per-block overhead** (prologue + first staging +
    output transform) by simulating the *full* kernel on a surrogate
-   problem and subtracting the main-loop portion;
+   problem and subtracting the main-loop portion — through the same
+   cached, lint-gated runner path as the main-loop runs;
 3. extrapolate: ``time = waves × block_cycles / clock`` with
    ``waves = ⌈blocks / (SMs · occupancy)⌉`` (:meth:`DeviceSpec.waves`)
    — which also captures the small-batch tail effect behind the
@@ -26,10 +27,9 @@ import dataclasses
 
 from ..common.problem import ConvProblem
 from ..gpusim.arch import DeviceSpec
-from ..kernels.cache import build_fused_kernel, sim_cache_key, simulation_cache
 from ..kernels.runner import (
     MainLoopMeasurement,
-    _simulate_main_loop,
+    _simulate_fused_kernel,
     measure_main_loop,
 )
 from ..kernels.winograd_fused import BC, Tunables, WinogradF22Kernel
@@ -60,9 +60,9 @@ def _measurements(
 ) -> tuple[MainLoopMeasurement, float, float]:
     """(main-loop measurement, overhead cycles, overhead fma-busy).
 
-    All three simulations behind it go through the current context's
-    simulation cache, so repeated calls replay them instead of
-    re-simulating.
+    All three simulations behind it take the runner's one path (build
+    cache, lint gate, the current context's simulation cache), so
+    repeated calls replay them instead of re-simulating.
     """
     surrogate = _SURROGATE
     if tunables.bk != 64:
@@ -70,8 +70,10 @@ def _measurements(
     main = measure_main_loop(surrogate, device, tunables, iters=3)
     # Full kernel (with OTF epilogue) at the same iteration count → the
     # difference is prologue + staging + epilogue ("overhead").
-    full = _simulate_full_kernel(surrogate, device, tunables, iters=3)
-    main_only = _simulate_main_loop(surrogate, device, tunables, 3, None)
+    full = _simulate_fused_kernel(
+        surrogate, device, tunables, 3, None, main_loop_only=False
+    )
+    main_only = _simulate_fused_kernel(surrogate, device, tunables, 3, None)
     overhead = max(
         0.0, full.counters.cycles - main_only.counters.cycles
     ) + (main_only.counters.cycles - 3 * main.cycles_per_iter)
@@ -79,39 +81,6 @@ def _measurements(
         0, full.counters.fma_pipe_busy - main_only.counters.fma_pipe_busy
     )
     return main, overhead, float(overhead_fma_busy)
-
-
-def _simulate_full_kernel(prob, device, tunables, iters):
-    """Resident-blocks run of the *full* kernel (with epilogue), memoized
-    in the simulation cache exactly like the main-loop-only runs."""
-    from ..gpusim.launch import LaunchResult, simulate_resident_blocks
-    from ..gpusim.memory import GlobalMemory
-
-    cache = simulation_cache()
-    key = sim_cache_key(
-        "layer_overhead_full",
-        prob=prob, device=device, tunables=tunables, iters=iters,
-    )
-    payload = cache.get(key)
-    if payload is not None:
-        return LaunchResult.from_payload(payload)
-    kernel_full = build_fused_kernel(
-        prob, tunables, device.name, main_loop_only=False, iters=iters
-    )
-    gmem = GlobalMemory(size=128 << 20)
-    p = prob
-    in_ptr = gmem.alloc(4 * (p.c + BC) * p.h * p.w * p.n)
-    fil_ptr = gmem.alloc(4 * (p.c + BC) * 16 * p.k, l2_resident=True)
-    out_ptr = gmem.alloc(4 * p.k * p.out_h * p.out_w * p.n)
-    result = simulate_resident_blocks(
-        kernel_full,
-        device,
-        params={"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr},
-        gmem=gmem,
-        threads_per_block=256,
-    )
-    cache.put(key, result.to_payload())
-    return result
 
 
 def our_layer_performance(

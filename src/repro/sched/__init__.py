@@ -14,7 +14,6 @@ from .search import (
     ensure_schedule,
     evaluate_schedule,
     paper_ordering,
-    prefetch_schedules,
     prune_candidates,
     static_cost_candidate,
     successive_halving,
@@ -50,7 +49,6 @@ __all__ = [
     "ensure_schedule",
     "evaluate_schedule",
     "paper_ordering",
-    "prefetch_schedules",
     "prune_candidates",
     "space_for_tile",
     "static_cost_candidate",

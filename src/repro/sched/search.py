@@ -14,7 +14,10 @@ successive-halving schedule instead of an exhaustive sweep:
   at a larger iteration budget, so the expensive, high-fidelity
   simulations are spent only on surviving candidates.
 
-Repeated points are (nearly) free: kernel builds come from the
+Each candidate is scored one at a time through
+:func:`~repro.kernels.runner.measure_main_loop`, the runner's one
+build → lint → simulate → cache path.  Repeated points are (nearly)
+free: kernel builds come from the
 :class:`~repro.kernels.cache.KernelBuildCache` and simulations from the
 two-tier :class:`~repro.kernels.cache.SimulationCache` — and because a
 rung-``r+1`` measurement at ``iters`` reuses the rung-``r`` simulation
@@ -31,18 +34,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import threading
-from collections.abc import Iterable
 from typing import TYPE_CHECKING, Any
 
 from ..common.errors import ConvConfigError
 from ..gpusim.arch import DeviceSpec
 from ..kernels.cache import build_fused_kernel
-from ..kernels.runner import (
-    ensure_lint_clean,
-    lint_family_key,
-    measure_main_loop,
-    prefetch_main_loop_sims,
-)
+from ..kernels.runner import ensure_lint_clean, lint_family_key, measure_main_loop
 from ..kernels.winograd_fused import Tunables
 from ..winograd.tilespec import get_tile
 from .space import (
@@ -304,38 +301,6 @@ def evaluate_schedule(
     )
 
 
-def prefetch_schedules(
-    schedules: Iterable[Schedule],
-    device: DeviceSpec,
-    *,
-    iters: int = 3,
-    num_blocks: int | None = None,
-    base_tunables: Tunables | None = None,
-    prob: ConvProblem | None = None,
-    context: ExecutionContext | None = None,
-    tile=None,
-) -> int:
-    """Batch-simulate many schedules' differential runs ahead of scoring.
-
-    Routes every uncached ``(schedule, iters)`` and ``(schedule,
-    iters − 2)`` simulation through
-    :func:`~repro.gpusim.launch.simulate_batch` (one shared decode +
-    ``GlobalMemory`` image), so subsequent :func:`evaluate_schedule`
-    calls are pure cache hits.  Returns the number of simulations run.
-    """
-    spec = get_tile(tile)
-    prob = prob if prob is not None else _surrogate_problem()
-    return prefetch_main_loop_sims(
-        prob,
-        device,
-        [s.to_tunables(base_tunables, spec) for s in schedules],
-        (iters, iters - 2),
-        num_blocks=num_blocks,
-        context=context,
-        tile=spec,
-    )
-
-
 def lint_gate_candidate(
     schedule: Schedule,
     device: DeviceSpec,
@@ -362,7 +327,7 @@ def lint_gate_candidate(
     )
     ensure_lint_clean(
         kernel, context=ctx,
-        family=lint_family_key(prob, device, tunables, tile=spec),
+        family=lint_family_key(prob, tunables, tile=spec),
     )
 
 
@@ -504,15 +469,6 @@ def successive_halving(
             survivors = candidates
             for rung in range(budget.max_rungs):
                 iters = budget.rung_iters(rung)
-                # Batch the rung's simulations through one shared decode
-                # + GlobalMemory image; the per-candidate scoring below
-                # then runs entirely against the simulation cache.
-                prefetch_schedules(
-                    survivors, device, iters=iters,
-                    num_blocks=budget.num_blocks,
-                    base_tunables=base_tunables, prob=prob, context=ctx,
-                    tile=spec,
-                )
                 scores = [
                     evaluate_schedule(
                         s, device, iters=iters, num_blocks=budget.num_blocks,

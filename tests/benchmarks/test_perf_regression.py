@@ -120,12 +120,6 @@ def gate_env(monkeypatch, tmp_path):
     monkeypatch.setattr(
         "repro.sched.search.lint_gate_candidate", lambda *a, **k: None
     )
-    # Prefetch batch-runs real simulations (measure_main_loop above is
-    # the memoized consumer); with it patched out the full-profile tests
-    # stay instant.
-    monkeypatch.setattr(
-        "repro.sched.search.prefetch_main_loop_sims", lambda *a, **k: 0
-    )
     baseline_dir = tmp_path / "baselines"
     monkeypatch.setattr(perf_regression, "BASELINE_DIR", str(baseline_dir))
     out_dir = tmp_path / "results"

@@ -17,7 +17,7 @@ import pytest
 
 from repro.gpusim import DEVICES
 from repro.kernels import clear_kernel_cache, clear_simulation_cache
-from repro.kernels.runner import _simulate_main_loop
+from repro.kernels.runner import _simulate_fused_kernel
 from repro.models import paper_layers
 from repro.sched.space import PAPER_SCHEDULE, QUICK_SPACE
 
@@ -39,7 +39,7 @@ def _isolated(monkeypatch):
 
 def _counters(monkeypatch, engine, prob, device, tunables, iters=3):
     monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-    result = _simulate_main_loop(prob, device, tunables, iters, None)
+    result = _simulate_fused_kernel(prob, device, tunables, iters, None)
     return dataclasses.asdict(result.counters), result.occupancy
 
 
@@ -106,7 +106,7 @@ def test_engines_agree_across_quick_space(monkeypatch, dev_key, schedule):
 @pytest.mark.parametrize("layer_idx", range(4))
 def test_engines_agree_on_more_table1_layers(monkeypatch, layer_idx):
     # All four Table-1 layers at N=32 (larger batches overflow the
-    # 128 MB synthetic main-loop arena, see _main_loop_arena).
+    # 128 MB synthetic per-problem arena, see _problem_arena).
     prob = paper_layers(batch_sizes=(32,))[layer_idx]
     _assert_engines_agree(
         monkeypatch, prob, DEVICES["V100"], PAPER_SCHEDULE.to_tunables()

@@ -138,6 +138,17 @@ def test_distinct_tunables_are_distinct_entries():
     assert get_kernel_cache_stats().hits == 1
 
 
+def test_device_names_share_one_build():
+    # The generator reads no device, so neither does the build identity:
+    # an alias, its resolved name and another device all hit one entry.
+    kernels = [
+        build_fused_kernel(PROB, Tunables(), name)
+        for name in ("RTX2070", RTX2070.name, "V100")
+    ]
+    assert kernels[1] is kernels[0] and kernels[2] is kernels[0]
+    assert get_kernel_cache_stats().builds == 1
+
+
 def test_eviction_under_size_limit():
     set_kernel_cache_limit(1)
     build_fused_kernel(PROB, Tunables(), RTX2070.name)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.common import ConvConfigError, ConvProblem
 from repro.kernels import BC, BN, Tunables, WinogradF22Kernel
-from repro.kernels.winograd_fused import _magic_u32
+from repro.kernels.winograd_fused import (
+    F44Tunables,
+    _magic_u32,
+    default_tunables,
+    kernel_for_tile,
+)
 from repro.sass import validate_control
 
 PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64, name="test")
@@ -63,6 +68,20 @@ def test_tunables_validation():
         Tunables(ldg_interleave=0)
     with pytest.raises(ConvConfigError):
         Tunables(double_buffer=3)
+
+
+@pytest.mark.parametrize("cls", [Tunables, F44Tunables])
+def test_unknown_yield_strategy_is_a_config_error(cls):
+    # Rejected at construction, as a ReproError, not later by .source().
+    with pytest.raises(ConvConfigError, match="yield strategy"):
+        cls(yield_strategy="bogus")
+
+
+def test_f22_generator_rejects_f44_tunables():
+    # F44Tunables is a Tunables with bk=16; without the check the F(2×2)
+    # generator only failed later, inside the assembler.
+    with pytest.raises(ConvConfigError, match=r"F\(2×2\).*bk=16"):
+        kernel_for_tile(PROB, "f22", default_tunables("f44"))
 
 
 def test_magic_u32_division():

@@ -79,3 +79,30 @@ def test_measurement_cache_reused(monkeypatch):
         ctx.reset()
         our_layer_performance(resnet_layer("Conv3", 32), V100)
         assert get_sim_cache_stats().misses == cold  # re-simulated, not memoized
+
+
+def test_full_kernel_passes_the_lint_gate(monkeypatch):
+    """The overhead run's full kernel (the one whose OTF epilogue stores
+    with ``STG.E``) goes through the context's lint gate, like the
+    main-loop kernels do."""
+    from repro.runtime import ExecutionContext, activate
+
+    monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)  # no disk hits
+    ctx = ExecutionContext(device=V100)
+    gated = []
+    real_ensure = ctx.lint_gate.ensure
+
+    def recording_ensure(kernel, family=None):
+        gated.append(kernel)
+        real_ensure(kernel, family=family)
+
+    monkeypatch.setattr(ctx.lint_gate, "ensure", recording_ensure)
+    with activate(ctx):
+        our_layer_performance(resnet_layer("Conv2", 32), V100)
+
+    def stores_output(kernel):
+        return any(i.name == "STG" and "E" in i.flags for i in kernel.instructions)
+
+    assert any(stores_output(k) for k in gated)
+    assert not all(stores_output(k) for k in gated)  # main-loop kernels too

@@ -53,9 +53,6 @@ def fake_simulator(monkeypatch):
     monkeypatch.setattr(
         "repro.sched.search.lint_gate_candidate", lambda *a, **k: None
     )
-    monkeypatch.setattr(
-        "repro.sched.search.prefetch_main_loop_sims", lambda *a, **k: 0
-    )
 
 
 def _search(device):

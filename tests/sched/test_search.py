@@ -21,6 +21,7 @@ from repro.sched import (
     ScheduleSpace,
     SearchBudget,
     ensure_schedule,
+    evaluate_schedule,
     paper_ordering,
     successive_halving,
 )
@@ -216,9 +217,19 @@ def test_result_serializes(fake_simulator):
     assert rebuilt == PAPER_SCHEDULE
 
 
+def test_evaluate_schedule_rejects_too_few_iters():
+    # The differential measure needs iters >= 3; asking for fewer is a
+    # configuration error (a ReproError), raised before any build.
+    with pytest.raises(ConvConfigError, match="at least 3 iterations"):
+        evaluate_schedule(PAPER_SCHEDULE, RTX2070, iters=2,
+                          context=ExecutionContext(device=RTX2070))
+
+
 @pytest.mark.slow
-def test_search_with_real_simulator():
+def test_search_with_real_simulator(monkeypatch):
     """gpusim-in-the-loop on a 2-point space: LDG8 must beat LDG2."""
+    monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)  # no disk hits
     ctx = ExecutionContext(device=RTX2070)
     result = successive_halving(
         device=RTX2070,
@@ -234,3 +245,7 @@ def test_search_with_real_simulator():
     # the winning candidates were built and lint-gated through the caches
     assert ctx.kernel_cache.stats().builds > 0
     assert result.lint_gated == 2
+    # One path to the simulator: each candidate's two differential runs
+    # are looked up once, simulated once and stored once.
+    sims = ctx.sim_cache.stats()
+    assert (sims.stores, sims.misses, sims.memory_hits) == (4, 4, 0)
