@@ -2,13 +2,18 @@
 
 Assembles the generated winograd_f22 and winograd_f44 kernels (full
 kernel and main-loop microbenchmark variant; f22 across the tunables
-the benchmarks sweep), the batched GEMM and the filter-transform
-kernels, **plus the main-loop kernel of every candidate in both
-schedule-search spaces** (the 54-point ``DEFAULT_SPACE`` grid and the
-27-point ``F44_SPACE`` the autotuner walks per family), runs the static analyzer
+the benchmarks sweep, f44 across its yield strategies and the no-P2R
+ablation), the batched GEMM and the filter-transform kernels, **plus
+the main-loop kernel of every candidate in both schedule-search
+spaces** (the 54-point ``DEFAULT_SPACE`` grid and the 27-point
+``F44_SPACE`` the autotuner walks per family), runs the static analyzer
 on each, prints the text reports, writes the ``--json`` reports to a
 directory for the CI artifact, and exits non-zero if any kernel has a
 diagnostic at or above ``--fail-on`` severity (default: ``error``).
+
+Each kernel's report is followed by one ``sha256 <name> <hex>`` line,
+the digest of its assembled ``.text``: diffing those lines between two
+checkouts shows whether a generator change altered any emitted kernel.
 
 Usage::
 
@@ -19,6 +24,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import pathlib
 import sys
 
@@ -27,9 +34,8 @@ from repro.kernels.ftf import FilterTransformKernel
 from repro.kernels.gemm import BatchedGemmKernel
 from repro.kernels.winograd_fused import (
     Tunables,
-    WinogradF22Kernel,
-    WinogradF44Kernel,
     default_tunables,
+    kernel_for_tile,
 )
 from repro.sass.analysis import (
     Severity,
@@ -42,34 +48,30 @@ from repro.sched import DEFAULT_SPACE, F44_SPACE
 
 PROB = ConvProblem(n=32, c=64, h=28, w=28, k=64)
 
+F44 = default_tunables("f44")
+
 TUNABLE_SWEEP = [
-    ("default", Tunables()),
-    ("nvcc8", Tunables(yield_strategy="nvcc8")),
-    ("cudnn7", Tunables(yield_strategy="cudnn7")),
-    ("tile_major", Tunables(smem_layout="tile_major")),
-    ("bk32", Tunables(bk=32)),
-    ("no_p2r", Tunables(use_p2r=False)),
+    ("f22", "default", Tunables()),
+    ("f22", "nvcc8", Tunables(yield_strategy="nvcc8")),
+    ("f22", "cudnn7", Tunables(yield_strategy="cudnn7")),
+    ("f22", "tile_major", Tunables(smem_layout="tile_major")),
+    ("f22", "bk32", Tunables(bk=32)),
+    ("f22", "no_p2r", Tunables(use_p2r=False)),
+    ("f44", "default", F44),
+    ("f44", "nvcc8", dataclasses.replace(F44, yield_strategy="nvcc8")),
+    ("f44", "cudnn7", dataclasses.replace(F44, yield_strategy="cudnn7")),
+    ("f44", "no_p2r", dataclasses.replace(F44, use_p2r=False)),
 ]
 
 
 def shipped_kernels():
-    for label, tunables in TUNABLE_SWEEP:
+    for tile, label, tunables in TUNABLE_SWEEP:
+        gen = kernel_for_tile(PROB, tile, tunables)
+        yield f"winograd_{tile}[{label}]", gen.build()
         yield (
-            f"winograd_f22[{label}]",
-            WinogradF22Kernel(PROB, tunables).build(),
+            f"winograd_{tile}_main_loop[{label}]",
+            gen.build(main_loop_only=True, iters=2),
         )
-        yield (
-            f"winograd_f22_main_loop[{label}]",
-            WinogradF22Kernel(PROB, tunables).build(
-                main_loop_only=True, iters=2
-            ),
-        )
-    f44 = default_tunables("f44")
-    yield "winograd_f44[default]", WinogradF44Kernel(PROB, f44).build()
-    yield (
-        "winograd_f44_main_loop[default]",
-        WinogradF44Kernel(PROB, f44).build(main_loop_only=True, iters=2),
-    )
     yield "batched_gemm", BatchedGemmKernel(16, 64, 32, 16).build()
     yield "ftf", FilterTransformKernel(PROB).build()
 
@@ -80,23 +82,18 @@ def space_kernels():
     The schedule search lint-gates candidates lazily on each run; this
     sweep is the eager CI version, so a pass regression that only trips
     on (say) ``db1`` single-buffering fails the lint job, not a user's
-    search.
+    search.  Each family searches its own space (f44's is smaller).
     """
-    for schedule in DEFAULT_SPACE.candidates():
-        yield (
-            f"sched[{schedule.label()}]",
-            WinogradF22Kernel(PROB, schedule.to_tunables()).build(
-                main_loop_only=True, iters=2
-            ),
-        )
-    # the F(4×4,3×3) family searches its own (smaller) space
-    for schedule in F44_SPACE.candidates():
-        yield (
-            f"sched_f44[{schedule.label()}]",
-            WinogradF44Kernel(PROB, schedule.to_tunables(tile="f44")).build(
-                main_loop_only=True, iters=2
-            ),
-        )
+    for tile, space, prefix in (
+        ("f22", DEFAULT_SPACE, "sched"),
+        ("f44", F44_SPACE, "sched_f44"),
+    ):
+        for schedule in space.candidates():
+            gen = kernel_for_tile(PROB, tile, schedule.to_tunables(tile=tile))
+            yield (
+                f"{prefix}[{schedule.label()}]",
+                gen.build(main_loop_only=True, iters=2),
+            )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, kernel in kernels:
         diagnostics = lint_kernel(kernel)
         print(render_text(diagnostics, kernel_name=name))
+        print(f"sha256 {name} {hashlib.sha256(kernel.text).hexdigest()}")
         print()
         if json_dir is not None:
             safe = name.replace("[", ".").replace("]", "").replace("/", "_")

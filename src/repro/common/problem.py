@@ -32,7 +32,10 @@ class ConvProblem:
     r, s: filter height / width.
     pad: symmetric zero padding (1 for "SAME" 3×3).
     stride: convolution stride (only 1 is used in the paper).
-    name: optional human-readable label, e.g. ``"Conv2N32"``.
+    name: optional human-readable label, e.g. ``"Conv2N32"``.  It is no
+        part of the problem's identity: two problems that differ only
+        in their label compare (and hash) equal, so they share kernel
+        builds, lint verdicts and simulation results.
     """
 
     n: int
@@ -44,7 +47,7 @@ class ConvProblem:
     s: int = 3
     pad: int = 1
     stride: int = 1
-    name: str = ""
+    name: str = dataclasses.field(default="", compare=False)
 
     def __post_init__(self) -> None:
         for field in ("n", "c", "h", "w", "k", "r", "s"):

@@ -480,12 +480,17 @@ def sim_cache_key(site: str, **params) -> str:
     """Stable key for one simulation call site and its full input signature.
 
     ``params`` must be JSON-serializable; dataclasses (``ConvProblem``,
-    ``Tunables``, ``DeviceSpec``) are flattened with ``asdict`` so every
-    field participates in the identity.
+    ``Tunables``, ``DeviceSpec``) are flattened to their compared fields,
+    so every field that takes part in their equality takes part in the
+    identity — and a ``ConvProblem``'s display name does not.
     """
     def normalize(value):
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return dataclasses.asdict(value)
+            return {
+                field.name: getattr(value, field.name)
+                for field in dataclasses.fields(value)
+                if field.compare
+            }
         return value
 
     payload = {name: normalize(value) for name, value in params.items()}

@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
 from ..sass.assembler import AssembledKernel, assemble
-from .winograd_fused import THREADS, _magic_u32
+from .winograd_fused import THREADS, _ctl, _magic_u32
 
 TILES_PER_THREAD = 2
 TILES_PER_BLOCK = THREADS * TILES_PER_THREAD  # 512, as in §4.1
@@ -102,7 +102,7 @@ class FilterTransformKernel:
         L.append(f"IMAD.WIDE R{ain}, R{idx}, 0x4, R{ain};")
         for e in range(9):
             L.append(
-                f"{_ctl_wbar(bar)} {guard} LDG.E R{f(e // 3, e % 3)}, "
+                f"{_ctl(wbar=bar)} {guard} LDG.E R{f(e // 3, e % 3)}, "
                 f"[R{ain} + {4 * e * k:#x}];"
             )
 
@@ -114,7 +114,7 @@ class FilterTransformKernel:
 
         # Column pass M = G·F: rows 0/3 alias f rows 0/2; rows 1/2 are
         # 0.5·(f0 ± f1 + f2) per column.
-        first = f"[B{'0' if bar == 0 else '-'}{'1' if bar == 1 else '-'}----:R-:W-:-:S01]"
+        first = _ctl(wait=1 << bar)
         for s in range(3):
             ctl = first if s == 0 else ""
             L.append(f"{ctl} FADD R{ta}, R{f(0, s)}, R{f(2, s)};".strip())
@@ -140,17 +140,10 @@ class FilterTransformKernel:
             for j, src in ((0, r0), (1, o1(i)), (2, o2(i)), (3, r2)):
                 imm = 4 * (4 * i + j) * k
                 L.append(
-                    f"{_ctl_rbar(2 + t)} {guard} STG.E [R{aout} + {imm:#x}], R{src};"
+                    f"{_ctl(rbar=2 + t)} {guard} STG.E [R{aout} + {imm:#x}], R{src};"
                 )
         return L
 
     def build(self) -> AssembledKernel:
         return assemble(self.source(), auto_schedule=True)
 
-
-def _ctl_wbar(bar: int) -> str:
-    return f"[B------:R-:W{bar}:-:S01]"
-
-
-def _ctl_rbar(bar: int) -> str:
-    return f"[B------:R{bar}:W-:-:S01]"

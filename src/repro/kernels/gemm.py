@@ -26,9 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import ConvConfigError
-from ..sass.assembler import AssembledKernel, assemble
-from .schedules import apply_yield_strategy, weave
-from .winograd_fused import BC, THREADS, Tunables, WinogradF22Kernel, _magic_u32
+from .winograd_fused import (
+    BC,
+    Tunables,
+    WinogradF22Kernel,
+    WinogradFusedKernel,
+    _ctl,
+)
 
 E_PER_BLOCK = 16
 BM = 64  # M tile per block (the Winograd bk)
@@ -36,7 +40,15 @@ BN_GEMM = 32  # N tile per block (the Winograd bn)
 
 
 class BatchedGemmKernel(WinogradF22Kernel):
-    """Batched-GEMM kernel built from the Winograd kernel's machinery."""
+    """Batched-GEMM kernel built from the Winograd kernel's machinery.
+
+    Inherits the F(2×2) generator's EWMM steps, loop body, filter
+    staging, source and build; replaces its prologue, operand streams
+    and epilogue.
+    """
+
+    kernel_name = "batched_gemm"
+    PARAMS = ("a_ptr", "b_ptr", "c_ptr")
 
     def __init__(
         self,
@@ -89,7 +101,9 @@ class BatchedGemmKernel(WinogradF22Kernel):
         self.smem_in_base = self.smem_fil_bytes
         self.smem_in_bytes = 16 * BC * 32 * 4
         self.smem_bytes = self.smem_fil_bytes + self.smem_in_bytes
-        self.otf_row_floats = 33  # unused; parity with the parent
+
+    # No OTF transpose buffer: the main buffers are the whole launch budget.
+    launch_smem_bytes = WinogradFusedKernel.launch_smem_bytes
 
     # ------------------------------------------------------------------
     @property
@@ -114,13 +128,13 @@ class BatchedGemmKernel(WinogradF22Kernel):
                 wait = 1 << 4 if first else 0
                 first = False
                 lines.append(
-                    f"{self._ctl(wait=wait, wbar=1)} LDG.E "
+                    f"{_ctl(wait=wait, wbar=1)} LDG.E "
                     f"R{self.pf_fil + 16 * t2 + e}, [R{self.PTR_FIL} + {imm:#x}];"
                 )
         for e in range(16):
             imm = 4 * self.n * e
             lines.append(
-                f"{self._ctl(wbar=0)} LDG.E R{self.pf_in + e}, "
+                f"{_ctl(wbar=0)} LDG.E R{self.pf_in + e}, "
                 f"[R{self.PTR_IN} + {imm:#x}];"
             )
         return lines
@@ -134,7 +148,7 @@ class BatchedGemmKernel(WinogradF22Kernel):
             imm = e * (BC * BN_GEMM * 4)
             wait = 1 << 0 if e == 0 else 0  # B prefetch landed
             lines.append(
-                f"{self._ctl(wait=wait, rbar=4)} STS "
+                f"{_ctl(wait=wait, rbar=4)} STS "
                 f"[R{self.STS_IN} + {imm:#x}], R{self.pf_in + e};"
             )
         return lines
@@ -152,11 +166,8 @@ class BatchedGemmKernel(WinogradF22Kernel):
     def prologue(self) -> list[str]:
         L: list[str] = []
         T = lambda i: self.pf_fil + i
-        L.append(f"S2R R{T(0)}, SR_TID.X;")
-        L.append(f"S2R R{T(2)}, SR_CTAID.X;")  # batch group eg
-        L.append(f"S2R R{T(3)}, SR_CTAID.Y;")  # tile index ty
-        L.append(f"LOP3.AND R{T(1)}, R{T(0)}, 0x1f, RZ;")  # lane
-        L.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, 0x5, RZ;")  # warp
+        # T2 = batch group eg, T3 = tile index ty, T1/T4 = lane/warp.
+        self._emit_thread_ids(L, T)
 
         # Tile decomposition: mi = ty / ntiles_n, ni = ty % ntiles_n.
         self._emit_udiv(L, T(5), T(3), self.ntiles_n, T(8))
@@ -169,9 +180,7 @@ class BatchedGemmKernel(WinogradF22Kernel):
         L.append(f"IMAD R{T(10)}, R{T(2)}, 0x10, R{T(10)};")  # + eg·16
         L.append(f"IMAD R{T(10)}, R{T(10)}, {self.m:#x}, R{T(7)};")
         L.append(f"IMAD R{T(10)}, R{T(5)}, 0x40, R{T(10)};")  # + mi·64
-        L.append(f"MOV R{self.PTR_FIL}, c[0x0][0x160];")
-        L.append(f"MOV R{self.PTR_FIL + 1}, c[0x0][0x164];")
-        L.append(f"IMAD.WIDE R{self.PTR_FIL}, R{T(10)}, 0x4, R{self.PTR_FIL};")
+        self._emit_param_address(L, self.PTR_FIL, 0, T(10))
 
         # B base: b_ptr + 4·((ci_b·E + eg·16)·N + ni·32 + lane).
         L.append(f"SHF.R.U32 R{T(9)}, R{T(0)}, 0x5, RZ;")  # ci_b
@@ -179,9 +188,7 @@ class BatchedGemmKernel(WinogradF22Kernel):
         L.append(f"IMAD R{T(10)}, R{T(2)}, 0x10, R{T(10)};")
         L.append(f"IMAD R{T(10)}, R{T(10)}, {self.n:#x}, R{T(1)};")
         L.append(f"IMAD R{T(10)}, R{T(6)}, 0x20, R{T(10)};")  # + ni·32
-        L.append(f"MOV R{self.PTR_IN}, c[0x0][0x168];")
-        L.append(f"MOV R{self.PTR_IN + 1}, c[0x0][0x16c];")
-        L.append(f"IMAD.WIDE R{self.PTR_IN}, R{T(10)}, 0x4, R{self.PTR_IN};")
+        self._emit_param_address(L, self.PTR_IN, 1, T(10))
 
         # STS bases: A → (e, ci_a, 64), B → (e, ci_b, 32) (Table-4 shapes).
         L.append(f"SHF.R.U32 R{T(9)}, R{T(0)}, 0x6, RZ;")
@@ -223,11 +230,7 @@ class BatchedGemmKernel(WinogradF22Kernel):
         """
         L: list[str] = []
         T = lambda i: self.cur[0] + i
-        L.append(f"S2R R{T(0)}, SR_TID.X;")
-        L.append(f"S2R R{T(2)}, SR_CTAID.X;")
-        L.append(f"S2R R{T(3)}, SR_CTAID.Y;")
-        L.append(f"LOP3.AND R{T(1)}, R{T(0)}, 0x1f, RZ;")
-        L.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, 0x5, RZ;")
+        self._emit_thread_ids(L, T)
         self._emit_udiv(L, T(5), T(3), self.ntiles_n, T(8))
         self._emit_mod(L, T(6), T(3), T(5), self.ntiles_n)
         # Lane map (Fig. 3): c = (lane&15)>>1, r = (lane&1) + 2·(lane>>4).
@@ -246,9 +249,7 @@ class BatchedGemmKernel(WinogradF22Kernel):
         L.append(f"IMAD R{T(10)}, R{T(6)}, 0x20, R{T(10)};")
         L.append(f"IMAD R{T(11)}, R{T(14)}, 0x4, R{T(10)};")  # + 4r
         ADDR = self.PTR_FIL
-        L.append(f"MOV R{ADDR}, c[0x0][0x170];")
-        L.append(f"MOV R{ADDR + 1}, c[0x0][0x174];")
-        L.append(f"IMAD.WIDE R{ADDR}, R{T(11)}, 0x4, R{ADDR};")
+        self._emit_param_address(L, ADDR, 2, T(11))
 
         # Per-GEMM-1 base: e0+8 → +8·M·N elements (too large for an imm).
         ADDR2 = self.PTR_IN
@@ -265,35 +266,11 @@ class BatchedGemmKernel(WinogradF22Kernel):
                     n_off = i if i < 4 else 16 + (i - 4)
                     imm = 4 * (m_off * self.n + n_off)
                     L.append(
-                        f"{self._ctl(rbar=5)} STG.E [R{base} + {imm:#x}], "
+                        f"{_ctl(rbar=5)} STG.E [R{base} + {imm:#x}], "
                         f"R{self.acc(g, i, j)};"
                     )
-        L.append(f"{self._ctl(wait=1 << 5)} EXIT;")
+        L.append(f"{_ctl(wait=1 << 5)} EXIT;")
         return L
-
-    # ------------------------------------------------------------------
-    def source(self, main_loop_only: bool = False, iters: int | None = None) -> str:
-        header = [
-            ".kernel batched_gemm",
-            f".registers {self.num_regs}",
-            f".smem {self.smem_bytes}",
-            ".param 8 a_ptr",
-            ".param 8 b_ptr",
-            ".param 8 c_ptr",
-        ]
-        body: list[str] = []
-        body += self.prologue()
-        if iters is not None:
-            body.append(f"MOV R{self.ITER}, {iters:#x};")
-        body += self.staging_phase()
-        body.append("MAIN_LOOP:")
-        body += self.loop_body()
-        if main_loop_only:
-            body.append("EXIT;")
-        else:
-            body += self.epilogue()
-        lines = apply_yield_strategy(body, self.t.yield_strategy)
-        return "\n".join(header + lines)
 
     # ------------------------------------------------------------------
     # Host-side helpers

@@ -26,7 +26,7 @@ import numpy as np
 from ..common.errors import ConvConfigError, LintError
 from ..common.layouts import kcrs_to_crsk, khwn_to_nkhw, nchw_to_chwn
 from ..common.problem import ConvProblem
-from ..gpusim.arch import DeviceSpec, V100
+from ..gpusim.arch import DeviceSpec
 from ..gpusim.counters import Counters
 from ..gpusim.launch import LaunchResult, run_grid, simulate_resident_blocks
 from ..gpusim.memory import GlobalMemory
@@ -108,13 +108,14 @@ def lint_family_key(prob, tunables, main_loop_only=True, tile=None):
 
     Builds of the same (problem, tile family, tunables, build mode)
     differ only in how many times the identical bc-iteration body runs,
-    so one clean lint covers every iteration count.  The device is no
-    part of it: the generator and the linter never read one.
+    so one clean lint covers every iteration count.  The device and the
+    problem's display name are no part of it: the generator and the
+    linter never read either.
     """
     return (
         "main_loop" if main_loop_only else "full",
         get_tile(tile).name,
-        dataclasses.astuple(prob),
+        prob,
         dataclasses.astuple(tunables),
     )
 
@@ -203,7 +204,7 @@ class MainLoopMeasurement:
     sol: float  # steady-state FP32 pipe utilization (the Fig. 10-11 metric)
 
 
-_ARENAS: dict = {}  # prob signature -> (GlobalMemory, params)
+_ARENAS: dict = {}  # (tile, problem) -> (GlobalMemory, params)
 _MAX_ARENAS = 8
 
 
@@ -220,7 +221,7 @@ def _problem_arena(prob, tile=None) -> tuple[GlobalMemory, dict[str, int]]:
     output.
     """
     spec = get_tile(tile)
-    key = (spec.name, dataclasses.astuple(prob))
+    key = (spec.name, prob)
     arena = _ARENAS.get(key)
     if arena is None:
         gmem = GlobalMemory(size=128 << 20)
@@ -287,7 +288,7 @@ def _simulate_fused_kernel(
 
 def measure_main_loop(
     prob: ConvProblem,
-    device: DeviceSpec = V100,
+    device: DeviceSpec | None = None,
     tunables: Tunables | None = None,
     iters: int = 3,
     num_blocks: int | None = None,
@@ -301,6 +302,8 @@ def measure_main_loop(
     steady-state microbenchmarks.  TFLOPS is the raw FFMA rate, which is
     what the paper plots in Figs. 7-9 (its ceiling is the device FP32
     peak); SOL is the FP32-pipe utilization of the marginal iterations.
+    A ``None`` *device* is the context's device (V100 unless configured
+    otherwise), as for :func:`run_fused_sass_conv`.
     """
     from ..runtime import activate
 
@@ -311,6 +314,7 @@ def measure_main_loop(
             f"need at least 3 iterations for a differential measure, got {iters}"
         )
     ctx = _ctx(context)
+    device = device or ctx.device
     with activate(ctx):
         long_run = _simulate_fused_kernel(
             prob, device, tunables, iters, num_blocks, ctx, spec

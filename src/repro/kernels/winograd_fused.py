@@ -1,6 +1,14 @@
 """SASS generators for the fused Winograd kernel family.
 
-Two tile families share this module:
+:class:`WinogradFusedKernel` is the kernel structure every family
+shares, parameterized by its :class:`~repro.winograd.tilespec.TileSpec`
+(m, alpha, elements): the shape checks and tile geometry, the
+prologue's input base and P2R-packed zero-padding mask (§3.5), the
+global prefetch and shared-memory staging streams of the
+software-pipelined main loop (§3.4), the loop tail, and the
+source/build/launch helpers.  Each tile family supplies only what
+differs — its register and shared-memory maps, operand bases, EWMM
+steps, input/output transforms, loop body and epilogue:
 
 * :class:`WinogradF22Kernel` — the paper's F(2×2, 3×3) kernel of §3-§4
   (bk×32 tiles, 4×4 transformed elements, one 16-bit P2R mask);
@@ -10,7 +18,8 @@ Two tile families share this module:
   register-resident input/output transform (no shared-memory transpose
   buffer — each thread owns all 36 transformed elements of its tiles).
 
-:func:`kernel_for_tile` dispatches on a
+The batched-GEMM kernel (:mod:`repro.kernels.gemm`) reuses the F(2×2)
+generator's EWMM machinery.  :func:`kernel_for_tile` dispatches on a
 :class:`~repro.winograd.tilespec.TileSpec`, which is how the build
 cache, runner and benchmarks stay tile-agnostic.
 
@@ -35,7 +44,9 @@ strategy (Fig. 7), LDG interleave distance (Fig. 8), STS interleave
 distance (Fig. 9), the cache-block size ``bk`` (cuDNN's 32 vs ours 64),
 and the shared-buffer layout (the transposed layout of Table 4 vs the
 naive tile-major layout, whose bank conflicts are why the transpose
-exists at all).
+exists at all).  Each generator checks the structural knobs its thread
+mapping fixes: F(2×2) takes bk=32 or 64; F(4×4) needs bk=16, the
+transposed layout and ``double_buffer=2``.
 
 The generated kernel is *layer-specialized*: geometry (H, W, N, K, C)
 is compiled into immediates and magic-number divisions, which is also
@@ -51,20 +62,13 @@ import numpy as np
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
 from ..sass.assembler import AssembledKernel, assemble
-from ..winograd.tilespec import TILE_F44, TileSpec, get_tile
+from ..winograd.tilespec import TILE_F22, TILE_F44, TileSpec, get_tile
 from .schedules import YIELD_STRATEGIES, apply_yield_strategy, weave
 
 BC = 8  # channels per iteration; fixed as in the paper
 BN = 32  # input tiles per block; fixed (one tile per thread per iteration)
 THREADS = 256
 WARPS = 8
-
-
-def _check_yield_strategy(strategy: str) -> None:
-    if strategy not in YIELD_STRATEGIES:
-        raise ConvConfigError(
-            f"unknown yield strategy {strategy!r}; use one of {YIELD_STRATEGIES}"
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,9 +84,15 @@ class Tunables:
     double_buffer: int = 2           # fragment buffer depth       (§3.4)
 
     def __post_init__(self) -> None:
-        _check_yield_strategy(self.yield_strategy)
-        if self.bk not in (32, 64):
-            raise ConvConfigError("bk must be 32 (cuDNN-like) or 64 (paper)")
+        if self.yield_strategy not in YIELD_STRATEGIES:
+            raise ConvConfigError(
+                f"unknown yield strategy {self.yield_strategy!r}; "
+                f"use one of {YIELD_STRATEGIES}"
+            )
+        if self.bk not in (16, 32, 64):
+            raise ConvConfigError(
+                "bk must be 16 (F(4×4)), 32 (cuDNN-like) or 64 (paper)"
+            )
         if self.smem_layout not in ("transposed", "tile_major"):
             raise ConvConfigError("smem_layout must be transposed or tile_major")
         if self.ldg_interleave < 1 or self.sts_interleave < 1:
@@ -94,43 +104,9 @@ class Tunables:
             )
 
 
-@dataclasses.dataclass(frozen=True)
-class F44Tunables(Tunables):
-    """Tunables for the F(4×4, 3×3) generator.
-
-    The F(4×4) kernel fixes the structural knobs its thread mapping is
-    built around — bk=16 (one filter per thread, tile pairs), the
-    transposed shared layout, and register ping-pong fragments — so only
-    the §6 scheduling knobs (yield strategy, LDG/STS interleave) and the
-    §3.5 mask ablation remain tunable.
-    """
-
-    bk: int = 16
-
-    def __post_init__(self) -> None:
-        _check_yield_strategy(self.yield_strategy)
-        if self.bk != 16:
-            raise ConvConfigError(
-                "the F(4×4) kernel implements bk=16 (the best feasible "
-                f"blocking from perfmodel.f44_study), got bk={self.bk}"
-            )
-        if self.smem_layout != "transposed":
-            raise ConvConfigError(
-                "the F(4×4) kernel has no tile-major ablation; "
-                "smem_layout must be 'transposed'"
-            )
-        if self.double_buffer != 2:
-            raise ConvConfigError(
-                "the F(4×4) kernel is register ping-pong only; "
-                "double_buffer must be 2"
-            )
-        if self.ldg_interleave < 1 or self.sts_interleave < 1:
-            raise ConvConfigError("interleave distances must be >= 1")
-
-
 def default_tunables(tile: TileSpec | str | None = None) -> Tunables:
     """The family-appropriate default tunables for *tile* (f22 if None)."""
-    return Tunables() if get_tile(tile).m == 2 else F44Tunables()
+    return Tunables(bk=get_tile(tile).bk)
 
 
 def _magic_u32(divisor: int) -> int:
@@ -138,16 +114,41 @@ def _magic_u32(divisor: int) -> int:
     return -(-(1 << 32) // divisor)
 
 
-class WinogradF22Kernel:
-    """Generator + launch helper for one layer's fused Winograd kernel."""
+def _ctl(wait=0, rbar=None, wbar=None, stall=1, yld=False) -> str:
+    """The control prefix ``[B<wait mask>:R<rbar>:W<wbar>:<yield>:S<stall>]``."""
+    waits = "".join(str(i) if wait & (1 << i) else "-" for i in range(6))
+    r = "-" if rbar is None else str(rbar)
+    w = "-" if wbar is None else str(wbar)
+    y = "Y" if yld else "-"
+    return f"[B{waits}:R{r}:W{w}:{y}:S{stall:02d}]"
+
+
+class WinogradFusedKernel:
+    """Generator + launch helper for one layer's fused Winograd kernel.
+
+    The skeleton shared by every tile family, parameterized by ``TILE``.
+    A family class sets ``TILE`` and ``LOOP_PRED`` (the predicate its
+    loop tail tests) and provides:
+
+    * ``_check_tunables`` — the structural knobs its thread mapping fixes;
+    * in ``__init__``, after this one: the register map (``n_acc``,
+      ``pf_fil``/``n_pf_fil``, ``pf_in``, ``itf_out``, ``PTR_IN``,
+      ``PTR_FIL``, ``ITER``, ``MASK`` [, ``MASK_HI``], ``STS_*``,
+      ``LDS_*``, ``TMP``, ``num_regs``), the prologue ``scratch`` base
+      and the shared-memory map (``smem_in_base``, ``smem_bytes``);
+    * ``_emit_operand_bases`` (filter pointer, STS and LDS bases),
+      ``_fil_row``/``_sts_fil_offset`` (where filter prefetch register
+      ``i`` loads from and stores to), ``first_fragments``,
+      ``itf_stream``, ``loop_body`` and ``epilogue``.
+    """
+
+    TILE: TileSpec
+    LOOP_PRED: str
+    PARAMS = ("in_ptr", "fil_ptr", "out_ptr")
 
     def __init__(self, prob: ConvProblem, tunables: Tunables | None = None):
-        tunables = tunables or Tunables()
-        if tunables.bk not in (32, 64):
-            raise ConvConfigError(
-                "the F(2×2) kernel implements bk=32 or bk=64, "
-                f"got bk={tunables.bk}"
-            )
+        tunables = tunables or default_tunables(self.TILE)
+        self._check_tunables(tunables)
         if prob.r != 3 or prob.s != 3 or prob.pad != 1:
             raise ConvConfigError("the fused kernel implements 3×3 / pad 1")
         if prob.n % BN:
@@ -160,13 +161,336 @@ class WinogradF22Kernel:
             )
         self.prob = prob
         self.t = tunables
-        self.depth = tunables.double_buffer
         self.bk = tunables.bk
-        self.cols = self.bk // 8  # filter columns per thread per GEMM (8 or 4)
-        self.th = prob.tiles_h(2)
-        self.tw = prob.tiles_w(2)
+        self.th = prob.tiles_h(self.TILE.m)
+        self.tw = prob.tiles_w(self.TILE.m)
         self.total_tiles = self.th * self.tw * prob.n
         self.iters = prob.c // BC
+
+    @property
+    def kernel_name(self) -> str:
+        return f"winograd_{self.TILE.name}_bk{self.bk}"
+
+    @property
+    def launch_smem_bytes(self) -> int:
+        """Shared memory the launch reserves — the ``.smem`` header value."""
+        return self.smem_bytes
+
+    # ------------------------------------------------------------------
+    # Emission helpers
+    # ------------------------------------------------------------------
+    def _emit_udiv(self, lines, dst, src, divisor, tmp_pair):
+        """dst = src / divisor (unsigned); divisor is a generation-time const."""
+        if divisor & (divisor - 1) == 0:
+            shift = divisor.bit_length() - 1
+            lines.append(f"SHF.R.U32 R{dst}, R{src}, {shift:#x}, RZ;")
+            return
+        magic = _magic_u32(divisor)
+        assert tmp_pair % 2 == 0
+        lines.append(f"IMAD.WIDE.U32 R{tmp_pair}, R{src}, {magic:#x}, RZ;")
+        lines.append(f"MOV R{dst}, R{tmp_pair + 1};")
+
+    def _emit_mod(self, lines, dst, src, quotient, divisor):
+        """dst = src - quotient*divisor (valid after _emit_udiv)."""
+        neg = (-divisor) & 0xFFFFFFFF
+        lines.append(f"IMAD R{dst}, R{quotient}, {neg:#x}, R{src};")
+
+    @staticmethod
+    def _emit_thread_ids(lines, T, split=5) -> None:
+        """T0 = tid, T2/T3 = block x/y, T1 = tid's low *split* bits, T4 = the rest.
+
+        At ``split=5`` T1/T4 are the lane and the warp.
+        """
+        lines.append(f"S2R R{T(0)}, SR_TID.X;")
+        lines.append(f"S2R R{T(2)}, SR_CTAID.X;")
+        lines.append(f"S2R R{T(3)}, SR_CTAID.Y;")
+        lines.append(f"LOP3.AND R{T(1)}, R{T(0)}, {(1 << split) - 1:#x}, RZ;")
+        lines.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, {split:#x}, RZ;")
+
+    def _emit_tile_coords(self, lines, T, g=5, hw=6, n=7) -> None:
+        """Tile id T(g) → T(hw) = g / N, T(n) = g % N, h̃ = T(10), w̃ = T(11).
+
+        T(8) and T(12) are scratch.
+        """
+        self._emit_udiv(lines, T(hw), T(g), self.prob.n, T(8))
+        self._emit_mod(lines, T(n), T(g), T(hw), self.prob.n)
+        self._emit_udiv(lines, T(10), T(hw), self.tw, T(12))
+        self._emit_mod(lines, T(11), T(hw), T(10), self.tw)
+
+    def _emit_lane_tile(self, lines, T) -> None:
+        """Thread ids, then tile id g = tb·32 + lane and its coordinates."""
+        self._emit_thread_ids(lines, T)
+        lines.append(f"IMAD R{T(5)}, R{T(2)}, 0x20, R{T(1)};")
+        self._emit_tile_coords(lines, T)
+
+    @staticmethod
+    def _emit_param_address(lines, dst, param, index) -> None:
+        """64-bit R[dst:dst+1] = kernel parameter *param* + 4·R[index]."""
+        bank = 0x160 + 8 * param
+        lines.append(f"MOV R{dst}, c[0x0][{bank:#x}];")
+        lines.append(f"MOV R{dst + 1}, c[0x0][{bank + 4:#x}];")
+        lines.append(f"IMAD.WIDE R{dst}, R{index}, 0x4, R{dst};")
+
+    # ------------------------------------------------------------------
+    # Prologue
+    # ------------------------------------------------------------------
+    def prologue(self) -> list[str]:
+        p, m, alpha = self.prob, self.TILE.m, self.TILE.alpha
+        L: list[str] = []
+        T = lambda i: self.scratch + i
+
+        # Each thread stages tile g = tb·32 + lane of channel c' = warp.
+        self._emit_lane_tile(L, T)
+
+        # Input base address: in_ptr + 4·(((c'·H + m·h̃−1)·W + m·w̃−1)·N + n).
+        L.append(f"IMAD R{T(14)}, R{T(10)}, {m:#x}, RZ;")
+        L.append(f"IADD3 R{T(14)}, R{T(14)}, -1, RZ;")  # h0 = m·h̃ − 1
+        L.append(f"IMAD R{T(15)}, R{T(4)}, {p.h:#x}, R{T(14)};")  # c'·H + h0
+        L.append(f"IMAD R{T(9)}, R{T(11)}, {m:#x}, RZ;")
+        L.append(f"IADD3 R{T(9)}, R{T(9)}, -1, RZ;")  # w0 = m·w̃ − 1
+        L.append(f"IMAD R{T(15)}, R{T(15)}, {p.w:#x}, R{T(9)};")
+        L.append(f"IMAD R{T(15)}, R{T(15)}, {p.n:#x}, R{T(7)};")
+        # 64-bit base: the index may be negative at the top/left padding
+        # edge, so the carry into the high word matters.
+        self._emit_param_address(L, self.PTR_IN, 0, T(15))
+
+        if self.t.use_p2r:
+            # Zero-padding mask (§3.5): bit alpha·x + y = rowok(x) & colok(y),
+            # packed into MASK (bits 0-31) and MASK_HI (bits 32 and up).
+            field = (1 << alpha) - 1
+            for x in range(alpha):
+                L.append(f"IADD3 R{T(8)}, R{T(14)}, {x:#x}, RZ;")
+                L.append(f"ISETP.LT.U32.AND P{x}, PT, R{T(8)}, {p.h:#x}, PT;")
+            L.append(f"P2R R{T(8)}, {field:#x};")  # row-ok field
+            for y in range(alpha):
+                L.append(f"IADD3 R{T(12)}, R{T(9)}, {y:#x}, RZ;")
+                L.append(f"ISETP.LT.U32.AND P{y}, PT, R{T(12)}, {p.w:#x}, PT;")
+            L.append(f"P2R R{T(13)}, {field:#x};")  # col-ok field
+            L.append(f"MOV R{self.MASK}, 0x0;")
+            if self.TILE.mask_words > 1:
+                L.append(f"MOV R{self.MASK_HI}, 0x0;")
+            L.append(f"R2P R{T(8)}, {field:#x};")  # P_x = rowok(x)
+            for x in range(alpha):
+                shift = alpha * x
+                L.append(f"SHF.L.U32 R{T(12)}, R{T(13)}, {shift:#x}, RZ;")
+                L.append(
+                    f"@P{x} LOP3.OR R{self.MASK}, R{self.MASK}, R{T(12)}, RZ;"
+                )
+                if shift + alpha > 32:  # the row straddles the mask words
+                    L.append(f"SHF.R.U32 R{T(12)}, R{T(13)}, {32 - shift:#x}, RZ;")
+                    L.append(
+                        f"@P{x} LOP3.OR R{self.MASK_HI}, R{self.MASK_HI}, "
+                        f"R{T(12)}, RZ;"
+                    )
+        else:
+            # Ablation: keep the raw tile origin; predicates recomputed
+            # inside the loop (costing ALU work every iteration).
+            L.append(f"MOV R{self.MASK}, R{T(14)};")  # h0
+            L.append(f"MOV R{self.TMP[1]}, R{T(9)};")  # w0
+
+        self._emit_operand_bases(L, T)
+
+        # Zero the accumulators and the (statically masked) input prefetch.
+        for r in range(self.n_acc):
+            L.append(f"MOV R{r}, RZ;")
+        for e in range(self.TILE.elements):
+            L.append(f"MOV R{self.pf_in + e}, RZ;")
+        L.append(f"MOV R{self.ITER}, {self.iters:#x};")
+        L.append(f"MOV R{self.TMP[2]}, 0x1;")  # constant 1 for 64-bit bumps
+        return L
+
+    # ------------------------------------------------------------------
+    # Global prefetch stream: the filter LDGs, then the predicated
+    # alpha×alpha input window (woven into the loop's FFMAs).
+    # ------------------------------------------------------------------
+    def ldg_stream(self) -> list[str]:
+        p, alpha = self.prob, self.TILE.alpha
+        t0, t1 = self.TMP[0], self.TMP[1]
+        lines = []
+        for i in range(self.n_pf_fil):
+            imm = 4 * p.k * self._fil_row(i)
+            wait = 1 << 4 if i == 0 else 0  # WAR with last body's STS (B4)
+            lines.append(
+                f"{_ctl(wait=wait, wbar=1)} LDG.E R{self.pf_fil + i}, "
+                f"[R{self.PTR_FIL} + {imm:#x}];"
+            )
+        for x in range(alpha):
+            if self.t.use_p2r:
+                # §3.5: unpack row x's alpha packed mask bits.
+                shift = alpha * x
+                lines.append(f"SHF.R.U32 R{t0}, R{self.MASK}, {shift:#x}, RZ;")
+                if shift + alpha > 32:
+                    # The row straddles the words: OR in MASK_HI << (32 − shift).
+                    lines.append(
+                        f"SHF.L.U32 R{t1}, R{self.MASK_HI}, {32 - shift:#x}, RZ;"
+                    )
+                    lines.append(f"LOP3.OR R{t0}, R{t0}, R{t1}, RZ;")
+                lines.append(f"R2P R{t0}, {(1 << alpha) - 1:#x};")
+            else:
+                # Ablation: recompute the predicates every iteration the
+                # way compiler-generated code must when the mask cannot
+                # be packed (MASK/TMP1 hold h0/w0 instead of the bits).
+                # P{alpha} is free here: the loop's trip-count test runs
+                # later in the body.
+                row = f"P{alpha}"
+                lines.append(f"IADD3 R{t0}, R{self.MASK}, {x:#x}, RZ;")
+                lines.append(
+                    f"ISETP.LT.U32.AND {row}, PT, R{t0}, {p.h:#x}, PT;"
+                )
+                for y in range(alpha):
+                    lines.append(f"IADD3 R{t0}, R{t1}, {y:#x}, RZ;")
+                    lines.append(
+                        f"ISETP.LT.U32.AND P{y}, PT, R{t0}, {p.w:#x}, {row};"
+                    )
+            for y in range(alpha):
+                imm = 4 * (x * p.w + y) * p.n
+                lines.append(
+                    f"{_ctl(wbar=0)} @P{y} LDG.E R{self.pf_in + alpha * x + y}, "
+                    f"[R{self.PTR_IN} + {imm:#x}];"
+                )
+        return lines
+
+    # ------------------------------------------------------------------
+    # STS streams (§4.1-§4.2 data staging; read barrier B4 guards the WAR
+    # with the next iteration's prefetch).
+    # ------------------------------------------------------------------
+    def sts_filter_stream(self) -> list[str]:
+        lines = []
+        for i in range(self.n_pf_fil):
+            wait = 1 << 1 if i == 0 else 0
+            lines.append(
+                f"{_ctl(wait=wait, rbar=4)} STS "
+                f"[R{self.STS_FIL} + {self._sts_fil_offset(i):#x}], "
+                f"R{self.pf_fil + i};"
+            )
+        return lines
+
+    def sts_input_stream(self) -> list[str]:
+        """The ITF outputs into the (elements, bc, bn) input buffer.
+
+        The tile-major ablation stores (bc, bn, elements) instead.
+        """
+        if self.t.smem_layout == "transposed":
+            stride = BC * BN * 4
+        else:
+            stride = 4
+        return [
+            f"{_ctl(rbar=4)} STS [R{self.STS_IN} + {e * stride:#x}], "
+            f"R{self.itf_out + e};"
+            for e in range(self.TILE.elements)
+        ]
+
+    # ------------------------------------------------------------------
+    # One staging phase: prefetch → (wait) → ITF → STS → BAR → first
+    # fragments.  Used standalone in the prologue; inside the loop the
+    # same streams are woven into the FFMA stream instead.
+    # ------------------------------------------------------------------
+    def staging_phase(self) -> list[str]:
+        L = list(self.ldg_stream())
+        L += self.advance_pointers()
+        L += self.itf_stream()
+        L += self.sts_filter_stream()
+        L += self.sts_input_stream()
+        L.append("BAR.SYNC;")  # smem ordering is by MIO issue order
+        L += self.first_fragments()
+        return L
+
+    def advance_pointers(self) -> list[str]:
+        # 64-bit pointer bumps: base + 1·step via IMAD.WIDE (TMP2 holds 1;
+        # the base may be "negative" at the padding edge, see prologue).
+        p = self.prob
+        in_step = BC * p.h * p.w * p.n * 4
+        fil_step = BC * self.TILE.elements * p.k * 4
+        one = self.TMP[2]
+        return [
+            f"IMAD.WIDE R{self.PTR_IN}, R{one}, {in_step:#x}, R{self.PTR_IN};",
+            f"IMAD.WIDE R{self.PTR_FIL}, R{one}, {fil_step:#x}, R{self.PTR_FIL};",
+        ]
+
+    def _loop_tail(self) -> list[str]:
+        """Bump the pointers, count the trip, and load the next trip's
+        first fragments under the trip predicate."""
+        pred = self.LOOP_PRED
+        L = self.advance_pointers()
+        L.append(f"IADD3 R{self.ITER}, R{self.ITER}, -1, RZ;")
+        L.append(f"ISETP.NE.AND {pred}, PT, R{self.ITER}, RZ, PT;")
+        L.append("BAR.SYNC;")
+        L += [_predicate(line, pred) for line in self.first_fragments()]
+        L.append(f"@{pred} BRA MAIN_LOOP;")
+        return L
+
+    # ------------------------------------------------------------------
+    # Whole-kernel assembly
+    # ------------------------------------------------------------------
+    def source(self, main_loop_only: bool = False, iters: int | None = None) -> str:
+        header = [
+            f".kernel {self.kernel_name}",
+            f".registers {self.num_regs}",
+            f".smem {self.launch_smem_bytes}",
+        ] + [f".param 8 {name}" for name in self.PARAMS]
+        body = self.prologue()
+        if iters is not None:
+            body.append(f"MOV R{self.ITER}, {iters:#x};")
+        body += self.staging_phase()
+        body.append("MAIN_LOOP:")
+        body += self.loop_body()
+        body += ["EXIT;"] if main_loop_only else self.epilogue()
+        lines = apply_yield_strategy(body, self.t.yield_strategy)
+        return "\n".join(header + lines)
+
+    def build(
+        self, main_loop_only: bool = False, iters: int | None = None
+    ) -> AssembledKernel:
+        return assemble(self.source(main_loop_only, iters), auto_schedule=True)
+
+    # ------------------------------------------------------------------
+    # Launch helpers
+    # ------------------------------------------------------------------
+    @property
+    def grid(self) -> tuple[int, int]:
+        return (self.total_tiles // BN, self.prob.k // self.bk)
+
+    def alloc_buffers(self, gmem, x_chwn: np.ndarray, f_transformed: np.ndarray):
+        """Allocate padded device buffers; returns (params, out_ptr).
+
+        One extra ``bc`` channel block of zeros pads the input and the
+        transformed filter so the final iteration's prefetch never reads
+        past the arrays (the kernel prefetches unconditionally and the
+        prefetched data is simply never consumed).
+        """
+        p, alpha = self.prob, self.TILE.alpha
+        pad_in = np.zeros((BC, p.h, p.w, p.n), dtype=np.float32)
+        pad_fil = np.zeros((BC, alpha, alpha, p.k), dtype=np.float32)
+        in_ptr = gmem.alloc_array(
+            np.concatenate([x_chwn.astype(np.float32), pad_in], axis=0)
+        )
+        fil_ptr = gmem.alloc_array(
+            np.concatenate([f_transformed.astype(np.float32), pad_fil], axis=0),
+            l2_resident=True,
+        )
+        out_ptr = gmem.alloc(p.k * p.out_h * p.out_w * p.n * 4)
+        params = {"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr}
+        return params, out_ptr
+
+
+class WinogradF22Kernel(WinogradFusedKernel):
+    """The paper's F(2×2, 3×3) kernel (§3-§4): bk ∈ {32, 64}."""
+
+    TILE = TILE_F22
+    LOOP_PRED = "P5"
+
+    @staticmethod
+    def _check_tunables(tunables: Tunables) -> None:
+        if tunables.bk not in (32, 64):
+            raise ConvConfigError(
+                "the F(2×2) kernel implements bk=32 or bk=64, "
+                f"got bk={tunables.bk}"
+            )
+
+    def __init__(self, prob: ConvProblem, tunables: Tunables | None = None):
+        super().__init__(prob, tunables)
+        self.depth = self.t.double_buffer
+        self.cols = self.bk // 8  # filter columns per thread per GEMM (8 or 4)
 
         # ---- register map (Table 5) ---------------------------------------
         self.n_acc = 2 * 8 * self.cols  # 128 (bk=64) / 64 (bk=32)
@@ -175,6 +499,7 @@ class WinogradF22Kernel:
         self.pf_fil = self.n_acc + 2 * self.frag_block
         self.n_pf_fil = 16 * (2 if self.bk == 64 else 1)
         self.pf_in = self.pf_fil + self.n_pf_fil
+        self.scratch = self.pf_fil  # prologue scratch: the filter prefetch
         scal = self.pf_in + 16
         self.PTR_IN = scal  # 64-bit pair (even-aligned by construction)
         self.PTR_FIL = scal + 2  # pair
@@ -205,9 +530,6 @@ class WinogradF22Kernel:
         self.smem_bytes = self.smem_fil_bytes + self.smem_in_bytes
         self.otf_row_floats = 33
 
-    # ------------------------------------------------------------------
-    # Launch metadata (available without assembling)
-    # ------------------------------------------------------------------
     @property
     def launch_smem_bytes(self) -> int:
         """Shared memory the launch reserves (main buffers or OTF buffer,
@@ -225,33 +547,6 @@ class WinogradF22Kernel:
 
     def fil_frag(self, blk: int, g: int, j: int) -> int:
         return self.cur[blk] + 16 + g * self.cols + j
-
-    # ------------------------------------------------------------------
-    # Emission helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ctl(wait=0, rbar=None, wbar=None, stall=1, yld=False) -> str:
-        waits = "".join(str(i) if wait & (1 << i) else "-" for i in range(6))
-        r = "-" if rbar is None else str(rbar)
-        w = "-" if wbar is None else str(wbar)
-        y = "Y" if yld else "-"
-        return f"[B{waits}:R{r}:W{w}:{y}:S{stall:02d}]"
-
-    def _emit_udiv(self, lines, dst, src, divisor, tmp_pair):
-        """dst = src / divisor (unsigned); divisor is a generation-time const."""
-        if divisor & (divisor - 1) == 0:
-            shift = divisor.bit_length() - 1
-            lines.append(f"SHF.R.U32 R{dst}, R{src}, {shift:#x}, RZ;")
-            return
-        magic = _magic_u32(divisor)
-        assert tmp_pair % 2 == 0
-        lines.append(f"IMAD.WIDE.U32 R{tmp_pair}, R{src}, {magic:#x}, RZ;")
-        lines.append(f"MOV R{dst}, R{tmp_pair + 1};")
-
-    def _emit_mod(self, lines, dst, src, quotient, divisor):
-        """dst = src - quotient*divisor (valid after _emit_udiv)."""
-        neg = (-divisor) & 0xFFFFFFFF
-        lines.append(f"IMAD R{dst}, R{quotient}, {neg:#x}, R{src};")
 
     # ------------------------------------------------------------------
     # FFMA block for one k-step (the Fig. 4 ordering with .reuse)
@@ -284,7 +579,7 @@ class WinogradF22Kernel:
                     imm = kk * 128 + h * 64 + g * 8192
                     dest = self.in_frag(blk, g, 4 * h)
                     lines.append(
-                        f"{self._ctl(wbar=bar)} LDS.128 R{dest}, "
+                        f"{_ctl(wbar=bar)} LDS.128 R{dest}, "
                         f"[R{self.LDS_IN} + {imm:#x}];"
                     )
         else:  # tile_major ablation: strided scalar loads, 4-way conflicts
@@ -294,7 +589,7 @@ class WinogradF22Kernel:
                         imm = kk * 2048 + (16 * h + i) * 64 + g * 32
                         dest = self.in_frag(blk, g, 4 * h + i)
                         lines.append(
-                            f"{self._ctl(wbar=bar)} LDS.32 R{dest}, "
+                            f"{_ctl(wbar=bar)} LDS.32 R{dest}, "
                             f"[R{self.LDS_IN} + {imm:#x}];"
                         )
         fil_halves = 2 if self.bk == 64 else 1
@@ -304,79 +599,54 @@ class WinogradF22Kernel:
                 imm = kk * (self.bk * 4) + h * 128 + g * (8 * BC * self.bk * 4)
                 dest = self.fil_frag(blk, g, 4 * h)
                 lines.append(
-                    f"{self._ctl(wbar=bar)} LDS.128 R{dest}, "
+                    f"{_ctl(wbar=bar)} LDS.128 R{dest}, "
                     f"[R{self.LDS_FIL} + {imm:#x}];"
                 )
         return lines
 
-    # ------------------------------------------------------------------
-    # Global prefetch stream (one iteration's LDGs, woven into steps 0-5)
-    # ------------------------------------------------------------------
-    def ldg_stream(self) -> list[str]:
-        lines = []
-        fil_tiles = 2 if self.bk == 64 else 1
-        k = self.prob.k
-        first = True
-        for t2 in range(fil_tiles):
-            for e in range(16):
-                imm = 4 * k * (e + 64 * t2)
-                wait = 1 << 4 if first else 0  # WAR with last body's STS (B4)
-                first = False
-                lines.append(
-                    f"{self._ctl(wait=wait, wbar=1)} LDG.E R{self.pf_fil + 16 * t2 + e}, "
-                    f"[R{self.PTR_FIL} + {imm:#x}];"
-                )
-        w, n = self.prob.w, self.prob.n
-        for x in range(4):
-            if self.t.use_p2r:
-                # §3.5: unpack 4 of the 16 packed mask bits at a time.
-                lines.append(
-                    f"SHF.R.U32 R{self.TMP[0]}, R{self.MASK}, {4 * x:#x}, RZ;"
-                )
-                lines.append(f"R2P R{self.TMP[0]}, 0xf;")
-            else:
-                # Ablation: recompute the predicates every iteration the
-                # way compiler-generated code must when the mask cannot
-                # be packed (MASK/TMP1 hold h0/w0 instead of the bits).
-                lines.append(f"IADD3 R{self.TMP[0]}, R{self.MASK}, {x:#x}, RZ;")
-                lines.append(
-                    f"ISETP.LT.U32.AND P4, PT, R{self.TMP[0]}, "
-                    f"{self.prob.h:#x}, PT;"
-                )
-                for y in range(4):
-                    lines.append(
-                        f"IADD3 R{self.TMP[0]}, R{self.TMP[1]}, {y:#x}, RZ;"
-                    )
-                    lines.append(
-                        f"ISETP.LT.U32.AND P{y}, PT, R{self.TMP[0]}, "
-                        f"{self.prob.w:#x}, P4;"
-                    )
-            for y in range(4):
-                imm = 4 * (x * w + y) * n
-                lines.append(
-                    f"{self._ctl(wbar=0)} @P{y} LDG.E R{self.pf_in + 4 * x + y}, "
-                    f"[R{self.PTR_IN} + {imm:#x}];"
-                )
-        return lines
+    def first_fragments(self) -> list[str]:
+        return self.lds_step(0, 0)
 
     # ------------------------------------------------------------------
-    # ITF: 32 FADDs, BᵀIB on the prefetched tile (§4.2), scratch = block-0
-    # input-fragment registers (free during step 7).
+    # Filter staging: register t2·16 + e holds element e of channel
+    # group t2 (channels +4 at bk=64).
     # ------------------------------------------------------------------
+    def _fil_row(self, i: int) -> int:
+        """CR'S'K row of filter prefetch register *i*: e + 64·t2."""
+        return i % 16 + 64 * (i // 16)
+
+    def _sts_fil_offset(self, i: int) -> int:
+        # (16, bc, bk) floats: +e → bc·bk floats; +4 channels → 4·bk.
+        return (i % 16) * (BC * self.bk * 4) + (i // 16) * (4 * self.bk * 4)
+
+    # ------------------------------------------------------------------
+    # ITF: 32 FADDs, BᵀIB on the prefetched tile (§4.2).
+    # ------------------------------------------------------------------
+    @property
+    def itf_out(self) -> int:
+        """Base of the 16 ITF scratch registers (the BᵀIB outputs).
+
+        Depth 2: the ITF runs during step 7, which computes from block 1,
+        so block 0's input fragments are dead and serve as scratch.
+        Depth 1: every step reads block 0, so the otherwise-unused
+        block-1 input fragments are the scratch instead.
+        """
+        return self.in_frag(0 if self.depth == 2 else 1, 0, 0)
+
     def itf_stream(self) -> list[str]:
         """BᵀIB on the prefetched tile, into scratch registers.
 
         The prefetch registers are read-only here: their statically
         masked (implicit-zero) elements must stay zero across every
         iteration, since the predicated LDGs never write them (§3.5).
-        The column pass writes block-0's input-fragment registers (dead
+        The column pass writes the ``itf_out`` fragment registers (dead
         during step 7); the row pass finishes in place with one temp.
         """
         d = lambda x, y: self.pf_in + 4 * x + y
-        s = lambda x, y: self.itf_scratch + 4 * x + y  # 16 scratch regs
+        s = lambda x, y: self.itf_out + 4 * x + y  # 16 scratch regs
         tmp = self.TMP[0]
         lines = []
-        first = self._ctl(wait=1 << 0)  # wait B0: prefetched input landed
+        first = _ctl(wait=1 << 0)  # wait B0: prefetched input landed
         # Column pass: S = BᵀI  (rows: d0-d2, d1+d2, d2-d1, d1-d3).
         for y in range(4):
             ctl = first if y == 0 else ""
@@ -394,108 +664,10 @@ class WinogradF22Kernel:
         return lines
 
     # ------------------------------------------------------------------
-    # STS streams (§4.1-§4.2 data staging; read barrier B4 guards the WAR
-    # with the next iteration's prefetch).
+    # Operand bases (filter pointer, STS and Fig. 3 LDS bases)
     # ------------------------------------------------------------------
-    def sts_filter_stream(self) -> list[str]:
-        lines = []
-        fil_tiles = 2 if self.bk == 64 else 1
-        first = True
-        for t2 in range(fil_tiles):
-            for e in range(16):
-                # (16, bc, bk) floats: +e → bc*bk floats; +4 channels → 4*bk.
-                imm = e * (BC * self.bk * 4) + t2 * (4 * self.bk * 4)
-                wait = 1 << 1 if first else 0
-                first = False
-                lines.append(
-                    f"{self._ctl(wait=wait, rbar=4)} STS "
-                    f"[R{self.STS_FIL} + {imm:#x}], R{self.pf_fil + 16 * t2 + e};"
-                )
-        return lines
-
-    @property
-    def itf_scratch(self) -> int:
-        """Base of the 16 ITF scratch registers (the BᵀIB outputs).
-
-        Depth 2: the ITF runs during step 7, which computes from block 1,
-        so block 0's input fragments are dead and serve as scratch.
-        Depth 1: every step reads block 0, so the otherwise-unused
-        block-1 input fragments are the scratch instead.
-        """
-        return self.in_frag(0 if self.depth == 2 else 1, 0, 0)
-
-    def sts_input_stream(self) -> list[str]:
-        scratch = self.itf_scratch  # the ITF's output registers
-        lines = []
-        for e in range(16):
-            if self.t.smem_layout == "transposed":
-                imm = e * (BC * BN * 4)  # (16, bc, bn)
-            else:
-                imm = e * 4  # tile-major (bc, bn, 16)
-            lines.append(
-                f"{self._ctl(rbar=4)} STS [R{self.STS_IN} + {imm:#x}], "
-                f"R{scratch + e};"
-            )
-        return lines
-
-    # ------------------------------------------------------------------
-    # Prologue
-    # ------------------------------------------------------------------
-    def prologue(self) -> list[str]:
+    def _emit_operand_bases(self, L, T) -> None:
         p = self.prob
-        L: list[str] = []
-        T = lambda i: self.pf_fil + i  # prologue scratch in the prefetch block
-
-        L.append(f"S2R R{T(0)}, SR_TID.X;")
-        L.append(f"S2R R{T(2)}, SR_CTAID.X;")  # tile block tb
-        L.append(f"S2R R{T(3)}, SR_CTAID.Y;")  # filter block kb
-        L.append(f"LOP3.AND R{T(1)}, R{T(0)}, 0x1f, RZ;")  # lane / tile slot
-        L.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, 0x5, RZ;")  # warp = channel slot
-
-        # Global tile id g = tb*32 + lane → (n, w̃, h̃).
-        L.append(f"IMAD R{T(5)}, R{T(2)}, 0x20, R{T(1)};")
-        self._emit_udiv(L, T(6), T(5), p.n, T(8))  # hw = g / N
-        self._emit_mod(L, T(7), T(5), T(6), p.n)  # n = g % N
-        self._emit_udiv(L, T(10), T(6), self.tw, T(12))  # h̃ = hw / tw
-        self._emit_mod(L, T(11), T(6), T(10), self.tw)  # w̃ = hw % tw
-
-        # Input base address: in_ptr + 4·(((w·H + 2h̃−1)·W + 2w̃−1)·N + n).
-        L.append(f"IMAD R{T(14)}, R{T(10)}, 0x2, RZ;")
-        L.append(f"IADD3 R{T(14)}, R{T(14)}, -1, RZ;")  # h0 = 2h̃ − 1
-        L.append(f"IMAD R{T(15)}, R{T(4)}, {p.h:#x}, R{T(14)};")  # w·H + h0
-        L.append(f"IMAD R{T(9)}, R{T(11)}, 0x2, RZ;")
-        L.append(f"IADD3 R{T(9)}, R{T(9)}, -1, RZ;")  # w0 = 2w̃ − 1
-        L.append(f"IMAD R{T(15)}, R{T(15)}, {p.w:#x}, R{T(9)};")
-        L.append(f"IMAD R{T(15)}, R{T(15)}, {p.n:#x}, R{T(7)};")
-        # 64-bit base: in_ptr + 4·idx (idx may be negative at the top/left
-        # padding edge, so the carry into the high word matters).
-        L.append(f"MOV R{self.PTR_IN}, c[0x0][0x160];")
-        L.append(f"MOV R{self.PTR_IN + 1}, c[0x0][0x164];")
-        L.append(f"IMAD.WIDE R{self.PTR_IN}, R{T(15)}, 0x4, R{self.PTR_IN};")
-
-        if self.t.use_p2r:
-            # Zero-padding mask (§3.5): rowok/colok nibbles → 16-bit mask.
-            for x in range(4):
-                L.append(f"IADD3 R{T(8)}, R{T(14)}, {x:#x}, RZ;")
-                L.append(f"ISETP.LT.U32.AND P{x}, PT, R{T(8)}, {p.h:#x}, PT;")
-            L.append(f"P2R R{T(8)}, 0xf;")  # row-ok nibble
-            for y in range(4):
-                L.append(f"IADD3 R{T(12)}, R{T(9)}, {y:#x}, RZ;")
-                L.append(f"ISETP.LT.U32.AND P{y}, PT, R{T(12)}, {p.w:#x}, PT;")
-            L.append(f"P2R R{T(13)}, 0xf;")  # col-ok nibble
-            L.append(f"MOV R{self.MASK}, 0x0;")
-            L.append(f"R2P R{T(8)}, 0xf;")  # P_x = rowok(x)
-            for x in range(4):
-                L.append(f"SHF.L.U32 R{T(12)}, R{T(13)}, {4 * x:#x}, RZ;")
-                L.append(
-                    f"@P{x} LOP3.OR R{self.MASK}, R{self.MASK}, R{T(12)}, RZ;"
-                )
-        else:
-            # Ablation: keep the raw tile origin; predicates recomputed
-            # inside the loop (costing ALU work every iteration).
-            L.append(f"MOV R{self.MASK}, R{T(14)};")  # h0
-            L.append(f"MOV R{self.TMP[1]}, R{T(9)};")  # w0
-
         # Filter base: fil_ptr + 4·(cf·16·K + kb·bk + kk).
         kk_mask = self.bk - 1
         kk_shift = 6 if self.bk == 64 else 5
@@ -503,20 +675,16 @@ class WinogradF22Kernel:
         L.append(f"SHF.R.U32 R{T(12)}, R{T(0)}, {kk_shift:#x}, RZ;")  # cf
         L.append(f"IMAD R{T(8)}, R{T(3)}, {self.bk:#x}, R{T(8)};")  # + kb·bk
         L.append(f"IMAD R{T(8)}, R{T(12)}, {16 * p.k:#x}, R{T(8)};")
-        L.append(f"MOV R{self.PTR_FIL}, c[0x0][0x168];")
-        L.append(f"MOV R{self.PTR_FIL + 1}, c[0x0][0x16c];")
-        L.append(f"IMAD.WIDE R{self.PTR_FIL}, R{T(8)}, 0x4, R{self.PTR_FIL};")
+        self._emit_param_address(L, self.PTR_FIL, 1, T(8))
 
         # STS base addresses.
+        L.append(f"IMAD R{T(8)}, R{T(4)}, 0x20, R{T(1)};")  # ci·32 + tile
         if self.t.smem_layout == "transposed":
-            L.append(f"IMAD R{T(8)}, R{T(4)}, 0x20, R{T(1)};")  # ci·32 + tile
             L.append(f"SHF.L.U32 R{T(8)}, R{T(8)}, 0x2, RZ;")
         else:  # tile-major: (ci·32 + tile)·16 floats
-            L.append(f"IMAD R{T(8)}, R{T(4)}, 0x20, R{T(1)};")
             L.append(f"SHF.L.U32 R{T(8)}, R{T(8)}, 0x6, RZ;")
         L.append(f"IADD3 R{self.STS_IN}, R{T(8)}, {self.smem_in_base:#x}, RZ;")
-        kk_mask_l = self.bk - 1
-        L.append(f"LOP3.AND R{T(8)}, R{T(0)}, {kk_mask_l:#x}, RZ;")
+        L.append(f"LOP3.AND R{T(8)}, R{T(0)}, {kk_mask:#x}, RZ;")
         L.append(f"SHF.R.U32 R{T(12)}, R{T(0)}, {kk_shift:#x}, RZ;")
         L.append(f"IMAD R{T(8)}, R{T(12)}, {self.bk:#x}, R{T(8)};")  # cf·bk + kk
         L.append(f"SHF.L.U32 R{self.STS_FIL}, R{T(8)}, 0x2, RZ;")
@@ -539,61 +707,34 @@ class WinogradF22Kernel:
         L.append(f"IMAD R{T(15)}, R{T(4)}, {16 * BC * self.bk * 4 // 16:#x}, RZ;")
         L.append(f"IMAD R{self.LDS_FIL}, R{T(13)}, 0x10, R{T(15)};")
 
-        # Zero the accumulators and the (statically masked) input prefetch.
-        for r in range(self.n_acc):
-            L.append(f"MOV R{r}, RZ;")
-        for e in range(16):
-            L.append(f"MOV R{self.pf_in + e}, RZ;")
-        L.append(f"MOV R{self.ITER}, {self.iters:#x};")
-        L.append(f"MOV R{self.TMP[2]}, 0x1;")  # constant 1 for 64-bit bumps
-        return L
-
-    # ------------------------------------------------------------------
-    # One staging phase: prefetch → (wait) → ITF → STS → BAR → LDS k0.
-    # Used standalone in the prologue; inside the loop the same streams
-    # are woven into the FFMA stream instead.
-    # ------------------------------------------------------------------
-    def staging_phase(self) -> list[str]:
-        L = list(self.ldg_stream())
-        L += self.advance_pointers()
-        L += self.itf_stream()
-        L += self.sts_filter_stream()
-        L += self.sts_input_stream()
-        L.append("BAR.SYNC;")  # smem ordering is by MIO issue order
-        L += self.lds_step(0, 0)
-        return L
-
-    def advance_pointers(self) -> list[str]:
-        # 64-bit pointer bumps: base + 1·step via IMAD.WIDE (TMP2 holds 1;
-        # the base may be "negative" at the padding edge, see prologue).
-        p = self.prob
-        in_step = BC * p.h * p.w * p.n * 4
-        fil_step = BC * 16 * p.k * 4
-        one = self.TMP[2]
-        return [
-            f"IMAD.WIDE R{self.PTR_IN}, R{one}, {in_step:#x}, R{self.PTR_IN};",
-            f"IMAD.WIDE R{self.PTR_FIL}, R{one}, {fil_step:#x}, R{self.PTR_FIL};",
-        ]
-
     # ------------------------------------------------------------------
     # Main loop body
     # ------------------------------------------------------------------
     def loop_body(self) -> list[str]:
-        if self.depth == 1:
-            return self._loop_body_single()
-        # Fragment loads are spread through each step's FFMAs (one LDS per
-        # ~14 FFMAs) instead of bursting at step boundaries: a back-to-back
-        # clump of 8 LDS.128 from every warp at once would convoy on the
-        # shared MIO pipe and stall the in-order FFMA streams behind it.
+        """Eight k-steps; at depth d, step k computes from register block
+        ``k % d`` and loads step k+1's fragments into block ``(k+1) % d``.
+
+        Depth 2 (the paper's ping-pong) spreads the loads through the
+        step's FFMAs (one LDS per ~14 FFMAs) instead of bursting at step
+        boundaries: a back-to-back clump of 8 LDS.128 from every warp at
+        once would convoy on the shared MIO pipe and stall the in-order
+        FFMA streams behind it.  Depth 1 (the §3.4 ablation) issues them
+        as a burst *after* the step's FFMAs (in-order issue keeps the
+        write-after-read safe: FFMA operands are consumed at issue), so
+        each step's first FFMA waits for that burst — the serialization
+        the ping-pong register buffers exist to hide.
+        """
+        d = self.depth
         lds_spacing = max(1, 128 // (len(self.lds_step(0, 0)) + 1))
         L: list[str] = []
         # Steps 0..6: FFMAs + next-step LDS, with the LDG stream woven in.
         steps06: list[str] = []
         for k in range(7):
-            blk = k % 2
+            blk = k % d
             ffmas = self.ffma_step(blk)
-            ffmas[0] = f"{self._ctl(wait=1 << (2 + blk))} {ffmas[0]}"
-            steps06 += weave(ffmas, self.lds_step(1 - blk, k + 1), lds_spacing)
+            ffmas[0] = f"{_ctl(wait=1 << (2 + blk))} {ffmas[0]}"
+            loads = self.lds_step((k + 1) % d, k + 1)
+            steps06 += weave(ffmas, loads, lds_spacing) if d == 2 else ffmas + loads
         steps06 = weave(steps06, self.ldg_stream(), self.t.ldg_interleave)
         L += steps06
 
@@ -602,69 +743,15 @@ class WinogradF22Kernel:
         L.append("BAR.SYNC;")
 
         # Step 7: 128 FFMAs with ITF + STS woven in.
-        step7 = self.ffma_step(1)
-        step7[0] = f"{self._ctl(wait=1 << 3)} {step7[0]}"
+        blk = 7 % d
+        step7 = self.ffma_step(blk)
+        step7[0] = f"{_ctl(wait=1 << (2 + blk))} {step7[0]}"
         tail = weave(step7, self.itf_stream(), 2)  # ITF as early as possible
         tail = weave(tail, self.sts_filter_stream(), self.t.sts_interleave)
         tail = weave(tail, self.sts_input_stream(), self.t.sts_interleave,
                      start=len(step7) // 2)
         L += tail
-
-        L += self.advance_pointers()
-        L.append(f"IADD3 R{self.ITER}, R{self.ITER}, -1, RZ;")
-        L.append(f"ISETP.NE.AND P5, PT, R{self.ITER}, RZ, PT;")
-        L.append("BAR.SYNC;")
-        for line in self.lds_step(0, 0):
-            L.append(_predicate(line, "P5"))
-        L.append("@P5 BRA MAIN_LOOP;")
-        return L
-
-    def _loop_body_single(self) -> list[str]:
-        """The ``double_buffer=1`` ablation: one fragment buffer (§3.4).
-
-        Every k-step computes from register block 0 and the next step's
-        fragment loads are issued as a burst *after* the step's FFMAs
-        (in-order issue keeps the write-after-read safe: FFMA operands
-        are consumed at issue, before any later LDS can write back).
-        Each step's first FFMA then waits on B2 for that burst to land,
-        so the FFMA stream stalls on the shared-memory latency once per
-        k-step — the serialization the paper's ping-pong register
-        double-buffering exists to hide.
-        """
-        L: list[str] = []
-        # Steps 0..6: FFMAs, then the next step's LDS burst; the LDG
-        # stream is woven over the whole stretch as in the paper path.
-        steps06: list[str] = []
-        for k in range(7):
-            ffmas = self.ffma_step(0)
-            ffmas[0] = f"{self._ctl(wait=1 << 2)} {ffmas[0]}"
-            steps06 += ffmas
-            steps06 += self.lds_step(0, k + 1)
-        steps06 = weave(steps06, self.ldg_stream(), self.t.ldg_interleave)
-        L += steps06
-
-        # Same MIO-ordering argument as the ping-pong path: every
-        # shared-memory read is issued before the barrier, so the
-        # post-barrier STS cannot overtake them.
-        L.append("BAR.SYNC;")
-
-        # Step 7: 128 FFMAs with ITF + STS woven in (scratch lives in
-        # the idle block-1 fragment registers, see ``itf_scratch``).
-        step7 = self.ffma_step(0)
-        step7[0] = f"{self._ctl(wait=1 << 2)} {step7[0]}"
-        tail = weave(step7, self.itf_stream(), 2)
-        tail = weave(tail, self.sts_filter_stream(), self.t.sts_interleave)
-        tail = weave(tail, self.sts_input_stream(), self.t.sts_interleave,
-                     start=len(step7) // 2)
-        L += tail
-
-        L += self.advance_pointers()
-        L.append(f"IADD3 R{self.ITER}, R{self.ITER}, -1, RZ;")
-        L.append(f"ISETP.NE.AND P5, PT, R{self.ITER}, RZ, PT;")
-        L.append("BAR.SYNC;")
-        for line in self.lds_step(0, 0):
-            L.append(_predicate(line, "P5"))
-        L.append("@P5 BRA MAIN_LOOP;")
+        L += self._loop_tail()
         return L
 
     # ------------------------------------------------------------------
@@ -679,16 +766,7 @@ class WinogradF22Kernel:
         row = self.otf_row_floats
 
         # Recompute thread geometry (registers were reused by the loop).
-        L.append(f"S2R R{T(0)}, SR_TID.X;")
-        L.append(f"S2R R{T(2)}, SR_CTAID.X;")
-        L.append(f"S2R R{T(3)}, SR_CTAID.Y;")
-        L.append(f"LOP3.AND R{T(1)}, R{T(0)}, 0x1f, RZ;")  # lane = tile slot
-        L.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, 0x5, RZ;")  # warp
-        L.append(f"IMAD R{T(5)}, R{T(2)}, 0x20, R{T(1)};")  # global tile id
-        self._emit_udiv(L, T(6), T(5), p.n, T(8))
-        self._emit_mod(L, T(7), T(5), T(6), p.n)
-        self._emit_udiv(L, T(10), T(6), self.tw, T(12))
-        self._emit_mod(L, T(11), T(6), T(10), self.tw)
+        self._emit_lane_tile(L, T)
 
         # Output base: out_ptr + 4·(((kb·bk + w)·H' + 2h̃)·W' + 2w̃)·N + n).
         oh, ow = p.out_h, p.out_w
@@ -698,9 +776,7 @@ class WinogradF22Kernel:
         L.append(f"IMAD R{T(12)}, R{T(11)}, 0x2, RZ;")  # ox = 2w̃
         L.append(f"IMAD R{T(8)}, R{T(8)}, {ow:#x}, R{T(12)};")
         L.append(f"IMAD R{T(8)}, R{T(8)}, {p.n:#x}, R{T(7)};")
-        L.append(f"MOV R{OUT_LO}, c[0x0][0x170];")
-        L.append(f"MOV R{OUT_HI}, c[0x0][0x174];")
-        L.append(f"IMAD.WIDE R{OUT_LO}, R{T(8)}, 0x4, R{OUT_LO};")
+        self._emit_param_address(L, OUT_LO, 2, T(8))
 
         # Edge predicates (the F(2×2) overcompute cropped by stores, §7.3).
         L.append(f"IADD3 R{T(9)}, R{T(9)}, 0x1, RZ;")
@@ -764,7 +840,7 @@ class WinogradF22Kernel:
                             + t_part
                         )
                         L.append(
-                            f"{self._ctl(rbar=4)} @P3 STS [R{T(12)} + {imm:#x}], R{a};"
+                            f"{_ctl(rbar=4)} @P3 STS [R{T(12)} + {imm:#x}], R{a};"
                         )
             L.append("BAR.SYNC;")
 
@@ -776,7 +852,7 @@ class WinogradF22Kernel:
                     # perm(w + 8) = perm(w) + 2, so pair 1 sits 2 rows up.
                     imm = e * (k_per_round * row * 4) + pp * (2 * row * 4)
                     L.append(
-                        f"{self._ctl(wbar=0)} LDS.32 R{dregs + e}, "
+                        f"{_ctl(wbar=0)} LDS.32 R{dregs + e}, "
                         f"[R{T(13)} + {imm:#x}];"
                     )
                 # OTF: AᵀÔA → 4 outputs (24 FADDs, §2.1).
@@ -785,7 +861,7 @@ class WinogradF22Kernel:
                 d4 = lambda x, y: dregs + 4 * x + y
                 first = True
                 for y in range(4):
-                    ctl = self._ctl(wait=1 << 0) + " " if first else ""
+                    ctl = _ctl(wait=1 << 0) + " " if first else ""
                     first = False
                     L.append(
                         f"{ctl}FADD R{m + y}, R{d4(0, y)}, R{d4(1, y)};"
@@ -816,78 +892,16 @@ class WinogradF22Kernel:
                     for dx in range(2):
                         imm = 4 * (dy * ow + dx) * p.n
                         L.append(
-                            f"{self._ctl(rbar=5)} {guards[(dy, dx)]}STG.E "
+                            f"{_ctl(rbar=5)} {guards[(dy, dx)]}STG.E "
                             f"[R{ADDR} + {imm:#x}], R{o + 2 * dy + dx};"
                         )
             if rnd != rounds - 1:
                 L.append("BAR.SYNC;")
-        L.append(f"{self._ctl(wait=1 << 5)} EXIT;")
+        L.append(f"{_ctl(wait=1 << 5)} EXIT;")
         return L
 
-    # ------------------------------------------------------------------
-    # Whole-kernel assembly
-    # ------------------------------------------------------------------
-    def source(self, main_loop_only: bool = False, iters: int | None = None) -> str:
-        name = f"winograd_f22_bk{self.bk}"
-        header = [
-            f".kernel {name}",
-            f".registers {self.num_regs}",
-            f".smem {self.launch_smem_bytes}",
-            ".param 8 in_ptr",
-            ".param 8 fil_ptr",
-            ".param 8 out_ptr",
-        ]
-        body: list[str] = []
-        body += self.prologue()
-        if iters is not None:
-            body.append(f"MOV R{self.ITER}, {iters:#x};")
-        body += self.staging_phase()
-        body.append("MAIN_LOOP:")
-        body += self.loop_body()
-        if main_loop_only:
-            body.append("EXIT;")
-        else:
-            body += self.epilogue()
-        lines = apply_yield_strategy(body, self.t.yield_strategy)
-        return "\n".join(header + lines)
 
-    def build(
-        self, main_loop_only: bool = False, iters: int | None = None
-    ) -> AssembledKernel:
-        return assemble(self.source(main_loop_only, iters), auto_schedule=True)
-
-    # ------------------------------------------------------------------
-    # Launch helpers
-    # ------------------------------------------------------------------
-    @property
-    def grid(self) -> tuple[int, int]:
-        return (self.total_tiles // BN, self.prob.k // self.bk)
-
-    def alloc_buffers(self, gmem, x_chwn: np.ndarray, f_transformed: np.ndarray):
-        """Allocate padded device buffers; returns (params, out_ptr).
-
-        One extra ``bc`` channel block of zeros pads the input and the
-        transformed filter so the final iteration's prefetch never reads
-        past the arrays (the kernel prefetches unconditionally and the
-        prefetched data is simply never consumed).
-        """
-        p = self.prob
-        pad_in = np.zeros((BC, p.h, p.w, p.n), dtype=np.float32)
-        pad_fil = np.zeros((BC, 4, 4, p.k), dtype=np.float32)
-        in_ptr = gmem.alloc_array(
-            np.concatenate([x_chwn.astype(np.float32), pad_in], axis=0)
-        )
-        fil_ptr = gmem.alloc_array(
-            np.concatenate([f_transformed.astype(np.float32), pad_fil], axis=0),
-            l2_resident=True,
-        )
-        out_bytes = p.k * p.out_h * p.out_w * p.n * 4
-        out_ptr = gmem.alloc(out_bytes)
-        params = {"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr}
-        return params, out_ptr
-
-
-class WinogradF44Kernel:
+class WinogradF44Kernel(WinogradFusedKernel):
     """Generator + launch helper for the fused F(4×4, 3×3) kernel (§8.1).
 
     Blocking is the best feasible point from ``perfmodel.f44_study``:
@@ -902,50 +916,41 @@ class WinogradF44Kernel:
     the same split ``repro.winograd.tiling.pack_mask`` models).
     """
 
-    ALPHA = 6  # transformed tile edge (m + r − 1)
-    E = 36  # transformed elements per tile
+    TILE = TILE_F44
+    LOOP_PRED = "P6"
 
-    _ctl = staticmethod(WinogradF22Kernel._ctl)
-    _emit_udiv = WinogradF22Kernel._emit_udiv
-    _emit_mod = WinogradF22Kernel._emit_mod
+    @staticmethod
+    def _check_tunables(tunables: Tunables) -> None:
+        if (tunables.bk, tunables.smem_layout, tunables.double_buffer) != (
+            16, "transposed", 2,
+        ):
+            raise ConvConfigError(
+                "the F(4×4) kernel implements bk=16 (the best feasible "
+                "blocking from perfmodel.f44_study), the transposed smem "
+                "layout and register ping-pong (double_buffer=2); got "
+                f"bk={tunables.bk}, smem_layout={tunables.smem_layout!r}, "
+                f"double_buffer={tunables.double_buffer}"
+            )
 
     def __init__(self, prob: ConvProblem, tunables: Tunables | None = None):
-        tunables = tunables or F44Tunables()
-        if prob.r != 3 or prob.s != 3 or prob.pad != 1:
-            raise ConvConfigError("the fused kernel implements 3×3 / pad 1")
-        if prob.n % BN:
-            raise ConvConfigError(f"N must be a multiple of {BN} (got {prob.n})")
-        if prob.c % BC:
-            raise ConvConfigError(f"C must be a multiple of {BC} (got {prob.c})")
-        if prob.k % 16:
-            raise ConvConfigError(f"K must be a multiple of 16 (got {prob.k})")
-        if tunables.bk != 16 or tunables.smem_layout != "transposed" \
-                or tunables.double_buffer != 2:
-            raise ConvConfigError(
-                "the F(4×4) kernel requires bk=16, transposed smem layout "
-                "and double_buffer=2 (see F44Tunables)"
-            )
-        self.prob = prob
-        self.t = tunables
-        self.bk = 16
-        self.th = prob.tiles_h(4)
-        self.tw = prob.tiles_w(4)
-        self.total_tiles = self.th * self.tw * prob.n
-        self.iters = prob.c // BC
-        tf = TILE_F44.transform(np.float32)
+        super().__init__(prob, tunables)
+        E = self.TILE.elements  # 36
+        tf = self.TILE.transform(np.float32)
         self.bt = [[float(v) for v in row] for row in tf.bt]
         self.at = [[float(v) for v in row] for row in tf.at]
 
         # ---- register map -------------------------------------------------
         # 72 accumulators: acc(e, u) = 2e + u for element e, tile u∈{0,1}.
-        self.n_acc = 2 * self.E
+        self.n_acc = 2 * E
         # Fragment ping-pong: per buffer, 6 input pairs (LDS.64, so the
         # pair base must be even: 72 and 90 both are) + 6 filter scalars.
         self.frag = self.n_acc  # 72
         self.pf_in = self.frag + 36  # 108: the 6×6 predicated prefetch
-        self.pf_fil = self.pf_in + 36  # 144: 18 filter prefetch regs
-        self.itf_out = self.pf_fil + 18  # 162: BᵀdB results (36)
-        scal = self.itf_out + 36  # 198
+        self.pf_fil = self.pf_in + E  # 144: 18 filter prefetch regs
+        self.n_pf_fil = 18
+        self.itf_out = self.pf_fil + self.n_pf_fil  # 162: BᵀdB results (36)
+        self.scratch = self.pf_in  # prologue scratch; zeroed after use
+        scal = self.itf_out + E  # 198
         self.PTR_IN = scal  # pair (even by construction)
         self.PTR_FIL = scal + 2  # pair
         self.ITER = scal + 4
@@ -964,20 +969,13 @@ class WinogradF44Kernel:
         # Filter (bc, 36, bk) floats so the flat (c·36+e) staging index is
         # also the store index; input (36, bc, bn) floats so one LDS.64 at
         # [e][c][2p] fetches both of a thread's tiles (8-byte aligned:
-        # 2p·4 is a multiple of 8).
+        # 2p·4 is a multiple of 8).  No OTF transpose buffer: the main
+        # buffers are the whole launch budget.
         self.smem_fil_base = 0
-        self.smem_fil_bytes = BC * self.E * self.bk * 4  # 18 KB
+        self.smem_fil_bytes = BC * E * self.bk * 4  # 18 KB
         self.smem_in_base = self.smem_fil_bytes
-        self.smem_in_bytes = self.E * BC * BN * 4  # 36 KB
+        self.smem_in_bytes = E * BC * BN * 4  # 36 KB
         self.smem_bytes = self.smem_fil_bytes + self.smem_in_bytes  # 54 KB
-
-    # ------------------------------------------------------------------
-    # Launch metadata
-    # ------------------------------------------------------------------
-    @property
-    def launch_smem_bytes(self) -> int:
-        """No OTF transpose buffer: the main buffers are the whole budget."""
-        return self.smem_bytes
 
     # ------------------------------------------------------------------
     # Register helpers
@@ -1047,77 +1045,30 @@ class WinogradF44Kernel:
             e = 6 * g + j
             imm = e * (BC * BN * 4) + c * (BN * 4)
             lines.append(
-                f"{self._ctl(wbar=bar)} LDS.64 R{self.in_frag(blk, j)}, "
+                f"{_ctl(wbar=bar)} LDS.64 R{self.in_frag(blk, j)}, "
                 f"[R{self.LDS_IN} + {imm:#x}];"
             )
         for j in range(6):
             e = 6 * g + j
-            imm = c * (self.E * self.bk * 4) + e * (self.bk * 4)
+            imm = c * (self.TILE.elements * self.bk * 4) + e * (self.bk * 4)
             lines.append(
-                f"{self._ctl(wbar=bar)} LDS.32 R{self.fil_frag(blk, j)}, "
+                f"{_ctl(wbar=bar)} LDS.32 R{self.fil_frag(blk, j)}, "
                 f"[R{self.LDS_FIL} + {imm:#x}];"
             )
         return lines
 
+    def first_fragments(self) -> list[str]:
+        return self.lds_group(0, 0, 0)
+
     # ------------------------------------------------------------------
-    # Global prefetch: 18 filter LDGs + 36 predicated input LDGs
+    # Filter staging: register i holds flat (c·36+e) index q + 16·i of
+    # the thread's filter column, q = t >> 4.
     # ------------------------------------------------------------------
-    def ldg_stream(self) -> list[str]:
-        p = self.prob
-        lines = []
-        first = True
-        for i in range(18):
-            imm = 4 * p.k * 16 * i
-            wait = 1 << 4 if first else 0  # WAR with last body's STS (B4)
-            first = False
-            lines.append(
-                f"{self._ctl(wait=wait, wbar=1)} LDG.E R{self.pf_fil + i}, "
-                f"[R{self.PTR_FIL} + {imm:#x}];"
-            )
-        for x in range(6):
-            if self.t.use_p2r:
-                if x < 5:
-                    lines.append(
-                        f"SHF.R.U32 R{self.TMP[0]}, R{self.MASK}, "
-                        f"{6 * x:#x}, RZ;"
-                    )
-                else:
-                    # Row 5 straddles the mask words: (M0 >> 30) | (M1 << 2).
-                    lines.append(
-                        f"SHF.R.U32 R{self.TMP[0]}, R{self.MASK}, 0x1e, RZ;"
-                    )
-                    lines.append(
-                        f"SHF.L.U32 R{self.TMP[1]}, R{self.MASK_HI}, 0x2, RZ;"
-                    )
-                    lines.append(
-                        f"LOP3.OR R{self.TMP[0]}, R{self.TMP[0]}, "
-                        f"R{self.TMP[1]}, RZ;"
-                    )
-                lines.append(f"R2P R{self.TMP[0]}, 0x3f;")
-            else:
-                # Ablation: recompute the row/column predicates in-loop
-                # (MASK/TMP1 hold h0/w0).  P6 is free here — the loop
-                # trip-count ISETP runs later in the body.
-                lines.append(f"IADD3 R{self.TMP[0]}, R{self.MASK}, {x:#x}, RZ;")
-                lines.append(
-                    f"ISETP.LT.U32.AND P6, PT, R{self.TMP[0]}, "
-                    f"{p.h:#x}, PT;"
-                )
-                for y in range(6):
-                    lines.append(
-                        f"IADD3 R{self.TMP[0]}, R{self.TMP[1]}, {y:#x}, RZ;"
-                    )
-                    lines.append(
-                        f"ISETP.LT.U32.AND P{y}, PT, R{self.TMP[0]}, "
-                        f"{p.w:#x}, P6;"
-                    )
-            for y in range(6):
-                imm = 4 * (x * p.w + y) * p.n
-                lines.append(
-                    f"{self._ctl(wbar=0)} @P{y} LDG.E R{self.pf_in + 6 * x + y}, "
-                    f"[R{self.PTR_IN} + {imm:#x}];"
-                )
-        return lines
+    def _fil_row(self, i: int) -> int:
+        return 16 * i
+
+    def _sts_fil_offset(self, i: int) -> int:
+        return THREADS * 4 * i  # flat (c·36+e) index advances by 256
 
     # ------------------------------------------------------------------
     # ITF: BᵀdB on the prefetched 6×6 window, entirely in registers.
@@ -1129,7 +1080,7 @@ class WinogradF44Kernel:
         s1 = lambda x, y: self.frag + 6 * x + y
         out = lambda x, y: self.itf_out + 6 * x + y
         lines: list[str] = []
-        first_ctl = self._ctl(wait=1 << 0)  # prefetched input landed
+        first_ctl = _ctl(wait=1 << 0)  # prefetched input landed
         for x in range(6):
             for y in range(6):
                 terms = [
@@ -1148,102 +1099,15 @@ class WinogradF44Kernel:
         return lines
 
     # ------------------------------------------------------------------
-    # STS streams (B4 read barrier guards the WAR with the next prefetch)
+    # Operand bases: filter column kl = t&15 of row group q = t>>4.
     # ------------------------------------------------------------------
-    def sts_filter_stream(self) -> list[str]:
-        lines = []
-        first = True
-        for i in range(18):
-            imm = THREADS * 4 * i  # flat (c·36+e) index advances by 256
-            wait = 1 << 1 if first else 0
-            first = False
-            lines.append(
-                f"{self._ctl(wait=wait, rbar=4)} STS "
-                f"[R{self.STS_FIL} + {imm:#x}], R{self.pf_fil + i};"
-            )
-        return lines
-
-    def sts_input_stream(self) -> list[str]:
-        lines = []
-        for e in range(self.E):
-            imm = e * (BC * BN * 4)
-            lines.append(
-                f"{self._ctl(rbar=4)} STS [R{self.STS_IN} + {imm:#x}], "
-                f"R{self.itf_out + e};"
-            )
-        return lines
-
-    # ------------------------------------------------------------------
-    # Prologue
-    # ------------------------------------------------------------------
-    def prologue(self) -> list[str]:
-        p = self.prob
-        L: list[str] = []
-        T = lambda i: self.pf_in + i  # scratch; zeroed before first use
-
-        L.append(f"S2R R{T(0)}, SR_TID.X;")
-        L.append(f"S2R R{T(2)}, SR_CTAID.X;")  # tile block tb
-        L.append(f"S2R R{T(3)}, SR_CTAID.Y;")  # filter block kb
-        L.append(f"LOP3.AND R{T(1)}, R{T(0)}, 0x1f, RZ;")  # staging tile slot
-        L.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, 0x5, RZ;")  # staging channel c'
-
-        # Staging tile id g = tb·32 + slot → (n, w̃, h̃).
-        L.append(f"IMAD R{T(5)}, R{T(2)}, 0x20, R{T(1)};")
-        self._emit_udiv(L, T(6), T(5), p.n, T(8))
-        self._emit_mod(L, T(7), T(5), T(6), p.n)
-        self._emit_udiv(L, T(10), T(6), self.tw, T(12))
-        self._emit_mod(L, T(11), T(6), T(10), self.tw)
-
-        # Input base: in_ptr + 4·(((c'·H + 4h̃−1)·W + 4w̃−1)·N + n).
-        L.append(f"IMAD R{T(14)}, R{T(10)}, 0x4, RZ;")
-        L.append(f"IADD3 R{T(14)}, R{T(14)}, -1, RZ;")  # h0 = 4h̃ − 1
-        L.append(f"IMAD R{T(15)}, R{T(4)}, {p.h:#x}, R{T(14)};")
-        L.append(f"IMAD R{T(9)}, R{T(11)}, 0x4, RZ;")
-        L.append(f"IADD3 R{T(9)}, R{T(9)}, -1, RZ;")  # w0 = 4w̃ − 1
-        L.append(f"IMAD R{T(15)}, R{T(15)}, {p.w:#x}, R{T(9)};")
-        L.append(f"IMAD R{T(15)}, R{T(15)}, {p.n:#x}, R{T(7)};")
-        L.append(f"MOV R{self.PTR_IN}, c[0x0][0x160];")
-        L.append(f"MOV R{self.PTR_IN + 1}, c[0x0][0x164];")
-        L.append(f"IMAD.WIDE R{self.PTR_IN}, R{T(15)}, 0x4, R{self.PTR_IN};")
-
-        if self.t.use_p2r:
-            # 36-bit zero-pad mask: bit 6x+y = rowok(x) & colok(y),
-            # packed into MASK (bits 0-31) and MASK_HI (bits 32-35).
-            for x in range(6):
-                L.append(f"IADD3 R{T(8)}, R{T(14)}, {x:#x}, RZ;")
-                L.append(f"ISETP.LT.U32.AND P{x}, PT, R{T(8)}, {p.h:#x}, PT;")
-            L.append(f"P2R R{T(8)}, 0x3f;")  # row-ok 6-bit field
-            for y in range(6):
-                L.append(f"IADD3 R{T(12)}, R{T(9)}, {y:#x}, RZ;")
-                L.append(f"ISETP.LT.U32.AND P{y}, PT, R{T(12)}, {p.w:#x}, PT;")
-            L.append(f"P2R R{T(13)}, 0x3f;")  # col-ok 6-bit field
-            L.append(f"MOV R{self.MASK}, 0x0;")
-            L.append(f"MOV R{self.MASK_HI}, 0x0;")
-            L.append(f"R2P R{T(8)}, 0x3f;")  # P_x = rowok(x)
-            for x in range(5):
-                L.append(f"SHF.L.U32 R{T(12)}, R{T(13)}, {6 * x:#x}, RZ;")
-                L.append(
-                    f"@P{x} LOP3.OR R{self.MASK}, R{self.MASK}, R{T(12)}, RZ;"
-                )
-            # Row 5 (bits 30-35) straddles the word boundary.
-            L.append(f"SHF.L.U32 R{T(12)}, R{T(13)}, 0x1e, RZ;")
-            L.append(f"@P5 LOP3.OR R{self.MASK}, R{self.MASK}, R{T(12)}, RZ;")
-            L.append(f"SHF.R.U32 R{T(12)}, R{T(13)}, 0x2, RZ;")
-            L.append(
-                f"@P5 LOP3.OR R{self.MASK_HI}, R{self.MASK_HI}, R{T(12)}, RZ;"
-            )
-        else:
-            L.append(f"MOV R{self.MASK}, R{T(14)};")  # h0
-            L.append(f"MOV R{self.TMP[1]}, R{T(9)};")  # w0
-
+    def _emit_operand_bases(self, L, T) -> None:
         # Filter base: fil_ptr + 4·(q·K + kb·16 + kl), q = t>>4, kl = t&15.
         L.append(f"LOP3.AND R{T(8)}, R{T(0)}, 0xf, RZ;")
         L.append(f"SHF.R.U32 R{T(12)}, R{T(0)}, 0x4, RZ;")
         L.append(f"IMAD R{T(8)}, R{T(3)}, 0x10, R{T(8)};")
-        L.append(f"IMAD R{T(8)}, R{T(12)}, {p.k:#x}, R{T(8)};")
-        L.append(f"MOV R{self.PTR_FIL}, c[0x0][0x168];")
-        L.append(f"MOV R{self.PTR_FIL + 1}, c[0x0][0x16c];")
-        L.append(f"IMAD.WIDE R{self.PTR_FIL}, R{T(8)}, 0x4, R{self.PTR_FIL};")
+        L.append(f"IMAD R{T(8)}, R{T(12)}, {self.prob.k:#x}, R{T(8)};")
+        self._emit_param_address(L, self.PTR_FIL, 1, T(8))
 
         # STS bases: input at 4·(c'·32 + slot); filter at 4·(q·16 + kl).
         L.append(f"IMAD R{T(8)}, R{T(4)}, 0x20, R{T(1)};")
@@ -1260,38 +1124,6 @@ class WinogradF44Kernel:
         L.append(f"LOP3.AND R{T(13)}, R{T(0)}, 0xf, RZ;")
         L.append(f"SHF.L.U32 R{self.LDS_FIL}, R{T(13)}, 0x2, RZ;")
 
-        # Zero the accumulators and the statically masked input prefetch.
-        for r in range(self.n_acc):
-            L.append(f"MOV R{r}, RZ;")
-        for e in range(self.E):
-            L.append(f"MOV R{self.pf_in + e}, RZ;")
-        L.append(f"MOV R{self.ITER}, {self.iters:#x};")
-        L.append(f"MOV R{self.TMP[2]}, 0x1;")  # constant 1 for 64-bit bumps
-        return L
-
-    # ------------------------------------------------------------------
-    # Staging: prefetch → ITF → STS → BAR → first fragment group
-    # ------------------------------------------------------------------
-    def staging_phase(self) -> list[str]:
-        L = list(self.ldg_stream())
-        L += self.advance_pointers()
-        L += self.itf_stream()
-        L += self.sts_filter_stream()
-        L += self.sts_input_stream()
-        L.append("BAR.SYNC;")  # smem ordering is by MIO issue order
-        L += self.lds_group(0, 0, 0)
-        return L
-
-    def advance_pointers(self) -> list[str]:
-        p = self.prob
-        in_step = BC * p.h * p.w * p.n * 4
-        fil_step = BC * self.E * p.k * 4
-        one = self.TMP[2]
-        return [
-            f"IMAD.WIDE R{self.PTR_IN}, R{one}, {in_step:#x}, R{self.PTR_IN};",
-            f"IMAD.WIDE R{self.PTR_FIL}, R{one}, {fil_step:#x}, R{self.PTR_FIL};",
-        ]
-
     # ------------------------------------------------------------------
     # Main loop body: 48 (channel, e-group) steps, ping-pong fragments
     # ------------------------------------------------------------------
@@ -1302,7 +1134,7 @@ class WinogradF44Kernel:
             c, g = divmod(st, 6)
             blk = st % 2
             ffmas = self.ffma_group(blk, g)
-            ffmas[0] = f"{self._ctl(wait=1 << (2 + blk))} {ffmas[0]}"
+            ffmas[0] = f"{_ctl(wait=1 << (2 + blk))} {ffmas[0]}"
             nc, ng = divmod(st + 1, 6)
             steps += weave(ffmas, self.lds_group(1 - blk, nc, ng), 1)
         steps = weave(steps, self.ldg_stream(), self.t.ldg_interleave)
@@ -1316,20 +1148,13 @@ class WinogradF44Kernel:
         # registers as scratch, so it runs strictly after these FFMAs
         # (in-order issue: their operands are consumed at issue).
         tail = self.ffma_group(1, 5)
-        tail[0] = f"{self._ctl(wait=1 << 3)} {tail[0]}"
+        tail[0] = f"{_ctl(wait=1 << 3)} {tail[0]}"
         L += tail
         L += weave(
             self.itf_stream(), self.sts_filter_stream(), self.t.sts_interleave
         )
         L += self.sts_input_stream()
-
-        L += self.advance_pointers()
-        L.append(f"IADD3 R{self.ITER}, R{self.ITER}, -1, RZ;")
-        L.append(f"ISETP.NE.AND P6, PT, R{self.ITER}, RZ, PT;")
-        L.append("BAR.SYNC;")
-        for line in self.lds_group(0, 0, 0):
-            L.append(_predicate(line, "P6"))
-        L.append("@P6 BRA MAIN_LOOP;")
+        L += self._loop_tail()
         return L
 
     # ------------------------------------------------------------------
@@ -1344,11 +1169,7 @@ class WinogradF44Kernel:
         o = lambda x, y: self.pf_fil + 4 * x + y  # 4×4 outputs
         oh, ow = p.out_h, p.out_w
 
-        L.append(f"S2R R{T(0)}, SR_TID.X;")
-        L.append(f"S2R R{T(2)}, SR_CTAID.X;")
-        L.append(f"S2R R{T(3)}, SR_CTAID.Y;")
-        L.append(f"LOP3.AND R{T(1)}, R{T(0)}, 0xf, RZ;")  # kl
-        L.append(f"SHF.R.U32 R{T(4)}, R{T(0)}, 0x4, RZ;")  # tile pair p
+        self._emit_thread_ids(L, T, split=4)  # T1 = kl, T4 = tile pair p
         L.append(f"IMAD R{T(5)}, R{T(3)}, 0x10, R{T(1)};")  # k = kb·16 + kl
 
         for u in range(2):
@@ -1357,18 +1178,13 @@ class WinogradF44Kernel:
             if u:
                 L.append(f"IADD3 R{T(6)}, R{T(6)}, 0x1, RZ;")
             L.append(f"IMAD R{T(6)}, R{T(2)}, 0x20, R{T(6)};")
-            self._emit_udiv(L, T(7), T(6), p.n, T(8))
-            self._emit_mod(L, T(9), T(6), T(7), p.n)
-            self._emit_udiv(L, T(10), T(7), self.tw, T(12))
-            self._emit_mod(L, T(11), T(7), T(10), self.tw)
+            self._emit_tile_coords(L, T, g=6, hw=7, n=9)
             L.append(f"IMAD R{T(12)}, R{T(10)}, 0x4, RZ;")  # oy = 4h̃
             L.append(f"IMAD R{T(13)}, R{T(11)}, 0x4, RZ;")  # ox = 4w̃
             L.append(f"IMAD R{T(14)}, R{T(5)}, {oh:#x}, R{T(12)};")
             L.append(f"IMAD R{T(14)}, R{T(14)}, {ow:#x}, R{T(13)};")
             L.append(f"IMAD R{T(14)}, R{T(14)}, {p.n:#x}, R{T(9)};")
-            L.append(f"MOV R{ADDR}, c[0x0][0x170];")
-            L.append(f"MOV R{ADDR + 1}, c[0x0][0x174];")
-            L.append(f"IMAD.WIDE R{ADDR}, R{T(14)}, 0x4, R{ADDR};")
+            self._emit_param_address(L, ADDR, 2, T(14))
 
             # Column-crop predicates (column 0 is valid by construction).
             for dx in range(1, 4):
@@ -1387,7 +1203,7 @@ class WinogradF44Kernel:
                         for i in range(6) if self.at[x][i] != 0.0
                     ]
                     ctl = (
-                        self._ctl(wait=1 << 4)
+                        _ctl(wait=1 << 4)
                         if (u == 0 and x == 0 and y == 0) else ""
                     )
                     self._emit_lincomb(L, s2(x, y), terms, ctl=ctl)
@@ -1401,7 +1217,7 @@ class WinogradF44Kernel:
                         for j in range(6) if self.at[y][j] != 0.0
                     ]
                     ctl = (
-                        self._ctl(wait=1 << 5)
+                        _ctl(wait=1 << 5)
                         if (u == 1 and x == 0 and y == 0) else ""
                     )
                     self._emit_lincomb(L, o(x, y), terms, ctl=ctl)
@@ -1426,84 +1242,23 @@ class WinogradF44Kernel:
                 for dx in range(4):
                     imm = 4 * (dy * ow + dx) * p.n
                     L.append(
-                        f"{self._ctl(rbar=5)} {guards[dx]}STG.E "
+                        f"{_ctl(rbar=5)} {guards[dx]}STG.E "
                         f"[R{ADDR} + {imm:#x}], R{o(dy, dx)};"
                     )
-        L.append(f"{self._ctl(wait=1 << 5)} EXIT;")
+        L.append(f"{_ctl(wait=1 << 5)} EXIT;")
         return L
-
-    # ------------------------------------------------------------------
-    # Whole-kernel assembly
-    # ------------------------------------------------------------------
-    def source(self, main_loop_only: bool = False, iters: int | None = None) -> str:
-        name = f"winograd_f44_bk{self.bk}"
-        header = [
-            f".kernel {name}",
-            f".registers {self.num_regs}",
-            f".smem {self.launch_smem_bytes}",
-            ".param 8 in_ptr",
-            ".param 8 fil_ptr",
-            ".param 8 out_ptr",
-        ]
-        body: list[str] = []
-        body += self.prologue()
-        if iters is not None:
-            body.append(f"MOV R{self.ITER}, {iters:#x};")
-        body += self.staging_phase()
-        body.append("MAIN_LOOP:")
-        body += self.loop_body()
-        if main_loop_only:
-            body.append("EXIT;")
-        else:
-            body += self.epilogue()
-        lines = apply_yield_strategy(body, self.t.yield_strategy)
-        return "\n".join(header + lines)
-
-    def build(
-        self, main_loop_only: bool = False, iters: int | None = None
-    ) -> AssembledKernel:
-        return assemble(self.source(main_loop_only, iters), auto_schedule=True)
-
-    # ------------------------------------------------------------------
-    # Launch helpers
-    # ------------------------------------------------------------------
-    @property
-    def grid(self) -> tuple[int, int]:
-        return (self.total_tiles // BN, self.prob.k // self.bk)
-
-    def alloc_buffers(self, gmem, x_chwn: np.ndarray, f_transformed: np.ndarray):
-        """Allocate padded device buffers; returns (params, out_ptr).
-
-        As for F(2×2): one extra ``bc`` channel block of zeros pads both
-        operands so the final iteration's unconditional prefetch stays
-        in bounds (the prefetched data is never consumed).
-        """
-        p = self.prob
-        pad_in = np.zeros((BC, p.h, p.w, p.n), dtype=np.float32)
-        pad_fil = np.zeros((BC, 6, 6, p.k), dtype=np.float32)
-        in_ptr = gmem.alloc_array(
-            np.concatenate([x_chwn.astype(np.float32), pad_in], axis=0)
-        )
-        fil_ptr = gmem.alloc_array(
-            np.concatenate([f_transformed.astype(np.float32), pad_fil], axis=0),
-            l2_resident=True,
-        )
-        out_ptr = gmem.alloc(p.k * p.out_h * p.out_w * p.n * 4)
-        params = {"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr}
-        return params, out_ptr
 
 
 def kernel_for_tile(
     prob: ConvProblem,
     tile: TileSpec | str | None = None,
     tunables: Tunables | None = None,
-):
+) -> WinogradFusedKernel:
     """The family generator for *tile*: F(2×2) (default) or F(4×4)."""
     spec = get_tile(tile)
-    if spec.m == 2:
-        return WinogradF22Kernel(prob, tunables or Tunables())
-    if spec.m == 4:
-        return WinogradF44Kernel(prob, tunables or F44Tunables())
+    for cls in (WinogradF22Kernel, WinogradF44Kernel):
+        if cls.TILE.m == spec.m:
+            return cls(prob, tunables)
     raise ConvConfigError(
         f"no SASS generator for tile family {spec.name!r} "
         f"(F({spec.m}x{spec.m},{spec.r}x{spec.r}))"

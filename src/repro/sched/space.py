@@ -79,9 +79,10 @@ class Schedule:
 
         With no explicit *base*, the structural knobs come from the tile
         family's defaults (:func:`~repro.kernels.winograd_fused.default_tunables`),
-        so an f44 schedule lands on ``F44Tunables`` — whose structural
-        invariants (bk=16, transposed staging, mandatory ping-pong) then
-        validate the graft.
+        so an f44 schedule lands on ``bk=16``.  The family's generator
+        validates the graft against its structural invariants (for f44:
+        bk=16, transposed staging, mandatory ping-pong) when it is
+        constructed.
         """
         base = base or default_tunables(tile)
         return dataclasses.replace(
@@ -219,8 +220,8 @@ QUICK_SPACE = ScheduleSpace(
 )
 
 #: The F(4×4,3×3) grid: the f44 generator's larger fragments make the
-#: single-buffered ablation structurally infeasible (``F44Tunables``
-#: pins ``double_buffer=2``), so that axis collapses — 27 points.
+#: single-buffered ablation structurally infeasible (its generator
+#: requires ``double_buffer=2``), so that axis collapses — 27 points.
 F44_SPACE = ScheduleSpace(double_buffers=(2,))
 
 

@@ -19,7 +19,9 @@ from repro.kernels import (
     set_kernel_cache_limit,
 )
 from repro.kernels.cache import KernelBuildCache, sim_cache_key
+from repro.kernels.runner import _problem_arena, lint_family_key
 from repro.kernels.winograd_fused import WinogradF22Kernel
+from repro.runtime import ExecutionContext, activate
 
 PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64, name="cache-test")
 
@@ -147,6 +149,36 @@ def test_device_names_share_one_build():
     ]
     assert kernels[1] is kernels[0] and kernels[2] is kernels[0]
     assert get_kernel_cache_stats().builds == 1
+
+
+def test_problem_label_is_no_part_of_any_identity(monkeypatch):
+    # A problem's name only labels spans and reports.  The same shape,
+    # named and unnamed, shares one build, one lint verdict, one arena
+    # and one set of simulation results.
+    unnamed = dataclasses.replace(PROB, name="")
+    built = build_fused_kernel(PROB, Tunables(), RTX2070.name)
+    assert build_fused_kernel(unnamed, Tunables(), RTX2070.name) is built
+    assert get_kernel_cache_stats().builds == 1
+    assert lint_family_key(unnamed, Tunables()) == lint_family_key(PROB, Tunables())
+    assert _problem_arena(unnamed) is _problem_arena(PROB)
+
+    monkeypatch.setenv("REPRO_SIM_CACHE", "1")
+    monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
+    reset_kernel_cache_stats()
+    named_run = measure_main_loop(PROB, device=RTX2070, num_blocks=1)
+    assert measure_main_loop(unnamed, device=RTX2070, num_blocks=1) == named_run
+    sim = get_sim_cache_stats()
+    assert (sim.misses, sim.hits) == (2, 2)
+    assert get_kernel_cache_stats().builds == 2  # the long run + its derived sibling
+
+
+def test_measure_main_loop_defaults_to_the_context_device():
+    # The context's device is the default for simulation, as it is for
+    # run_fused_sass_conv: no V100 figure inside an RTX2070 context.
+    with activate(ExecutionContext(device="RTX2070")):
+        implicit = measure_main_loop(PROB, num_blocks=1)
+    explicit = measure_main_loop(PROB, device=RTX2070, num_blocks=1)
+    assert implicit.tflops == explicit.tflops
 
 
 def test_eviction_under_size_limit():

@@ -5,8 +5,10 @@ control codes, conflict-free register banks via ``.reuse`` (Fig. 4),
 conflict-free shared-memory layouts (Table 4, Fig. 5), a ≤253-register
 main loop (Table 5) — so codegen and scheduling changes must not be able
 to reintroduce a violation silently.  These tests are the CI `sass-lint`
-job's in-process twin.
+job's in-process twin, over both tile families.
 """
+
+import dataclasses
 
 import pytest
 
@@ -15,7 +17,12 @@ from repro.common.problem import ConvProblem
 from repro.kernels.ftf import FilterTransformKernel
 from repro.kernels.gemm import BatchedGemmKernel
 from repro.kernels.runner import ensure_lint_clean
-from repro.kernels.winograd_fused import Tunables, WinogradF22Kernel
+from repro.kernels.winograd_fused import (
+    Tunables,
+    WinogradF22Kernel,
+    default_tunables,
+    kernel_for_tile,
+)
 from repro.sass import parse_program
 from repro.sass.analysis import Severity, errors, lint_kernel
 from repro.sass.assembler import AssembledKernel
@@ -33,19 +40,32 @@ SWEEP = [
     ("ldg4", Tunables(ldg_interleave=4)),
 ]
 
+F44 = default_tunables("f44")
+F44_SWEEP = [
+    ("default", F44),
+    ("nvcc8", dataclasses.replace(F44, yield_strategy="nvcc8")),
+    ("cudnn7", dataclasses.replace(F44, yield_strategy="cudnn7")),
+    ("no_p2r", dataclasses.replace(F44, use_p2r=False)),
+    ("ldg4", dataclasses.replace(F44, ldg_interleave=4)),
+]
 
-@pytest.mark.parametrize("label,tunables", SWEEP, ids=[s[0] for s in SWEEP])
-def test_winograd_zero_errors_across_tunables(label, tunables):
-    """Every schedule/layout the generator can emit is hazard- and
+# f22 cases keep their bare labels as ids; f44 cases are prefixed.
+GATED = [("f22", t) for _, t in SWEEP] + [("f44", t) for _, t in F44_SWEEP]
+GATED_IDS = [label for label, _ in SWEEP] + [f"f44-{label}" for label, _ in F44_SWEEP]
+
+
+@pytest.mark.parametrize("tile,tunables", GATED, ids=GATED_IDS)
+def test_winograd_zero_errors_across_tunables(tile, tunables):
+    """Every schedule/layout the generators can emit is hazard- and
     correctness-clean (warnings are allowed: ablations trip them on
-    purpose)."""
-    kernel = WinogradF22Kernel(PROB, tunables).build()
+    purpose, and f44 carries register-bank conflicts)."""
+    kernel = kernel_for_tile(PROB, tile, tunables).build()
     assert errors(lint_kernel(kernel)) == []
 
 
-@pytest.mark.parametrize("label,tunables", SWEEP, ids=[s[0] for s in SWEEP])
-def test_winograd_main_loop_zero_errors(label, tunables):
-    kernel = WinogradF22Kernel(PROB, tunables).build(
+@pytest.mark.parametrize("tile,tunables", GATED, ids=GATED_IDS)
+def test_winograd_main_loop_zero_errors(tile, tunables):
+    kernel = kernel_for_tile(PROB, tile, tunables).build(
         main_loop_only=True, iters=2
     )
     assert errors(lint_kernel(kernel)) == []

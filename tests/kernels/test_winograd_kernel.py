@@ -1,16 +1,19 @@
-"""Structural invariants of the generated Winograd SASS kernel."""
+"""Structural invariants of the generated Winograd SASS kernels."""
+
+import dataclasses
+import re
 
 import pytest
 
 from repro.common import ConvConfigError, ConvProblem
 from repro.kernels import BC, BN, Tunables, WinogradF22Kernel
 from repro.kernels.winograd_fused import (
-    F44Tunables,
     _magic_u32,
     default_tunables,
     kernel_for_tile,
 )
 from repro.sass import validate_control
+from repro.sched import Schedule
 
 PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64, name="test")
 
@@ -25,6 +28,12 @@ def _gen(tunables=Tunables(), prob=PROB):
 def test_register_budget_is_exactly_table5():
     gen = _gen()
     assert gen.num_regs == 253  # Table 5's total
+
+
+def test_f44_register_and_smem_budget():
+    gen = kernel_for_tile(PROB, "f44")
+    assert gen.num_regs == 212
+    assert gen.smem_bytes == gen.launch_smem_bytes == 55296  # 18 KB + 36 KB
 
 
 def test_smem_budget_is_table7():
@@ -70,18 +79,35 @@ def test_tunables_validation():
         Tunables(double_buffer=3)
 
 
-@pytest.mark.parametrize("cls", [Tunables, F44Tunables])
-def test_unknown_yield_strategy_is_a_config_error(cls):
+@pytest.mark.parametrize("bk", [64, 16], ids=["Tunables", "f44_Tunables"])
+def test_unknown_yield_strategy_is_a_config_error(bk):
     # Rejected at construction, as a ReproError, not later by .source().
     with pytest.raises(ConvConfigError, match="yield strategy"):
-        cls(yield_strategy="bogus")
+        Tunables(yield_strategy="bogus", bk=bk)
 
 
 def test_f22_generator_rejects_f44_tunables():
-    # F44Tunables is a Tunables with bk=16; without the check the F(2×2)
-    # generator only failed later, inside the assembler.
+    # The f44 defaults are a Tunables with bk=16; without the check the
+    # F(2×2) generator only failed later, inside the assembler.
     with pytest.raises(ConvConfigError, match=r"F\(2×2\).*bk=16"):
         kernel_for_tile(PROB, "f22", default_tunables("f44"))
+
+
+@pytest.mark.parametrize(
+    "tunables",
+    [
+        default_tunables("f22"),
+        dataclasses.replace(default_tunables("f44"), smem_layout="tile_major"),
+        Schedule(double_buffer=1).to_tunables(tile="f44"),
+    ],
+    ids=["bk64", "tile_major", "db1"],
+)
+def test_f44_generator_rejects_structural_knobs(tunables):
+    # The F(4×4) thread mapping fixes bk=16, the transposed layout and
+    # register ping-pong; a schedule grafted onto the f44 defaults is
+    # checked when its generator is built.
+    with pytest.raises(ConvConfigError, match=r"F\(4×4\)"):
+        kernel_for_tile(PROB, "f44", tunables)
 
 
 def test_magic_u32_division():
@@ -106,17 +132,36 @@ def test_itf_is_exactly_36_fadds():
     assert all("FADD" in l for l in itf)
 
 
-def test_ldg_stream_counts():
-    ldgs = [l for l in _gen().ldg_stream() if "LDG" in l]
-    assert len(ldgs) == 48  # 32 filter + 16 input (§3.4's prefetch registers)
-    # The 16 input loads are predicated by the unpacked zero-pad mask.
-    assert sum(1 for l in ldgs if "@P" in l) == 16
+def test_f44_loop_body_ffma_counts():
+    ffmas = [l for l in kernel_for_tile(PROB, "f44").loop_body() if "FFMA" in l]
+    ewmm = [l for l in ffmas if re.search(r"FFMA R\d+, R\d+, R\d+", l)]
+    # 48 (channel, element-group) steps × 12 EWMM FFMAs; the first of
+    # each tile pair reuses the filter operand.
+    assert len(ewmm) == 576
+    assert sum(1 for l in ewmm if ".reuse" in l) == 288
+    # The rest are the ITF's float-immediate (±2/±4/±5) terms.
+    assert len(ffmas) - len(ewmm) == 72
 
 
-def test_sts_stream_counts():
-    gen = _gen()
-    assert len(gen.sts_filter_stream()) == 32
-    assert len(gen.sts_input_stream()) == 16
+@pytest.mark.parametrize(
+    "tile,ldgs,predicated", [("f22", 48, 16), ("f44", 54, 36)], ids=["f22", "f44"]
+)
+def test_ldg_stream_counts(tile, ldgs, predicated):
+    # f22: 32 filter + 16 input (§3.4's prefetch registers); f44: 18
+    # filter + the 6×6 input window.
+    lines = [l for l in kernel_for_tile(PROB, tile).ldg_stream() if "LDG" in l]
+    assert len(lines) == ldgs
+    # The input loads are predicated by the unpacked zero-pad mask.
+    assert sum(1 for l in lines if "@P" in l) == predicated
+
+
+@pytest.mark.parametrize(
+    "tile,fil,inp", [("f22", 32, 16), ("f44", 18, 36)], ids=["f22", "f44"]
+)
+def test_sts_stream_counts(tile, fil, inp):
+    gen = kernel_for_tile(PROB, tile)
+    assert len(gen.sts_filter_stream()) == fil
+    assert len(gen.sts_input_stream()) == inp
 
 
 def test_lds_step_is_8_vector_loads():
@@ -141,8 +186,6 @@ def test_ffma_reuse_pattern_follows_paper_rule():
 
 def test_ffma_bank_parity_rule():
     """First of each pair must not have all-same-parity sources."""
-    import re
-
     for line in _gen().ffma_step(0)[::2]:
         regs = [int(r) for r in re.findall(r"R(\d+)", line)]
         dest, a, b, c = regs
@@ -153,6 +196,14 @@ def test_full_kernel_assembles_hazard_free():
     kernel = _gen().build()
     assert validate_control(kernel.instructions) == []
     assert kernel.max_register() + 1 <= 253
+
+
+@pytest.mark.parametrize("tile", ["f22", "f44"])
+def test_no_p2r_kernel_assembles_hazard_free(tile):
+    tunables = dataclasses.replace(default_tunables(tile), use_p2r=False)
+    gen = kernel_for_tile(PROB, tile, tunables)
+    assert "P2R" not in gen.source()  # the predicates are recomputed in-loop
+    assert validate_control(gen.build().instructions) == []
 
 
 def test_single_buffer_keeps_ffma_count():
@@ -211,12 +262,25 @@ def test_fig3_lane_map_formula():
         assert fig3_rows[r].index(lane) == c
 
 
-def test_source_contains_structure():
-    src = _gen().source()
-    assert ".kernel winograd_f22_bk64" in src
+@pytest.mark.parametrize(
+    "tile,header",
+    [("f22", ".kernel winograd_f22_bk64"), ("f44", ".kernel winograd_f44_bk16")],
+    ids=["f22", "f44"],
+)
+def test_source_contains_structure(tile, header):
+    src = kernel_for_tile(PROB, tile).source()
+    assert header in src
     assert "MAIN_LOOP:" in src
     assert "P2R" in src and "R2P" in src  # the §3.5 mask packing
     assert "BAR.SYNC;" in src
+
+
+def test_f44_mask_row_5_spills_into_the_second_word():
+    # 36 mask bits: row 5 (bits 30-35) crosses into MASK_HI.
+    gen = kernel_for_tile(PROB, "f44")
+    assert any(
+        f"LOP3.OR R{gen.MASK_HI}, R{gen.MASK_HI}," in l for l in gen.prologue()
+    )
 
 
 def test_constants_exported():
