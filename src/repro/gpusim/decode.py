@@ -1,24 +1,25 @@
-"""Pre-decoded instruction programs for the fast simulator.
+"""Pre-decoded instruction programs: what the SM scheduler reads.
 
-The reference cycle loop (:mod:`repro.gpusim.sm` + ``engine.execute``)
-re-inspects each :class:`~repro.sass.instruction.Instruction` object on
-every dynamic issue: isinstance checks over operands, flag-string
-scans, dict-keyed reuse caches.  That work is loop-invariant — an
-instruction's pipe, control fields, operand slots and bank-conflict
-behavior depend only on the program text, not on when it issues.
+An instruction's pipe, control fields, operand slots and bank-conflict
+behavior depend only on the program text, not on when it issues, so
+re-inspecting the :class:`~repro.sass.instruction.Instruction` object on
+every dynamic issue (isinstance checks over operands, flag-string scans)
+is loop-invariant work.
 
 :func:`decode_program` lowers a program once into flat per-instruction
 arrays (plain Python lists — the consumers index them with scalar ints,
 where list access beats NumPy scalar access) plus one small
 :class:`DecodedInstr` record per instruction for the vectorized
 functional replay in :mod:`repro.gpusim.fastsim`.
+:func:`static_instances` packs the arrays into the instruction-instance
+tuples that :func:`repro.gpusim.sm.schedule` consumes for both engines.
 
 Register-bank conflicts (§5.2.2) are resolved *statically* here: a
 conflict depends only on the instruction's register sources and on the
 reuse cache left by the dynamically-previous participating instruction.
 ``conflict_cleared[i]`` is the conflict with an empty cache;
 :meth:`DecodedProgram.conflict_cached` memoizes the conflict given the
-predecessor's reuse flags.  The timing loop then only tracks *which*
+predecessor's reuse flags.  The scheduler then only tracks *which*
 predecessor applies (one int per warp) and whether the cache survived
 (cleared by warp switches and yield flags, §6.1).
 """
@@ -28,7 +29,14 @@ from __future__ import annotations
 from ..common.errors import SimulatorError
 from ..sass.control import NO_BARRIER
 from ..sass.instruction import Instruction
-from ..sass.isa import RZ, SETP_BOOL, SETP_CMP, SPECIAL_REGISTERS, width_of
+from ..sass.isa import (
+    REUSE_CACHE_OPCODES,
+    RZ,
+    SETP_BOOL,
+    SETP_CMP,
+    SPECIAL_REGISTERS,
+    width_of,
+)
 from ..sass.operands import Const, Imm, Reg
 
 # Replay dispatch kinds.
@@ -65,13 +73,6 @@ CC_HFMA2 = 2
 CC_HALF2 = 3
 CC_FP32_OTHER = 4
 
-#: Instructions that reach the engine's ALU/FMA source-fetch section and
-#: therefore read + replace the operand reuse cache.
-_PARTICIPATING = frozenset({
-    "FFMA", "HFMA2", "HADD2", "HMUL2", "FADD", "FMUL", "FMNMX", "MUFU",
-    "IADD3", "IMAD", "LOP3", "SHF", "MOV", "SEL", "CS2R", "POPC",
-})
-
 # Operand tags for DecodedInstr.srcs entries.
 SRC_REG = 0   # (SRC_REG, reg_index, negated)
 SRC_IMM = 1   # (SRC_IMM, bits)
@@ -83,7 +84,7 @@ class DecodedInstr:
 
     __slots__ = (
         "kind", "name", "flags", "guard_idx", "guard_neg", "dest",
-        "srcs", "src_reg_indices", "mem_base", "mem_offset", "mem_width",
+        "srcs", "mem_base", "mem_offset", "mem_width",
         "mem_extended", "is_load", "sr_id", "setp_cmp", "setp_bool",
         "setp_u32", "setp_dest", "setp_src_idx", "setp_src_neg",
         "pack_mask", "bra_target", "imad_wide", "imad_u32", "shf_left",
@@ -97,7 +98,6 @@ class DecodedInstr:
         self.guard_neg = False
         self.dest = RZ
         self.srcs = ()
-        self.src_reg_indices = ()
         self.mem_base = RZ
         self.mem_offset = 0
         self.mem_width = 4
@@ -130,7 +130,12 @@ def _decode_src(op) -> tuple:
 
 
 def _bank_conflict(src_regs: tuple, cache: dict) -> bool:
-    """The engine's bank rule: >=3 distinct uncached sources, one bank."""
+    """Paper footnote 6: >=3 distinct uncached sources in one 64-bit bank.
+
+    *cache* maps operand slot to register: a ``.reuse`` flag on slot *s*
+    serves the register to the *next* participating instruction's slot
+    *s* from the cache instead of the bank.
+    """
     banks = []
     seen = set()
     for slot, idx in src_regs:
@@ -266,7 +271,7 @@ class DecodedProgram:
             d.srcs = (_decode_src(instr.srcs[0]),)
             d.pack_mask = instr.srcs[1].bits
             self.base_cycles[i] = 2
-        elif name in _PARTICIPATING:
+        elif name in REUSE_CACHE_OPCODES:
             d.kind = K_ALU
             d.srcs = tuple(_decode_src(op) for op in instr.srcs)
             if name == "IMAD":
@@ -301,7 +306,7 @@ class DecodedProgram:
             }.get(name, CC_FP32_OTHER)
 
         # Reuse-cache participation + static bank-conflict variants.
-        if name in _PARTICIPATING:
+        if name in REUSE_CACHE_OPCODES:
             self.participating[i] = True
             src_regs = tuple(
                 (slot, op.index)
@@ -315,7 +320,46 @@ class DecodedProgram:
                 if isinstance(op, Reg) and ctl.reuse & (1 << slot)
             }
             self.conflict_cleared[i] = _bank_conflict(src_regs, {})
-            d.src_reg_indices = src_regs
+
+
+# Field layout of one instruction-instance tuple, the unit a per-warp
+# trace is made of: (pc, wait_bits, pipe, pipe_cycles, var_lat,
+# dram_sectors, l2_sectors, smem_conflict_cycles, stall, yield,
+# write_bar, read_bar, participating, conflict_cleared, cclass, is_bar).
+# Fields 2-7 are the instance's footprint.  The fast engine overwrites
+# fields 3-7 for every instance whose footprint depends on data; the
+# reference engine overwrites 2-7 with what ``engine.execute`` reports.
+def static_instances(dp: DecodedProgram) -> list[tuple]:
+    """One instance tuple per instruction, with decode's static footprint.
+
+    Both engines build their traces from these: instances whose
+    footprint is static share the tuple object, so one issue in the
+    scheduler costs one list index and one unpack.
+    """
+    wait_bits = [
+        tuple(b for b in range(6) if wm >> b & 1) for wm in dp.wait_mask
+    ]
+    return [
+        (
+            i,
+            wait_bits[i],
+            dp.pipe[i],
+            dp.base_cycles[i],
+            dp.base_lat[i],
+            0,
+            0,
+            0,
+            dp.stall[i],
+            dp.yield_flag[i],
+            dp.write_bar[i],
+            dp.read_bar[i],
+            dp.participating[i],
+            dp.conflict_cleared[i],
+            dp.cclass[i],
+            dp.kind[i] == K_BAR,
+        )
+        for i in range(dp.n)
+    ]
 
 
 # ---------------------------------------------------------------------------

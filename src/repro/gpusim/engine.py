@@ -4,8 +4,11 @@
 :class:`~repro.gpusim.warp.WarpState` (vectorized over the 32 lanes) and
 returns an :class:`ExecResult` describing its timing footprint — which
 pipe it occupies and for how long, how many DRAM sectors it moves, and
-whether a scoreboard barrier completes later.  The SM cycle loop in
-:mod:`repro.gpusim.sm` is pure scheduling; all semantics live here.
+whether a scoreboard barrier completes later.  This is the reference
+engine: the SM scheduler (:func:`repro.gpusim.sm.schedule`) calls it
+when an instruction issues, and the fast engine's vectorized replay is
+checked against it.  Scheduling rules, including register-bank
+conflicts and the reuse cache they read, live in the scheduler.
 
 Values are written at issue time.  Timing correctness relies on the
 control codes (the Volta/Turing contract, §5.1.4); run the assembler
@@ -40,7 +43,6 @@ class ExecResult:
     dram_sectors: int = 0
     l2_sectors: int = 0  # sectors served from the L2-resident working set
     smem_report: SmemAccessReport | None = None
-    reg_bank_conflict: bool = False
     branch_target: int | None = None  # absolute pc (taken branch)
     exited: bool = False
     barrier_sync: bool = False
@@ -87,34 +89,6 @@ def _from_f32(v: np.ndarray) -> np.ndarray:
 
 def _as_s32(v: np.ndarray) -> np.ndarray:
     return v.view(np.int32)
-
-
-def _register_bank_conflict(instr: Instruction, warp: WarpState) -> bool:
-    """Paper footnote 6: all register sources in one 64-bit bank ⇒ +1 cycle.
-
-    Reuse-cached operands are served by the cache, not the bank.  The
-    cache is keyed by operand slot: a ``.reuse`` flag on slot *s* makes
-    the register available to the *next* instruction's slot *s*.
-    """
-    banks: list[int] = []
-    seen: set[int] = set()
-    for slot, op in enumerate(instr.srcs):
-        if not isinstance(op, Reg) or op.is_rz:
-            continue
-        if warp.reuse_cache.get(slot) == op.index:
-            continue  # served from the reuse cache
-        if op.index in seen:
-            continue  # one physical read feeds both operands
-        seen.add(op.index)
-        banks.append(op.index & 1)
-    conflict = len(banks) >= 3 and len(set(banks)) == 1
-    # Update the cache from this instruction's reuse flags.
-    new_cache: dict[int, int] = {}
-    for slot, op in enumerate(instr.srcs):
-        if isinstance(op, Reg) and instr.control.reuse & (1 << slot):
-            new_cache[slot] = op.index
-    warp.reuse_cache = new_cache
-    return conflict
 
 
 def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecResult:
@@ -289,7 +263,6 @@ def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecR
 
     # ---- ALU / FMA ---------------------------------------------------------
     srcs = [_src_value(warp, ctx, op) for op in instr.srcs]
-    conflict = _register_bank_conflict(instr, warp)
 
     if name == "FFMA":
         a, b, c = (_as_f32(s) for s in srcs)
@@ -346,7 +319,7 @@ def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecR
             total = (prod.astype(np.int64) + addend).astype(np.uint64)
             warp.write_reg(instr.dest.index, (total & 0xFFFFFFFF).astype(_U32), mask)
             warp.write_reg(instr.dest.index + 1, (total >> 32).astype(_U32), mask)
-            return ExecResult("alu", pipe_cycles=2, reg_bank_conflict=conflict)
+            return ExecResult("alu", pipe_cycles=2)
         out = (srcs[0] * srcs[1] + srcs[2]).astype(_U32)
         pipe, cycles = "alu", 2
     elif name == "LOP3":
@@ -386,7 +359,4 @@ def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecR
         raise SimulatorError(f"instruction {name} has no execution semantics")
 
     warp.write_reg(instr.dest.index, out, mask)
-    return ExecResult(
-        pipe, pipe_cycles=cycles + (1 if conflict and pipe == "fma" else 0),
-        reg_bank_conflict=conflict,
-    )
+    return ExecResult(pipe, pipe_cycles=cycles)

@@ -1,55 +1,36 @@
-"""Fast SM simulation: vectorized functional replay + trace-driven timing.
+"""Fast engine: vectorized functional replay into per-warp traces.
 
-The reference loop in :mod:`repro.gpusim.sm` interleaves *semantics*
-(``engine.execute`` — NumPy over one warp's 32 lanes) with *scheduling*
-(pure Python over cycles).  Per dynamic instruction that costs tens of
+The reference engine executes one warp's instruction at a time
+(``engine.execute`` — NumPy over one warp's 32 lanes) inside the
+scheduler's cycle loop.  Per dynamic instruction that costs tens of
 microseconds, almost all of it loop-invariant object inspection.
 
-This module splits the two concerns:
+This module takes execution out of the cycle loop.
+:class:`_Replay` runs all resident warps over the pre-decoded program
+(:mod:`repro.gpusim.decode`) in lockstep *groups* over a
+``(256, nwarps, 32)`` register file, so one NumPy op covers every warp
+at the same pc.  Groups split on per-warp-uniform divergence
+(predicated ``EXIT``/``BRA``) and synchronize at ``BAR.SYNC`` in
+barrier-phase order — valid for the data-race-free kernels this
+simulator targets (the §5.1.4 control-code contract the assembler's
+hazard checker enforces).  Intra-warp divergence raises
+:class:`SimulatorError` exactly like the reference engine.
 
-1. **Functional replay** (:class:`_Replay`): all resident warps execute
-   the pre-decoded program (:mod:`repro.gpusim.decode`) in lockstep
-   *groups* over a ``(256, nwarps, 32)`` register file, so one NumPy op
-   covers every warp at the same pc.  Groups split on per-warp-uniform
-   divergence (predicated ``EXIT``/``BRA``) and synchronize at
-   ``BAR.SYNC`` in barrier-phase order — valid for the data-race-free
-   kernels this simulator targets (the §5.1.4 control-code contract the
-   assembler's hazard checker enforces).  Intra-warp divergence raises
-   :class:`SimulatorError` exactly like the reference engine.  The
-   replay emits, per warp, a trace of instruction instances with their
-   dynamic timing footprint (LSU occupancy, DRAM/L2 sectors, shared-
-   memory conflict cycles).
-
-2. **Timing loop** (:func:`_timed_run`): a scalar pass that replays the
-   reference scheduler decision-for-decision — yield/stay preference,
-   round-robin scan, switch bubbles, scoreboard barriers, MSHR queue,
-   DRAM/L2 bandwidth shaping — against the traces.  Because every
-   per-instance quantity was precomputed, one issue costs a handful of
-   list indexings; idle stretches are skipped arithmetically (the idle
-   and barrier-wait counters are integrated in closed form over the
-   skipped window).  Counters match the reference loop exactly; the
-   cycle-equivalence tests in ``tests/gpusim/test_fast_engine.py`` pin
-   that bit-for-bit.
-
-Engine selection lives in :meth:`repro.gpusim.sm.SMSimulator.run`
-(``REPRO_SIM_ENGINE=fast|reference``, default fast).
+:func:`replay_traces` turns the replay into one trace per warp of
+instruction instances carrying their dynamic timing footprint (LSU
+occupancy, DRAM/L2 sectors, shared-memory conflict cycles).  The one
+scheduler, :func:`repro.gpusim.sm.schedule`, then issues the traces;
+``tests/gpusim/test_fast_engine.py`` checks the counters against the
+reference engine field for field.
 """
 
 from __future__ import annotations
 
-import gc
-import heapq
-
 import numpy as np
 
 from ..common.errors import SimDeadlock, SimMemoryFault, SimulatorError
-from ..sass.control import NO_BARRIER
 from .arch import DeviceSpec
-from .counters import Counters
 from .decode import (
-    CC_FFMA,
-    CC_HALF2,
-    CC_HFMA2,
     K_ALU,
     K_BAR,
     K_BRA,
@@ -62,27 +43,16 @@ from .decode import (
     K_R2P,
     K_S2R,
     K_ISETP,
-    PIPE_ALU,
-    PIPE_FMA,
-    PIPE_LSU,
-    PIPE_MIO,
     SRC_CONST,
     SRC_IMM,
     SRC_REG,
     DecodedProgram,
-    decode_program,
+    static_instances,
 )
 from .memory import SECTOR_BYTES, GlobalMemory
 
 _U32 = np.uint32
 _SIGN = np.uint32(0x80000000)
-
-
-def _max_cycles() -> int:
-    """MAX_CYCLES is read dynamically so tests can monkeypatch it."""
-    from . import sm
-
-    return sm.MAX_CYCLES
 
 
 _BIG = np.int64(1) << np.int64(62)
@@ -237,8 +207,9 @@ class _Group:
 
 class _Replay:
     def __init__(self, dp: DecodedProgram, device: DeviceSpec | None,
-                 gmem: GlobalMemory, blocks) -> None:
+                 gmem: GlobalMemory, blocks, max_cycles: int) -> None:
         self.dp = dp
+        self.cap = max_cycles + 2  # instances per warp before SimDeadlock
         self.device = device
         self.gmem = gmem
         nw = sum(b.num_warps for b in blocks)
@@ -382,7 +353,7 @@ class _Replay:
         steps = g.seg.steps
         warps = g.warps
         pc = g.pc
-        cap = _max_cycles() + 2
+        cap = self.cap
         n_steps = 0
         while True:
             if g.count + n_steps > cap:
@@ -872,50 +843,26 @@ def _wrap_u32(v):
 
 
 # ---------------------------------------------------------------------------
-# Trace-driven timing
+# Trace assembly
 # ---------------------------------------------------------------------------
 
 
-#: Index layout of one trace-instance tuple (see ``_assemble_traces``).
-#: (i, wait_bits, pipe, pipe_cycles, var_lat, dram, l2, sconf,
-#:  stall, yield, write_bar, read_bar, participating, conflict_cleared,
-#:  cclass, is_bar)
-_T_LEN = 16
+def replay_traces(
+    dp: DecodedProgram, device: DeviceSpec, gmem: GlobalMemory, blocks,
+    max_cycles: int,
+) -> list[list[tuple]]:
+    """Replay the blocks functionally; return each warp's instance trace.
 
-
-def _assemble_traces(dp: DecodedProgram, replay: _Replay) -> list[list[tuple]]:
-    """Per-warp instance-tuple lists.
-
-    Each instance is one flat tuple carrying everything the timing loop
-    reads — one list index + unpack per issue instead of a dozen array
-    lookups.  Instances of the same static instruction share a single
-    tuple object; only memory ops (whose footprint is dynamic) get
-    per-instance copies with the replay-recorded values patched in.
+    Instances of the same static instruction share decode's tuple
+    (:func:`~repro.gpusim.decode.static_instances`); only memory ops,
+    whose footprint is dynamic, get per-instance copies with the
+    replay-recorded values patched in.  A warp executing more
+    instructions than *max_cycles* cycles could issue raises
+    :class:`SimDeadlock`.
     """
-    wait_bits = [
-        tuple(b for b in range(6) if wm >> b & 1) for wm in dp.wait_mask
-    ]
-    static = [
-        (
-            i,
-            wait_bits[i],
-            dp.pipe[i],
-            dp.base_cycles[i],
-            dp.base_lat[i],
-            0,
-            0,
-            0,
-            dp.stall[i],
-            dp.yield_flag[i],
-            dp.write_bar[i],
-            dp.read_bar[i],
-            dp.participating[i],
-            dp.conflict_cleared[i],
-            dp.cclass[i],
-            dp.kind[i] == K_BAR,
-        )
-        for i in range(dp.n)
-    ]
+    replay = _Replay(dp, device, gmem, blocks, max_cycles)
+    replay.run()
+    static = static_instances(dp)
     traces: list[list[tuple]] = []
     for w in range(replay.nw):
         trace: list[tuple] = []
@@ -932,407 +879,3 @@ def _assemble_traces(dp: DecodedProgram, replay: _Replay) -> list[list[tuple]]:
                 )
         traces.append(trace)
     return traces
-
-
-def _timed_run(
-    device: DeviceSpec,
-    dp: DecodedProgram,
-    traces,
-    block_of: list[int],
-    num_blocks: int,
-    bar_needed: list[int],
-) -> Counters:
-    """Replay the reference scheduler against pre-computed traces.
-
-    This function is a line-for-line port of the loop in
-    :meth:`repro.gpusim.sm.SMSimulator.run`; any change there must be
-    mirrored here (the cycle-equivalence tests will catch drift).
-    """
-    nw = len(traces)
-    max_cycles = _max_cycles()
-    conflict_cached = dp.conflict_cached
-    conflict_memo = dp._conflict_memo
-    # Hot-loop local bindings: the issue loop touches these once or more
-    # per issued instruction, and LOAD_FAST beats LOAD_GLOBAL.
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    pipe_fma = PIPE_FMA
-    pipe_alu = PIPE_ALU
-    pipe_lsu = PIPE_LSU
-    pipe_mio = PIPE_MIO
-    cc_ffma = CC_FFMA
-    cc_hfma2 = CC_HFMA2
-    cc_half2 = CC_HALF2
-    no_barrier = NO_BARRIER
-
-    # Warp state (plain lists — scalar access dominates).
-    ptr = [0] * nw
-    seq_len = [len(t) for t in traces]
-    # Current trace tuple per warp (every trace ends with EXIT, so it is
-    # never empty): one list index in the eligibility scan instead of
-    # two.
-    cur = [t[0] for t in traces]
-    ready_at = [0] * nw
-    done = [False] * nw
-    at_bar = [False] * nw
-    bar_cnt = [[0] * 6 for _ in range(nw)]
-    reuse_valid = [False] * nw
-    last_part = [-1] * nw
-
-    n_sched = device.schedulers_per_sm
-    sched_warps: list[list[int]] = [[] for _ in range(n_sched)]
-    pos_in_sched = [0] * nw
-    for w in range(nw):
-        s = w % n_sched
-        pos_in_sched[w] = len(sched_warps[s])
-        sched_warps[s].append(w)
-    preferred: list[int | None] = [None] * n_sched
-    last_issued: list[int | None] = [None] * n_sched
-    next_free = [0] * n_sched
-    rr = [0] * n_sched
-    charged = [False] * n_sched
-
-    fma_busy = [0] * n_sched
-    alu_busy = [0] * n_sched
-    lsu_busy = 0
-    mio_busy = 0
-    dram_free = 0.0
-    l2_free = 0.0
-    sector_cost = SECTOR_BYTES / device.dram_bytes_per_cycle_per_sm
-    l2_sector_cost = SECTOR_BYTES / (
-        device.l2_gbps / device.clock_ghz / device.num_sms
-    )
-
-    events: list[tuple[int, int, int]] = []
-    mshr: list[int] = []
-    mshr_depth = device.lsu_queue_depth
-    bar_count = [0] * num_blocks
-    bar_needed = list(bar_needed)
-    now = 0
-    live = nw
-
-    c = Counters()
-    c_instr = 0
-    c_ffma = 0
-    c_fp32 = 0
-    c_hfma2 = 0
-    c_half2 = 0
-    c_fma_busy = 0
-    c_alu_busy = 0
-    c_lsu_busy = 0
-    c_mio_busy = 0
-    c_dram = 0
-    c_l2 = 0
-    c_sconf = 0
-    c_rbc = 0
-    c_switch = 0
-    c_switch_pen = 0
-    c_idle = 0
-    c_barwait = 0
-
-    while live > 0:
-        if now > max_cycles:
-            raise SimDeadlock(f"no completion after {max_cycles} cycles")
-        while events and events[0][0] <= now:
-            _, widx, barrier = heappop(events)
-            bar_cnt[widx][barrier] -= 1
-        while mshr and mshr[0] <= now:
-            heappop(mshr)
-
-        issued_any = False
-        mshr_full = len(mshr) >= mshr_depth
-        for s_idx in range(n_sched):
-            if next_free[s_idx] > now:
-                continue
-            choice = -1
-            switched = False
-            pref = preferred[s_idx]
-            if pref is not None:
-                w = pref
-                if not done[w] and not at_bar[w] and ready_at[w] <= now:
-                    t = cur[w]
-                    ok = True
-                    wbits = t[1]
-                    if wbits:
-                        bc = bar_cnt[w]
-                        for b in wbits:
-                            if bc[b] > 0:
-                                ok = False
-                                break
-                    if ok:
-                        p = t[2]
-                        if p == pipe_fma:
-                            ok = fma_busy[s_idx] <= now
-                        elif p == pipe_alu:
-                            ok = alu_busy[s_idx] <= now
-                        elif p == pipe_lsu:
-                            ok = lsu_busy <= now and not mshr_full
-                        elif p == pipe_mio:
-                            ok = mio_busy <= now
-                        if ok:
-                            choice = w
-            if choice < 0:
-                warps_s = sched_warps[s_idx]
-                n = len(warps_s)
-                base = rr[s_idx] + 1
-                for step in range(n):
-                    w = warps_s[(base + step) % n]
-                    if done[w] or at_bar[w] or ready_at[w] > now:
-                        continue
-                    t = cur[w]
-                    wbits = t[1]
-                    if wbits:
-                        bc = bar_cnt[w]
-                        blocked = False
-                        for b in wbits:
-                            if bc[b] > 0:
-                                blocked = True
-                                break
-                        if blocked:
-                            continue
-                    p = t[2]
-                    if p == pipe_fma:
-                        if fma_busy[s_idx] > now:
-                            continue
-                    elif p == pipe_alu:
-                        if alu_busy[s_idx] > now:
-                            continue
-                    elif p == pipe_lsu:
-                        if lsu_busy > now or mshr_full:
-                            continue
-                    elif p == pipe_mio:
-                        if mio_busy > now:
-                            continue
-                    choice = w
-                    switched = (
-                        preferred[s_idx] is None
-                        and last_issued[s_idx] is not None
-                    )
-                    break
-            if choice < 0:
-                c_idle += 1
-                continue
-            if switched and not charged[s_idx]:
-                charged[s_idx] = True
-                next_free[s_idx] = now + 1
-                c_switch += 1
-                c_switch_pen += 1
-                continue
-            charged[s_idx] = False
-
-            widx = choice
-            k = ptr[widx]
-            if switched:
-                reuse_valid[last_issued[s_idx]] = False
-
-            # ---- "execute": everything dynamic comes from the trace -----
-            (
-                i, _wbits, p, pipe_cycles, delay, dram_sec, l2_sec, sconf,
-                st, yflag, wb, rb, part, confl0, cc, is_bar,
-            ) = cur[widx]
-
-            conflict = False
-            if part:
-                prev = last_part[widx]
-                if reuse_valid[widx] and prev >= 0:
-                    conflict = conflict_memo.get((i, prev))
-                    if conflict is None:
-                        conflict = conflict_cached(i, prev)
-                else:
-                    conflict = confl0
-                last_part[widx] = i
-                reuse_valid[widx] = True
-
-            # ---- timing bookkeeping ------------------------------------
-            c_instr += 1
-            if p == pipe_fma:
-                if conflict:
-                    pipe_cycles += 1
-                    c_rbc += 1
-                fma_busy[s_idx] = now + pipe_cycles
-                c_fma_busy += pipe_cycles
-                c_fp32 += 1
-                if cc == cc_ffma:
-                    c_ffma += 1
-                elif cc == cc_hfma2:
-                    c_hfma2 += 1
-                elif cc == cc_half2:
-                    c_half2 += 1
-            elif p == pipe_alu:
-                alu_busy[s_idx] = now + pipe_cycles
-                c_alu_busy += pipe_cycles
-            elif p == pipe_lsu:
-                lsu_busy = now + pipe_cycles
-                c_lsu_busy += pipe_cycles
-            elif p == pipe_mio:
-                mio_busy = now + pipe_cycles
-                c_mio_busy += pipe_cycles
-                c_sconf += sconf
-            c_dram += dram_sec
-            c_l2 += l2_sec
-
-            # ---- scoreboard barriers -----------------------------------
-            if delay:
-                ready = float(now + delay)
-                if dram_sec:
-                    ready = max(ready, dram_free + dram_sec * sector_cost)
-                    dram_free = (
-                        max(dram_free, float(now)) + dram_sec * sector_cost
-                    )
-                if l2_sec:
-                    ready = max(ready, l2_free + l2_sec * l2_sector_cost)
-                    l2_free = (
-                        max(l2_free, float(now)) + l2_sec * l2_sector_cost
-                    )
-                delay = int(ready) - now
-                if p == pipe_lsu:
-                    heappush(mshr, now + delay)
-                if wb != no_barrier:
-                    bar_cnt[widx][wb] += 1
-                    heappush(events, (now + delay, widx, wb))
-                if rb != no_barrier:
-                    bar_cnt[widx][rb] += 1
-                    heappush(events, (now + delay, widx, rb))
-
-            # ---- control flow ------------------------------------------
-            if k + 1 >= seq_len[widx]:
-                # The trace ends at the warp's EXIT.
-                done[widx] = True
-                live -= 1
-                b = block_of[widx]
-                bar_needed[b] -= 1
-                if bar_count[b] and bar_count[b] >= bar_needed[b]:
-                    bar_count[b] = 0
-                    for other in range(nw):
-                        if block_of[other] == b:
-                            at_bar[other] = False
-            else:
-                ptr[widx] = k + 1
-                cur[widx] = traces[widx][k + 1]
-                if is_bar:
-                    b = block_of[widx]
-                    bar_count[b] += 1
-                    at_bar[widx] = True
-                    if bar_count[b] >= bar_needed[b]:
-                        bar_count[b] = 0
-                        for other in range(nw):
-                            if block_of[other] == b:
-                                at_bar[other] = False
-
-            ready_at[widx] = now + (st if st > 1 else 1)
-            rr[s_idx] = pos_in_sched[widx]
-            next_free[s_idx] = now + 1
-            last_issued[s_idx] = widx
-            if yflag:
-                preferred[s_idx] = None
-                reuse_valid[widx] = False
-            else:
-                preferred[s_idx] = widx
-            issued_any = True
-
-        if issued_any:
-            now += 1
-            continue
-
-        # Nothing issued: account this cycle, then skip ahead to the
-        # next time any scheduler input can change.
-        for w in range(nw):
-            if not done[w] and not at_bar[w] and ready_at[w] <= now:
-                c_barwait += 1
-
-        horizon = None
-        if events:
-            t = events[0][0]
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        if mshr:
-            t = mshr[0]
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        for t in next_free:
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        for w in range(nw):
-            if not done[w] and not at_bar[w]:
-                t = ready_at[w]
-                if t > now and (horizon is None or t < horizon):
-                    horizon = t
-        for t in fma_busy:
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        for t in alu_busy:
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        if lsu_busy > now and (horizon is None or lsu_busy < horizon):
-            horizon = lsu_busy
-        if mio_busy > now and (horizon is None or mio_busy < horizon):
-            horizon = mio_busy
-        if horizon is None:
-            # No pending event can ever unblock an eligible warp — the
-            # reference loop would spin to MAX_CYCLES and raise.
-            raise SimDeadlock(
-                f"no completion after {max_cycles} cycles"
-            )
-        if horizon > now + 1:
-            if horizon > max_cycles + 1:
-                horizon = max_cycles + 1
-            a, b_end = now + 1, horizon
-            span = b_end - a
-            # issue_idle: schedulers keep failing until the horizon.
-            for t in next_free:
-                c_idle += span if t <= a else max(0, b_end - t)
-            # barrier_wait: per warp, cycles with ready_at satisfied.
-            for w in range(nw):
-                if not done[w] and not at_bar[w]:
-                    t = ready_at[w]
-                    c_barwait += span if t <= a else max(0, b_end - t)
-            now = b_end
-        else:
-            now += 1
-
-    c.cycles = now
-    c.instructions = c_instr
-    c.ffma_instrs = c_ffma
-    c.fp32_instrs = c_fp32
-    c.hfma2_instrs = c_hfma2
-    c.half2_instrs = c_half2
-    c.fma_pipe_busy = c_fma_busy
-    c.alu_pipe_busy = c_alu_busy
-    c.lsu_pipe_busy = c_lsu_busy
-    c.mio_pipe_busy = c_mio_busy
-    c.dram_sectors = c_dram
-    c.l2_sectors = c_l2
-    c.smem_conflict_cycles = c_sconf
-    c.reg_bank_conflicts = c_rbc
-    c.warp_switches = c_switch
-    c.switch_penalty_cycles = c_switch_pen
-    c.issue_idle_cycles = c_idle
-    c.barrier_wait_cycles = c_barwait
-    return c
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
-def fast_run(device: DeviceSpec, program, gmem: GlobalMemory, blocks) -> Counters:
-    """Run one SM round (same contract as ``SMSimulator.run``)."""
-    # Replay and timing allocate millions of short-lived containers
-    # (trace tuples, numpy views); cyclic-GC passes over them cost more
-    # than the garbage they could ever reclaim here, so pause collection
-    # for the duration.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        dp = decode_program(program)
-        replay = _Replay(dp, device, gmem, blocks)
-        replay.run()
-        traces = _assemble_traces(dp, replay)
-        block_of = [int(b) for b in replay.block_of]
-        bar_needed = [b.num_warps for b in blocks]
-        return _timed_run(device, dp, traces, block_of, len(blocks), bar_needed)
-    finally:
-        if gc_was_enabled:
-            gc.enable()

@@ -6,18 +6,18 @@ operation over its 32 lanes (the SIMT execution model, literally).
 R255 is RZ and always reads zero; predicates are a (8, 32) bool array
 with P7 = PT pinned true.
 
-The warp also owns the microarchitectural bits the paper's SASS-level
-experiments hinge on: the six scoreboard wait-barrier counters and the
-operand **reuse cache** (two 64-bit register banks mean an FFMA whose
-three sources share a bank pays one extra cycle unless a source comes
-from the reuse cache — §5.2.2, Fig. 4).
+This is architectural state only, what the reference engine's
+``engine.execute`` reads and writes.  The scheduling state the paper's
+SASS-level experiments hinge on (stall timers, the six scoreboard
+barriers, the operand reuse cache) belongs to the one SM scheduler,
+:func:`repro.gpusim.sm.schedule`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..sass.isa import NUM_WAIT_BARRIERS, RZ
+from ..sass.isa import RZ
 
 
 class WarpState:
@@ -27,14 +27,8 @@ class WarpState:
         "tids",
         "block",
         "pc",
-        "ready_at",
-        "barrier_cnt",
-        "done",
-        "at_bar",
         "regs",
         "preds",
-        "reuse_cache",
-        "issued",
     )
 
     def __init__(self, warp_id: int, block, num_regs: int = 256):
@@ -43,15 +37,9 @@ class WarpState:
         self.lane_ids = np.arange(32, dtype=np.int32)
         self.tids = warp_id * 32 + self.lane_ids  # threadIdx.x (1-D blocks)
         self.pc = 0
-        self.ready_at = 0
-        self.barrier_cnt = [0] * NUM_WAIT_BARRIERS
-        self.done = False
-        self.at_bar = False
         self.regs = np.zeros((256, 32), dtype=np.uint32)
         self.preds = np.zeros((8, 32), dtype=bool)
         self.preds[7] = True  # PT
-        self.reuse_cache: dict[int, int] = {}  # operand slot -> register index
-        self.issued = 0
 
     # ---- register access --------------------------------------------------
     def read_reg(self, idx: int) -> np.ndarray:
@@ -83,13 +71,3 @@ class WarpState:
         if idx == 7:
             return  # PT is read-only
         self.preds[idx][mask] = values[mask]
-
-    # ---- scoreboard ---------------------------------------------------------
-    def waits_satisfied(self, wait_mask: int) -> bool:
-        for i in range(NUM_WAIT_BARRIERS):
-            if wait_mask & (1 << i) and self.barrier_cnt[i] > 0:
-                return False
-        return True
-
-    def clear_reuse(self) -> None:
-        self.reuse_cache.clear()

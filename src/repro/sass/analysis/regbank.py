@@ -7,9 +7,9 @@ one of them is served by the operand **reuse cache**: a ``.reuse`` flag
 on operand slot *s* keeps that register's value latched for the *next*
 instruction's slot *s*.
 
-The pass replays the cache exactly the way the simulator's issue logic
-does (:func:`repro.gpusim.engine._register_bank_conflict` is the
-dynamic twin) and reports:
+The pass replays the cache exactly the way the simulator's scheduler
+does (:func:`repro.gpusim.sm.schedule`, through the static bank rule in
+:mod:`repro.gpusim.decode`) and reports:
 
 * ``RB001`` (warning) — three or more distinct un-cached register
   sources in one bank: the conflict the Fig. 4 register plan eliminates;
@@ -25,10 +25,11 @@ dynamic twin) and reports:
   requested warp switch forfeits the cache (§6.1), so the flag cannot
   serve its consumer.
 
-The cache model is intentionally the simulator's: only instructions on
-the generic FMA/ALU issue path read or replace the cache; memory
-instructions pass it through untouched; branches and branch targets
-reset it (the incoming state is ambiguous across control flow).
+The cache model is intentionally the simulator's: only the opcodes in
+:data:`repro.sass.isa.REUSE_CACHE_OPCODES` read or replace the cache,
+every other instruction passes it through untouched, and branches and
+branch targets reset it (the incoming state is ambiguous across control
+flow).
 """
 
 from __future__ import annotations
@@ -36,18 +37,10 @@ from __future__ import annotations
 import dataclasses
 
 from ..instruction import Instruction
+from ..isa import REUSE_CACHE_OPCODES
 from ..operands import Reg
 from .base import AnalysisContext, AnalysisPass
 from .diagnostics import Diagnostic, Severity
-
-#: Opcodes that read operands through the banked register-file path and
-#: therefore (a) can pay bank conflicts and (b) read/replace the reuse
-#: cache.  Mirrors the generic ALU/FMA path of the simulator's engine.
-_EXCLUDED_ALU = ("ISETP", "P2R", "R2P")
-
-
-def _on_generic_alu_path(instr: Instruction) -> bool:
-    return instr.spec.pipe in ("fma", "alu") and instr.name not in _EXCLUDED_ALU
 
 
 @dataclasses.dataclass
@@ -83,7 +76,7 @@ class RegisterBankPass(AnalysisPass):
                 if entry.reg in writes:
                     entry.stale = True
 
-            if not _on_generic_alu_path(instr):
+            if instr.name not in REUSE_CACHE_OPCODES:
                 if instr.name in ("BRA", "EXIT", "BAR"):
                     for slot in list(cache):
                         consumed.add((cache[slot].producer_pos, slot))

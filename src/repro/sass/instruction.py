@@ -24,7 +24,7 @@ import functools
 
 from ..common.errors import EncodingError
 from .control import ControlCode
-from .isa import OpSpec, spec_for
+from .isa import SUBWORD_FLAGS, OpSpec, spec_for
 from .operands import Const, Imm, Mem, Operand, Pred, Reg
 
 
@@ -84,8 +84,14 @@ class Instruction:
                         f"{self.name}: reuse flag on slot {slot}, which holds "
                         "no register operand"
                     )
-        if (spec.is_load or spec.is_store) and spec.mem_space != "constant":
-            if self.mem is None:
+        if spec.is_load or spec.is_store:
+            for flag in self.flags:
+                if flag in SUBWORD_FLAGS:
+                    raise EncodingError(
+                        f"{self.name}.{flag}: sub-word memory accesses are not "
+                        "supported (use .32, .64 or .128)"
+                    )
+            if spec.mem_space != "constant" and self.mem is None:
                 raise EncodingError(f"{self.name}: memory instruction needs [R + off]")
         # Vector-register alignment: destination of a 64/128-bit access must
         # be a 2/4-aligned register (requirement (i) of §4.3).

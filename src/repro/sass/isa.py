@@ -83,6 +83,10 @@ class OpSpec:
 
 
 _WIDTH_FLAGS = ("32", "64", "128", "16", "E", "U8", "S8")
+#: Sub-word widths: they keep their flag bits (and so every encoding),
+#: but the memory model has no sub-word access, so ``Instruction.validate``
+#: rejects them on memory opcodes.
+SUBWORD_FLAGS = ("16", "U8", "S8")
 _SETP_FLAGS = (
     "EQ", "NE", "LT", "LE", "GT", "GE", "AND", "OR", "XOR", "U32", "S32",
 )
@@ -155,6 +159,16 @@ OPCODES: dict[str, OpSpec] = {
 }
 
 OPCODE_TO_NAME: dict[int, str] = {spec.opcode: name for name, spec in OPCODES.items()}
+
+#: Opcodes whose register sources go through the operand reuse cache:
+#: each one reads the cache (a hit spares a bank read, §5.2.2) and then
+#: replaces it with its own ``.reuse`` operands.  Every other opcode
+#: passes the cache through untouched.  This one set is the rule for
+#: both the simulator's scheduler and sasslint's register-bank pass.
+REUSE_CACHE_OPCODES = frozenset({
+    "FFMA", "HFMA2", "HADD2", "HMUL2", "FADD", "FMUL", "FMNMX", "MUFU",
+    "IADD3", "IMAD", "LOP3", "SHF", "MOV", "SEL", "CS2R", "POPC",
+})
 
 # Special-register ids for S2R (our own stable numbering).
 SPECIAL_REGISTERS = {

@@ -14,3 +14,24 @@ def rng():
     from repro.common import make_rng
 
     return make_rng(1234)
+
+
+@pytest.fixture
+def both_engines(monkeypatch):
+    """``both_engines(simulate)`` calls ``simulate()`` under each simulator
+    engine, checks that the two results are equal and returns one.
+
+    Both engines issue through the one SM scheduler: the reference engine
+    steps every cycle, the fast engine skips idle stretches, so a test
+    that simulates through this fixture pins both paths.
+    """
+
+    def run(simulate):
+        results = []
+        for engine in ("reference", "fast"):
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            results.append(simulate())
+        assert results[0] == results[1], results
+        return results[1]
+
+    return run

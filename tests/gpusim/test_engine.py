@@ -6,9 +6,17 @@ import numpy as np
 import pytest
 
 from repro.common import SimulatorError
-from repro.gpusim import ExecutionContext, GlobalMemory, SharedMemory, V100, WarpState
+from repro.gpusim import (
+    ExecutionContext,
+    GlobalMemory,
+    SharedMemory,
+    V100,
+    WarpState,
+    simulate_resident_blocks,
+)
 from repro.gpusim.engine import execute
-from repro.sass import parse_line
+from repro.sass import assemble, parse_line
+from repro.sass.analysis import RegisterBankPass, lint_kernel
 
 
 @pytest.fixture
@@ -318,30 +326,69 @@ def test_bar_flag(warp, ctx):
 
 
 # ---------------------------------------------------------------------------
-# Register bank conflicts + reuse cache (§5.2.2 / footnote 6)
+# Register bank conflicts + reuse cache (§5.2.2 / footnote 6).  The rule
+# is the scheduler's, not execute's, so these run one warp on both
+# engines and read the counters.
 # ---------------------------------------------------------------------------
-def test_same_bank_three_sources_conflict(warp, ctx):
-    r = _run(warp, ctx, "FFMA R0, R2, R4, R6;")  # all even
-    assert r.reg_bank_conflict and r.pipe_cycles == 3
+@pytest.fixture
+def bank(both_engines):
+    """Counters of one warp running *src* then EXIT (equal on both engines)."""
+
+    def run(src):
+        kernel = assemble(src + "\nEXIT;\n")
+        counters = both_engines(
+            lambda: simulate_resident_blocks(
+                kernel, V100, params={}, gmem=GlobalMemory(1 << 12),
+                threads_per_block=32, num_blocks=1,
+            ).counters
+        )
+        # An FFMA holds its FP32 pipe 2 cycles, plus 1 on a bank conflict.
+        assert counters.fma_pipe_busy == (
+            2 * counters.ffma_instrs + counters.reg_bank_conflicts
+        )
+        return counters
+
+    return run
 
 
-def test_mixed_banks_no_conflict(warp, ctx):
-    r = _run(warp, ctx, "FFMA R0, R1, R4, R6;")
-    assert not r.reg_bank_conflict and r.pipe_cycles == 2
+def test_same_bank_three_sources_conflict(bank):
+    assert bank("FFMA R0, R2, R4, R6;").reg_bank_conflicts == 1  # all even
 
 
-def test_repeated_register_counts_once(warp, ctx):
-    r = _run(warp, ctx, "FFMA R0, R2, R2, R2;")
-    assert not r.reg_bank_conflict
+def test_mixed_banks_no_conflict(bank):
+    assert bank("FFMA R0, R1, R4, R6;").reg_bank_conflicts == 0
 
 
-def test_reuse_cache_suppresses_conflict(warp, ctx):
-    _run(warp, ctx, "FFMA R1, R3, R4.reuse, R5;")  # caches slot 1 = R4
-    r = _run(warp, ctx, "FFMA R0, R2, R4, R6;")  # R4 served from cache
-    assert not r.reg_bank_conflict
+def test_repeated_register_counts_once(bank):
+    assert bank("FFMA R0, R2, R2, R2;").reg_bank_conflicts == 0
 
 
-def test_reuse_cache_cleared_between_different_regs(warp, ctx):
-    _run(warp, ctx, "FFMA R1, R3, R8.reuse, R5;")
-    r = _run(warp, ctx, "FFMA R0, R2, R4, R6;")  # cache holds R8, not R4
-    assert r.reg_bank_conflict
+def test_reuse_cache_suppresses_conflict(bank):
+    # Slot 1 caches R4, so the second FFMA reads only R2 and R6 from banks.
+    src = "FFMA R1, R3, R4.reuse, R5;\nFFMA R0, R2, R4, R6;"
+    assert bank(src).reg_bank_conflicts == 0
+
+
+def test_reuse_cache_cleared_between_different_regs(bank):
+    # The cache holds R8, not R4.
+    src = "FFMA R1, R3, R8.reuse, R5;\nFFMA R0, R2, R4, R6;"
+    assert bank(src).reg_bank_conflicts == 1
+
+
+def test_yield_forfeits_reuse_cache(bank):
+    """§6.1: the yield's warp switch drops the latched R4."""
+    src = "[B------:R-:W-:Y:S01] FFMA R1, R3, R4.reuse, R5;\nFFMA R0, R2, R4, R6;"
+    assert bank(src).reg_bank_conflicts == 1
+
+
+def test_sasslint_reuse_cache_matches_the_scheduler(bank):
+    """MUFU replaces the reuse cache in both models, so the R4 latched by
+    the first FFMA no longer serves the second: one conflict, one RB001."""
+    src = (
+        "FFMA R1, R3, R4.reuse, R5;\n"
+        "MUFU.RCP R9, R11;\n"
+        "FFMA R0, R2, R4, R6;"
+    )
+    diags = lint_kernel(assemble(src + "\nEXIT;\n"), passes=[RegisterBankPass()])
+    rb001 = sum(d.rule == "RB001" for d in diags)
+    assert rb001 == bank(src).reg_bank_conflicts == 1

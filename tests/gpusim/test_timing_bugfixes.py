@@ -12,6 +12,9 @@ Each test encodes the *fixed* behavior and fails on the pre-fix code:
 * **barrier deadlock on early exit** — a block whose warp ``EXIT``ed
   before its peers reached ``BAR.SYNC`` used to hang until MAX_CYCLES;
   Volta arrival semantics release the barrier when the straggler exits.
+
+The simulated cases run on both engines (the ``both_engines`` fixture),
+so they pin the scheduler's per-cycle and idle-skipping paths alike.
 """
 
 import numpy as np
@@ -30,31 +33,37 @@ from repro.gpusim.sm import BlockSpec, SMSimulator
 from repro.sass import assemble, parse_line
 
 
-def _run(src, threads=32, device=V100, gmem=None, **assemble_kwargs):
-    kernel = assemble(src, **assemble_kwargs)
-    gmem = gmem or GlobalMemory(1 << 16)
-    res = simulate_resident_blocks(
-        kernel, device, params={}, gmem=gmem, threads_per_block=threads,
-        num_blocks=1,
-    )
-    return res.counters
+@pytest.fixture
+def run(both_engines):
+    """Counters of one block of *src* (equal on both engines)."""
+
+    def _run(src, threads=32, device=V100, **assemble_kwargs):
+        kernel = assemble(src, **assemble_kwargs)
+        return both_engines(
+            lambda: simulate_resident_blocks(
+                kernel, device, params={}, gmem=GlobalMemory(1 << 16),
+                threads_per_block=threads, num_blocks=1,
+            ).counters
+        )
+
+    return _run
 
 
 # ---------------------------------------------------------------------------
 # Bug A: yield-switch penalty double-charged
 # ---------------------------------------------------------------------------
 
-def test_yield_switch_costs_exactly_one_bubble():
+def test_yield_switch_costs_exactly_one_bubble(run):
     """§5.1.4: a yield-requested switch 'takes one more clock cycle' —
     one, not two.  The pre-fix loop paid the ``charged`` bubble and then
     added a second cycle at issue time."""
-    base = _run(
+    base = run(
         "MOV R0, 0x1;\n"
         "MOV R1, 0x1;\n"
         "MOV R2, 0x1;\n"
         "EXIT;\n"
     )
-    yielded = _run(
+    yielded = run(
         "MOV R0, 0x1;\n"
         "[B------:R-:W-:Y:S01] MOV R1, 0x1;\n"
         "MOV R2, 0x1;\n"
@@ -66,7 +75,7 @@ def test_yield_switch_costs_exactly_one_bubble():
     assert yielded.cycles - base.cycles == 1
 
 
-def test_yield_every_instruction_costs_one_cycle_each():
+def test_yield_every_instruction_costs_one_cycle_each(run):
     """N yields ⇒ exactly N extra cycles, not 2N."""
     n = 8
     plain = "\n".join(f"MOV R{i}, 0x1;" for i in range(n)) + "\nEXIT;\n"
@@ -74,8 +83,8 @@ def test_yield_every_instruction_costs_one_cycle_each():
         "\n".join(f"[B------:R-:W-:Y:S01] MOV R{i}, 0x1;" for i in range(n))
         + "\nEXIT;\n"
     )
-    base = _run(plain)
-    yielded = _run(flagged)
+    base = run(plain)
+    yielded = run(flagged)
     assert yielded.warp_switches == n
     assert yielded.cycles - base.cycles == n
 
@@ -145,24 +154,32 @@ def test_classify_sectors_counts_each_side():
 # Bug C: early EXIT deadlocks a block at BAR.SYNC
 # ---------------------------------------------------------------------------
 
-def _run_blocks(src, num_warps, max_cycles=50_000):
+@pytest.fixture
+def run_blocks(both_engines):
+    """Counters of one *num_warps* block of *src* (equal on both engines)."""
     import repro.gpusim.sm as sm_mod
 
-    kernel = assemble(src, auto_schedule=True)
-    gmem = GlobalMemory(1 << 12)
-    sim = SMSimulator(V100, kernel.instructions, gmem)
-    old = sm_mod.MAX_CYCLES
-    sm_mod.MAX_CYCLES = max_cycles
-    try:
-        return sim.run([BlockSpec(0, num_warps, np.zeros(4096, np.uint8), 1024)])
-    finally:
-        sm_mod.MAX_CYCLES = old
+    def _run_blocks(src, num_warps, max_cycles=50_000):
+        kernel = assemble(src, auto_schedule=True)
+        block = BlockSpec(0, num_warps, np.zeros(4096, np.uint8), 1024)
+        old = sm_mod.MAX_CYCLES
+        sm_mod.MAX_CYCLES = max_cycles
+        try:
+            return both_engines(
+                lambda: SMSimulator(
+                    V100, kernel.instructions, GlobalMemory(1 << 12)
+                ).run([block])
+            )
+        finally:
+            sm_mod.MAX_CYCLES = old
+
+    return _run_blocks
 
 
-def test_exit_before_bar_releases_barrier():
+def test_exit_before_bar_releases_barrier(run_blocks):
     """A warp exiting before its peers' BAR.SYNC must not count toward
     the barrier (pre-fix: the block spins until MAX_CYCLES)."""
-    counters = _run_blocks(
+    counters = run_blocks(
         "S2R R0, SR_TID.X;\n"
         "ISETP.LT.U32.AND P0, PT, R0, 0x20, PT;\n"
         "@!P0 EXIT;\n"  # warp 1 exits; warp 0 proceeds to the barrier
@@ -173,10 +190,10 @@ def test_exit_before_bar_releases_barrier():
     assert counters.cycles < 100
 
 
-def test_last_straggler_exit_releases_waiting_warps():
+def test_last_straggler_exit_releases_waiting_warps(run_blocks):
     """Warps already parked at the barrier are released the cycle the
     last non-arrived warp exits."""
-    counters = _run_blocks(
+    counters = run_blocks(
         "S2R R0, SR_TID.X;\n"
         "ISETP.LT.U32.AND P0, PT, R0, 0x20, PT;\n"
         "@P0 BRA WAIT;\n"
@@ -193,10 +210,10 @@ def test_last_straggler_exit_releases_waiting_warps():
     assert counters.cycles < 200
 
 
-def test_barrier_still_synchronizes_live_warps():
+def test_barrier_still_synchronizes_live_warps(run_blocks):
     """The fix must not weaken a real barrier: all live warps still wait
     for the slowest arrival."""
-    counters = _run_blocks(
+    counters = run_blocks(
         "S2R R0, SR_TID.X;\n"
         "ISETP.LT.U32.AND P0, PT, R0, 0x20, PT;\n"
         "@P0 BRA WAIT;\n"

@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.common import EncodingError
-from repro.sass import ControlCode, Imm, Instruction, Mem, Pred, Reg, parse_line
+from repro.common import AssemblerError, EncodingError
+from repro.sass import (
+    ControlCode,
+    Imm,
+    Instruction,
+    Mem,
+    Pred,
+    Reg,
+    encode_instruction,
+    parse_line,
+)
 
 
 def test_b_slot_rules():
@@ -52,6 +61,24 @@ def test_validate_vector_alignment():
         name="LDG", dest=Reg(8), mem=Mem(Reg(2)), flags=("128", "E")
     )
     ok.validate()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["LDS.16 R0, [R2];", "LDG.E.16 R0, [R2];", "LDG.E.U8 R0, [R2];",
+     "STS.S8 [R2], R0;", "STG.E.16 [R2], R0;"],
+)
+def test_parser_rejects_sub_word_memory_flags(line):
+    """The flags keep their encoding bits, but no engine or lint pass
+    models a sub-word access: reject them instead of crashing later."""
+    with pytest.raises(AssemblerError, match="sub-word"):
+        parse_line(line)
+
+
+def test_encoder_rejects_sub_word_memory_flags():
+    instr = Instruction(name="LDS", dest=Reg(0), mem=Mem(Reg(2)), flags=("16",))
+    with pytest.raises(EncodingError, match="sub-word"):
+        encode_instruction(instr)
 
 
 def test_reuse_flag_needs_register_slot():
