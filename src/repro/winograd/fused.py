@@ -1,17 +1,23 @@
 """The paper's fused Winograd convolution pipeline, tile-parameterized.
 
-This is a faithful algorithm-level model of the SASS kernels (§3-§4),
-vectorized with NumPy *inside* each simulated thread block but keeping
-the exact decomposition of Algorithm 1:
+This is a faithful algorithm-level model of the SASS kernels (§3-§4).
+It keeps the decomposition of Algorithm 1:
 
 * a separate **filter-transform kernel** (FTF) producing the CR'S'K
   workspace (§4.1) — the only global workspace the implementation needs;
-* a grid of thread blocks, each owning ``bk × bn`` output tiles (Fig. 1);
 * a **main loop** over channels in steps of ``bc`` that gathers and
-  transforms ``bn×bc`` input tiles (ITF, implicit zero padding) and
-  accumulates the alpha²-batched ``bk × bn × bc`` GEMM (EWMM, Eq. 9-10);
+  transforms input tiles (ITF, implicit zero padding) and accumulates
+  the alpha²-batched GEMM (EWMM, Eq. 9-10) one ``bc`` chunk at a time;
 * an **output transform** (OTF) that turns the accumulators into m×m
   output tiles and scatters them (with crop) into the KHWN output.
+
+The kernel runs the main loop in a grid of thread blocks, each owning
+``bk × bn`` output tiles (Fig. 1).  :meth:`FusedWinogradConv.run`
+computes the same sums in the same per-element order without replaying
+that grid: it transforms each channel chunk once for a slab of whole
+tile rows and multiplies it with every filter in one batched GEMM.  The
+grid survives in the work accounting (:class:`FusedRunStats`,
+:meth:`FusedWinogradConv.workload`).
 
 The tile is an explicit :class:`~repro.winograd.tilespec.TileSpec`
 parameter: ``TILE_F22`` reproduces the paper's F(2×2,3×3) kernel
@@ -121,6 +127,11 @@ def tile_block_config(tile: TileSpec) -> BlockConfig:
     )
 
 
+#: Byte budget of one slab in :meth:`FusedWinogradConv.run`: its float32
+#: accumulator plus one transformed channel chunk.
+_SLAB_BYTES = 32 << 20
+
+
 def _itf_fadds_per_tile(t: WinogradTransform) -> int:
     """ITF float adds per tile: the paper's §2.1 count for F(2,3), a
     structural two-pass bound (alpha² outputs × (alpha−1) adds × 2
@@ -206,10 +217,10 @@ class FusedWinogradConv:
             raise LayoutError(
                 f"expected CRSK {r}×{r} filters, got {f_crsk.shape}"
             )
-        # Move K next to C so the transform's trailing dims are (r, r).
-        f = np.transpose(f_crsk, (0, 3, 1, 2))  # (C, K, r, r)
-        f_t = self.transform.transform_filter(f)  # (C, K, alpha, alpha)
-        return np.ascontiguousarray(np.transpose(f_t, (0, 2, 3, 1)))
+        g = self.transform.g
+        return np.ascontiguousarray(
+            np.einsum("ij,cjsk,ls->cilk", g, f_crsk, g, optimize=True)
+        )
 
     # ------------------------------------------------------------------
     # Fused main kernel
@@ -220,14 +231,33 @@ class FusedWinogradConv:
         f_transformed: np.ndarray,
         prob: ConvProblem | None = None,
     ) -> tuple[np.ndarray, FusedRunStats]:
-        """Run the fused kernel given a pre-transformed filter workspace."""
+        """Run the fused kernel given a pre-transformed filter workspace.
+
+        The output is computed one slab of whole tile rows at a time.
+        For each ``bc``-channel chunk, the slab's tiles are gathered and
+        transformed once and multiplied with all K filters in one
+        alpha²-batched GEMM, added to the slab's accumulator in channel
+        order: the kernel's per-element summation order.  One OTF per
+        slab then writes the slab's output rows.
+
+        A slab of ``tw``-tile-wide rows holds
+        ``s = max(1, ⌊_SLAB_BYTES / (4·alpha²·(K + bc)·tw·N)⌋)`` of them,
+        so for its ``P = s·tw·N`` tiles the accumulator
+        ``A = 4·alpha²·K·P`` and one transformed channel chunk
+        ``G = 4·alpha²·bc·P`` together take at most ``_SLAB_BYTES``
+        (32 MiB), or one tile row when a single row exceeds it.  The
+        peak allocation is the ``4·K·H'·W'·N``-byte output plus a
+        working set of at most ``3·A + 6·G + 64·alpha·P`` bytes and 1 MiB.
+
+        *prob* supplies ``pad``; its n, c, h, w and k must match the
+        tensors, or :class:`LayoutError` is raised.
+        """
         if x_chwn.ndim != 4:
             raise LayoutError(f"expected CHWN input, got {x_chwn.shape}")
         c, h, w, n = x_chwn.shape
         t = self.transform
         alpha = t.alpha
-        m = t.m
-        if f_transformed.shape[:3] != (c, alpha, alpha):
+        if f_transformed.ndim != 4 or f_transformed.shape[:3] != (c, alpha, alpha):
             raise LayoutError(
                 f"expected (C,{alpha},{alpha},K) transformed filters, "
                 f"got {f_transformed.shape}"
@@ -235,92 +265,113 @@ class FusedWinogradConv:
         k = f_transformed.shape[3]
         if prob is None:
             prob = ConvProblem(n=n, c=c, h=h, w=w, k=k)
-        cfg = self.config
-        pad = prob.pad
-        elements = alpha * alpha
-        itf_fadds = _itf_fadds_per_tile(t)
-        otf_fadds = _otf_fadds_per_tile(t)
-
-        th, tw = prob.tiles_h(m), prob.tiles_w(m)
-        tile_r, tile_c, tile_n = tile_index_grid(th, tw, n)
-        total_tiles = tile_r.size
-
-        n_blocks_tiles = math.ceil(total_tiles / cfg.bn)
-        n_blocks_k = math.ceil(k / cfg.bk)
-        iters = math.ceil(c / cfg.bc)
+        actual = dict(n=n, c=c, h=h, w=w, k=k)
+        wrong = {f: getattr(prob, f) for f in actual if getattr(prob, f) != actual[f]}
+        if wrong:
+            raise LayoutError(f"problem {wrong} disagrees with the tensors {actual}")
 
         y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
+        th, tw = prob.tiles_h(t.m), prob.tiles_w(t.m)
+        row_bytes = 4 * alpha * alpha * (k + self.config.bc) * tw * n
+        slab_rows = max(1, _SLAB_BYTES // max(1, row_bytes))
+        for r0 in range(0, th, slab_rows):
+            self._run_slab(x_chwn, f_transformed, prob, r0, min(slab_rows, th - r0), y)
+        return y, self._grid_stats(prob)
 
-        stats = FusedRunStats(
-            grid_blocks=n_blocks_tiles * n_blocks_k,
-            main_loop_iters_per_block=iters,
-        )
+    def _run_slab(
+        self,
+        x_chwn: np.ndarray,
+        f_transformed: np.ndarray,
+        prob: ConvProblem,
+        r0: int,
+        rows: int,
+        y: np.ndarray,
+    ) -> None:
+        """Main loop, OTF and store for tile rows ``r0 .. r0+rows`` of *y*.
 
+        A separate frame, so the slab's arrays are freed before the next
+        slab allocates: :meth:`run`'s working-set bound counts one slab.
+        """
+        t = self.transform
+        alpha, m, pad = t.alpha, t.m, prob.pad
+        elements = alpha * alpha
+        c, h, w, n = x_chwn.shape
+        k = f_transformed.shape[3]
+        tw = prob.tiles_w(m)
+        tile_r, tile_c, batch = tile_index_grid(rows, tw, n)
         arange_a = np.arange(alpha)
-        for tb in range(n_blocks_tiles):
-            g0 = tb * cfg.bn
-            g_idx = np.arange(g0, min(g0 + cfg.bn, total_tiles))
-            bn_real = g_idx.size
-            rows = tile_r[g_idx][:, None] * m - pad + arange_a[None, :]  # (bn, a)
-            cols = tile_c[g_idx][:, None] * m - pad + arange_a[None, :]
-            batch = tile_n[g_idx]
-            mask = ((rows >= 0) & (rows < h))[:, :, None] & (
-                (cols >= 0) & (cols < w)
-            )[:, None, :]  # (bn, a, a) — the precomputed predicate masks (§3.5)
-            rows_cl = np.clip(rows, 0, h - 1)
-            cols_cl = np.clip(cols, 0, w - 1)
+        in_rows = (tile_r + r0)[:, None] * m - pad + arange_a  # (P, a)
+        in_cols = tile_c[:, None] * m - pad + arange_a
+        mask = ((in_rows >= 0) & (in_rows < h))[:, :, None] & (
+            (in_cols >= 0) & (in_cols < w)
+        )[:, None, :]  # (P, a, a) — the precomputed predicate masks (§3.5)
+        rows_cl = np.clip(in_rows, 0, h - 1)
+        cols_cl = np.clip(in_cols, 0, w - 1)
 
-            for kb in range(n_blocks_k):
-                k0 = kb * cfg.bk
-                k_hi = min(k0 + cfg.bk, k)
-                bk_real = k_hi - k0
-                acc = np.zeros((elements, bk_real, bn_real), dtype=np.float32)
+        acc = np.zeros((elements, k, batch.size), dtype=np.float32)
+        for c0 in range(0, c, self.config.bc):
+            c_hi = min(c0 + self.config.bc, c)
+            i_smem = self._input_chunk(x_chwn[c0:c_hi], rows_cl, cols_cl, batch, mask)
+            f_smem = f_transformed[c0:c_hi].transpose(1, 2, 0, 3).reshape(
+                elements, c_hi - c0, k
+            )  # (alpha², bc, K)
+            # --- EWMM as alpha²-batched GEMM (Eq. 9) ---
+            acc += np.einsum("pck,pcn->pkn", f_smem, i_smem, optimize=True)
+        # --- OTF, then tile (row, col, batch) → y[:, row·m+i, col·m+j, batch],
+        # cropped at the output edge like the kernel's predicated stores ---
+        o_hat = acc.reshape(alpha, alpha, k, batch.size).transpose(2, 3, 0, 1)
+        o = t.transform_output(o_hat)  # (K, P, m, m)
+        o = o.reshape(k, rows, tw, n, m, m).transpose(0, 1, 4, 2, 5, 3)
+        o = o.reshape(k, rows * m, tw * m, n)
+        y[:, r0 * m : (r0 + rows) * m] = o[:, : prob.out_h - r0 * m, : prob.out_w]
 
-                for c0 in range(0, c, cfg.bc):
-                    c_hi = min(c0 + cfg.bc, c)
-                    # --- gather bn×bc input tiles with implicit zero pad ---
-                    tiles = x_chwn[
-                        c0:c_hi,
-                        rows_cl[:, :, None],
-                        cols_cl[:, None, :],
-                        batch[:, None, None],
-                    ]  # (bc, bn, a, a)
-                    tiles = np.where(mask[None], tiles, np.float32(0))
-                    # --- ITF: per-tile BᵀIB adds (§4.2) ---
-                    tiles_t = t.transform_input(tiles)  # (bc, bn, a, a)
-                    i_smem = tiles_t.transpose(2, 3, 0, 1).reshape(
-                        elements, c_hi - c0, bn_real
-                    )  # the (alpha², bc, bn) shared buffer of Table 4
-                    f_smem = f_transformed[c0:c_hi, :, :, k0:k_hi].transpose(
-                        1, 2, 0, 3
-                    ).reshape(elements, c_hi - c0, bk_real)  # (alpha², bc, bk)
-                    # --- EWMM as alpha²-batched GEMM (Eq. 9) ---
-                    acc += np.einsum(
-                        "pck,pcn->pkn", f_smem, i_smem, optimize=True
-                    ).astype(np.float32)
-                    stats.gmem_load_bytes += (
-                        tiles.size + f_smem.size
-                    ) * 4
-                    stats.ffma_total += elements * bk_real * bn_real * (c_hi - c0)
-                    stats.itf_fadd_total += itf_fadds * (c_hi - c0) * bn_real
-                # --- OTF: transpose via smem, transform, predicated store ---
-                o_hat = acc.reshape(alpha, alpha, bk_real, bn_real).transpose(
-                    2, 3, 0, 1
-                )  # (bk, bn, a, a)
-                o = t.transform_output(o_hat)  # (bk, bn, m, m)
-                stats.otf_fadd_total += otf_fadds * bk_real * bn_real
-                for j, g in enumerate(g_idx):
-                    r0 = tile_r[g] * m
-                    c0w = tile_c[g] * m
-                    rmax = min(m, prob.out_h - r0)
-                    cmax = min(m, prob.out_w - c0w)
-                    y[k0:k_hi, r0 : r0 + rmax, c0w : c0w + cmax, batch[j]] = o[
-                        :, j, :rmax, :cmax
-                    ]
-                    stats.gmem_store_bytes += bk_real * rmax * cmax * 4
+    def _input_chunk(
+        self,
+        x_chunk: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        batch: np.ndarray,
+        mask: np.ndarray,
+    ) -> np.ndarray:
+        """Gather and ITF one channel chunk: the (alpha², bc, P) buffer.
 
-        stats.effective_flops = prob.direct_flops
-        return y, stats
+        A separate frame, so the gather and ITF temporaries are freed
+        before the chunk's GEMM allocates its result.
+        """
+        # --- gather bc×P input tiles with implicit zero pad ---
+        tiles = x_chunk[:, rows[:, :, None], cols[:, None, :], batch[:, None, None]]
+        tiles = np.where(mask[None], tiles, np.float32(0))
+        # --- ITF: per-tile BᵀIB adds (§4.2) ---
+        tiles_t = self.transform.transform_input(tiles)  # (bc, P, a, a)
+        alpha = self.transform.alpha
+        return tiles_t.transpose(2, 3, 0, 1).reshape(
+            alpha * alpha, x_chunk.shape[0], batch.size
+        )  # the (alpha², bc, bn) shared buffer of Table 4, bn → P
+
+    def _grid_stats(self, prob: ConvProblem) -> FusedRunStats:
+        """The work of the kernel's grid on *prob*, in closed form.
+
+        Each block re-gathers and re-transforms its ``bn`` tiles once per
+        K block and loads its filter slices once per tile block, so ITF
+        adds and global loads scale with the other grid axis.
+        """
+        cfg, t = self.config, self.transform
+        elements = t.alpha * t.alpha
+        tiles = prob.total_tiles(t.m)
+        tile_blocks = math.ceil(tiles / cfg.bn)
+        k_blocks = math.ceil(prob.k / cfg.bk)
+        return FusedRunStats(
+            grid_blocks=tile_blocks * k_blocks,
+            main_loop_iters_per_block=math.ceil(prob.c / cfg.bc),
+            ffma_total=elements * prob.k * tiles * prob.c,
+            itf_fadd_total=_itf_fadds_per_tile(t) * prob.c * tiles * k_blocks,
+            otf_fadd_total=_otf_fadds_per_tile(t) * prob.k * tiles,
+            gmem_load_bytes=4 * elements * prob.c * (
+                k_blocks * tiles + tile_blocks * prob.k
+            ),
+            gmem_store_bytes=prob.output_bytes,
+            effective_flops=prob.direct_flops,
+        )
 
     def __call__(self, x_chwn: np.ndarray, f_crsk: np.ndarray) -> np.ndarray:
         """FTF + fused kernel; returns the KHWN output only."""
@@ -334,14 +385,10 @@ class FusedWinogradConv:
     def workload(self, prob: ConvProblem) -> dict:
         """Static per-launch work description (no data needed)."""
         cfg = self.config
-        m = self.transform.m
-        th, tw = prob.tiles_h(m), prob.tiles_w(m)
-        total_tiles = th * tw * prob.n
-        blocks = math.ceil(total_tiles / cfg.bn) * math.ceil(prob.k / cfg.bk)
-        iters = math.ceil(prob.c / cfg.bc)
+        grid = self._grid_stats(prob)
         return {
-            "blocks": blocks,
-            "iters_per_block": iters,
+            "blocks": grid.grid_blocks,
+            "iters_per_block": grid.main_loop_iters_per_block,
             "threads_per_block": cfg.threads,
             "warps_per_block": cfg.threads // 32,
             "ffma_per_thread_per_iter": cfg.ffma_per_thread_per_iter,

@@ -144,7 +144,6 @@ def test_result_to_dict_is_json_ready():
     assert payload["arena"]["reserves"] == len(TINY)
 
 
-@pytest.mark.slow
 def test_paper_resnet_layers_end_to_end():
     """Satellite: the four Table-1 ResNet 3x3 layers at N=32.
 

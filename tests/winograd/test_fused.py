@@ -1,5 +1,9 @@
 """The fused F(2×2,3×3) pipeline model (Algorithm 1) vs the oracle."""
 
+import dataclasses
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,8 @@ from repro.winograd import (
     PAPER_CONFIG,
     BlockConfig,
     FusedWinogradConv,
+    fused,
+    tile_index_grid,
 )
 
 
@@ -132,6 +138,46 @@ def test_run_stats_ffma_count():
     assert stats.itf_fadd_total == 32 * prob.total_tiles(2) * 8
 
 
+@pytest.mark.parametrize(
+    "tile, expected",
+    [
+        ("f22", dict(grid_blocks=2, main_loop_iters_per_block=1, ffma_total=48000,
+                     itf_fadd_total=9600, otf_fadd_total=14400,
+                     gmem_load_bytes=25600, gmem_store_bytes=7560,
+                     effective_flops=170100)),
+        ("f44", dict(grid_blocks=1, main_loop_iters_per_block=1, ffma_total=32400,
+                     itf_fadd_total=32400, otf_fadd_total=36000,
+                     gmem_load_bytes=20160, gmem_store_bytes=7560,
+                     effective_flops=170100)),
+    ],
+)
+def test_run_stats_count_the_kernel_grid(tile, expected):
+    """Every field on an irregular shape (C, K and both tile edges off the
+    blocking grid), as the block-by-block loop counted it."""
+    prob = ConvProblem(n=3, c=5, h=9, w=7, k=10)
+    conv = FusedWinogradConv(tile=tile)
+    rng = make_rng(1)
+    x = nchw_to_chwn(random_activation(prob, rng))
+    f_t = conv.transform_filters(kcrs_to_crsk(random_filter(prob, rng)))
+    _, stats = conv.run(x, f_t, prob)
+    assert dataclasses.asdict(stats) == expected
+
+
+@pytest.mark.parametrize(
+    "tile, shape",
+    [("f22", dict(n=2, c=4, h=7, w=7, k=8)), ("f44", dict(n=32, c=8, h=7, w=7, k=16))],
+)
+def test_run_stats_are_json_ints_on_cropped_tiles(tile, shape):
+    prob = ConvProblem(**shape)
+    conv = FusedWinogradConv(tile=tile)
+    x = np.zeros((prob.c, prob.h, prob.w, prob.n), dtype=np.float32)
+    f_t = conv.transform_filters(np.zeros((prob.c, 3, 3, prob.k), dtype=np.float32))
+    _, stats = conv.run(x, f_t, prob)
+    fields = dataclasses.asdict(stats)
+    assert all(type(v) is int for v in fields.values()), fields
+    json.dumps(fields)
+
+
 def test_workload_dict():
     prob = ConvProblem(n=32, c=64, h=56, w=56, k=64, name="Conv2N32")
     w = FusedWinogradConv().workload(prob)
@@ -159,6 +205,20 @@ def test_fused_requires_f23_transform():
 
     with pytest.raises(ConvConfigError):
         FusedWinogradConv(transform=get_transform(4, 3))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 3), ("c", 5), ("h", 4), ("h", 8), ("w", 5), ("k", 9)]
+)
+def test_run_rejects_problem_disagreeing_with_tensors(field, value):
+    conv = FusedWinogradConv()
+    shape = dict(n=2, c=4, h=6, w=6, k=8)
+    with pytest.raises(LayoutError):
+        conv.run(
+            np.zeros((4, 6, 6, 2), dtype=np.float32),
+            np.zeros((4, 4, 4, 8), dtype=np.float32),
+            ConvProblem(**{**shape, field: value}),
+        )
 
 
 def test_run_rejects_mismatched_filters():
@@ -192,7 +252,6 @@ def test_fused_f44_mismatched_transform_rejected():
         FusedWinogradConv(tile="f44", transform=get_transform(2, 3))
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", ["Conv2", "Conv3", "Conv4", "Conv5"])
 def test_fused_f44_matches_reference_on_table1(name):
     """Table-1 sweep at N=32: fused F(4×4,3×3) vs the WINOGRAD_REFERENCE
@@ -212,3 +271,93 @@ def test_fused_f44_matches_reference_on_table1(name):
     assert y.shape == ref.shape == (prob.n, prob.k, prob.out_h, prob.out_w)
     scale = float(np.abs(ref).max())
     assert float(np.abs(y - ref).max()) / scale < 2e-5
+
+
+# ---------------------------------------------------------------------------
+# run() vs the kernel's grid, replayed block by block
+# ---------------------------------------------------------------------------
+def _grid_reference(conv, x_chwn, f_t, prob):
+    """Algorithm 1 as the kernel's grid runs it: one bn-tile × bk-filter
+    block at a time, each accumulating its bc-channel chunks in order."""
+    t, cfg = conv.transform, conv.config
+    a, m, e = t.alpha, t.m, t.alpha * t.alpha
+    c, h, w, n = x_chwn.shape
+    k = f_t.shape[3]
+    tile_r, tile_c, tile_n = tile_index_grid(prob.tiles_h(m), prob.tiles_w(m), n)
+    y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
+    for g0 in range(0, tile_r.size, cfg.bn):
+        g = slice(g0, g0 + cfg.bn)
+        rows = tile_r[g, None] * m - prob.pad + np.arange(a)
+        cols = tile_c[g, None] * m - prob.pad + np.arange(a)
+        mask = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+        rows, cols, batch = np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1), tile_n[g]
+        for k0 in range(0, k, cfg.bk):
+            f_blk = f_t[..., k0 : k0 + cfg.bk]
+            bk = f_blk.shape[3]
+            acc = np.zeros((e, bk, batch.size), dtype=np.float32)
+            for c0 in range(0, c, cfg.bc):
+                tiles = x_chwn[
+                    c0 : c0 + cfg.bc, rows[:, :, None], cols[:, None, :], batch[:, None, None]
+                ]
+                tiles = t.transform_input(np.where(mask, tiles, np.float32(0)))
+                i_smem = tiles.transpose(2, 3, 0, 1).reshape(e, -1, batch.size)
+                f_smem = f_blk[c0 : c0 + cfg.bc].transpose(1, 2, 0, 3).reshape(e, -1, bk)
+                acc += np.einsum("pck,pcn->pkn", f_smem, i_smem, optimize=True)
+            o = t.transform_output(acc.reshape(a, a, bk, -1).transpose(2, 3, 0, 1))
+            for j, b in enumerate(batch):
+                r0, c0 = tile_r[g0 + j] * m, tile_c[g0 + j] * m
+                y[k0 : k0 + bk, r0 : r0 + m, c0 : c0 + m, b] = o[
+                    :, j, : prob.out_h - r0, : prob.out_w - c0
+                ]
+    return y
+
+
+# Several tile and K blocks, tile rows at least 2 tiles wide, cropped edges.
+# No block holds a single tile or filter: there the block's own GEMM is a
+# matrix-vector product that BLAS rounds differently (within tolerance).
+GRID_PROBLEMS = [
+    ("f22", None, dict(n=3, c=10, h=9, w=11, k=130)),
+    ("f22", CUDNN_CONFIG, dict(n=4, c=8, h=6, w=6, k=70)),
+    ("f22", None, dict(n=2, c=5, h=10, w=9, k=20, pad=0)),
+    ("f44", None, dict(n=5, c=9, h=11, w=13, k=40)),
+]
+
+
+@pytest.mark.parametrize("one_row_slabs", [False, True])
+@pytest.mark.parametrize("tile, config, shape", GRID_PROBLEMS)
+def test_run_is_byte_identical_to_the_block_grid(tile, config, shape, one_row_slabs, monkeypatch):
+    prob = ConvProblem(**shape)
+    conv = FusedWinogradConv(config, tile=tile)
+    rng = make_rng(5)
+    x = nchw_to_chwn(random_activation(prob, rng))
+    f_t = conv.transform_filters(kcrs_to_crsk(random_filter(prob, rng)))
+    if one_row_slabs:
+        monkeypatch.setattr(fused, "_SLAB_BYTES", 1)
+    y, _ = conv.run(x, f_t, prob)
+    assert y.tobytes() == _grid_reference(conv, x, f_t, prob).tobytes()
+
+
+def test_run_memory_is_the_output_plus_a_bounded_working_set():
+    """The closed form of run's docstring, on a layer whose slab holds
+    only part of the tile rows."""
+    from repro.models import resnet_layer
+
+    prob = resnet_layer("Conv2", 32)
+    conv = FusedWinogradConv()
+    rng = make_rng(2)
+    x = nchw_to_chwn(random_activation(prob, rng))
+    f_t = conv.transform_filters(kcrs_to_crsk(random_filter(prob, rng)))
+    alpha, bc = conv.transform.alpha, conv.config.bc
+    tw, th = prob.tiles_w(2), prob.tiles_h(2)
+    rows = max(1, fused._SLAB_BYTES // (4 * alpha**2 * (prob.k + bc) * tw * prob.n))
+    assert rows < th
+    tiles = rows * tw * prob.n
+    acc, chunk = 4 * alpha**2 * prob.k * tiles, 4 * alpha**2 * bc * tiles
+    working_set = 3 * acc + 6 * chunk + 64 * alpha * tiles + (1 << 20)
+    tracemalloc.start()
+    try:
+        y, _ = conv.run(x, f_t, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.nbytes + working_set
