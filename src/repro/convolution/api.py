@@ -115,9 +115,19 @@ def _validate_conv_inputs(
 
 
 def _run_concrete(
-    algo: str, x: np.ndarray, f: np.ndarray, pad: int, stride: int = 1
+    algo: str,
+    x: np.ndarray,
+    f: np.ndarray,
+    pad: int,
+    stride: int = 1,
+    prepared_filters=None,
 ) -> np.ndarray:
-    """Execute one concrete algorithm (no AUTO handling, no validation)."""
+    """Execute one concrete algorithm (no AUTO handling, no validation).
+
+    *prepared_filters* (a :class:`repro.runtime.PreparedFilterCache`)
+    serves the fused algorithms' transformed filters; without one they
+    transform *f* on the call.
+    """
     if stride != 1 and algo not in ("DIRECT", "WINOGRAD_DWM"):
         raise ConvConfigError(
             f"{algo} implements stride-1 convolution; use WINOGRAD_DWM "
@@ -153,13 +163,39 @@ def _run_concrete(
             "to decompose larger (or strided) filters, or "
             "WINOGRAD_REFERENCE/DIRECT"
         )
-    x_chwn = nchw_to_chwn(x)
-    f_crsk = kcrs_to_crsk(f)
     if algo in FUSED_TILE_FOR_ALGO:
-        y_khwn = FusedWinogradConv(tile=FUSED_TILE_FOR_ALGO[algo])(x_chwn, f_crsk)
-    else:  # WINOGRAD_NONFUSED
-        y_khwn = NonFusedWinogradConv(m=4)(x_chwn, f_crsk)
+        return _fused_conv2d(FUSED_TILE_FOR_ALGO[algo], x, f, prepared_filters)
+    # WINOGRAD_NONFUSED
+    return khwn_to_nkhw(NonFusedWinogradConv(m=4)(nchw_to_chwn(x), kcrs_to_crsk(f)))
+
+
+def _fused_conv2d(tile: str, x: np.ndarray, f: np.ndarray, prepared_filters) -> np.ndarray:
+    """One fused Winograd layer: NCHW and KCRS in, NCHW out, with the
+    transformed filters from *prepared_filters* when given."""
+    conv = FusedWinogradConv(tile=tile)
+
+    def prepare(f_kcrs: np.ndarray) -> np.ndarray:
+        return conv.transform_filters(kcrs_to_crsk(f_kcrs))
+
+    if prepared_filters is None:
+        f_transformed = prepare(f)
+    else:
+        f_transformed = prepared_filters.get(tile, f, prepare)
+    y_khwn, _ = conv.run(nchw_to_chwn(x), f_transformed)
     return khwn_to_nkhw(y_khwn)
+
+
+def _run_planned(
+    algo: str, x: np.ndarray, f: np.ndarray, pad: int, stride: int,
+    prepared_filters=None,
+) -> np.ndarray:
+    """:func:`conv2d`'s path for a concrete *algo*: validate, then run.
+
+    :class:`repro.runtime.InferenceSession` runs its planned layers
+    through this with its context's *prepared_filters*.
+    """
+    _validate_conv_inputs(x, f, pad, stride)
+    return _run_concrete(algo, x, f, pad, stride, prepared_filters)
 
 
 def conv2d(
@@ -208,10 +244,10 @@ def conv2d(
             f"unknown algorithm {algo!r}; choose from "
             f"{ALGORITHMS + META_ALGORITHMS}"
         )
-    _validate_conv_inputs(x, f, pad, stride)
     if algo in META_ALGORITHMS:
         from .autotune import autotune_conv2d
 
+        _validate_conv_inputs(x, f, pad, stride)
         return autotune_conv2d(
             x, f, pad, mode=algo, stride=stride,
             workspace_limit_bytes=workspace_limit_bytes, device=device,
@@ -227,8 +263,8 @@ def conv2d(
         from ..runtime import activate
 
         with activate(context):
-            return _run_concrete(algo, x, f, pad, stride)
-    return _run_concrete(algo, x, f, pad, stride)
+            return _run_planned(algo, x, f, pad, stride)
+    return _run_planned(algo, x, f, pad, stride)
 
 
 def get_algorithm(algo: str) -> Callable[..., np.ndarray]:

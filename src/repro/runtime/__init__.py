@@ -3,8 +3,9 @@
 Three layers, each owning what used to be module-global state:
 
 - :class:`ExecutionContext` — device, kernel-build + simulation caches,
-  plan cache, dispatch metrics, lint gate, workspace arena and trace
-  hooks, with one :meth:`~ExecutionContext.reset` clearing them all.
+  plan cache, dispatch metrics, lint gate, workspace arena, prepared
+  fused-Winograd filters (:class:`PreparedFilterCache`) and trace hooks,
+  with one :meth:`~ExecutionContext.reset` clearing them all.
 - :class:`WorkspaceArena` — a bump/free-list allocator so multi-layer
   runs share one high-water-mark workspace buffer.
 - :class:`InferenceSession` — compiles a layer stack into per-layer
@@ -19,6 +20,8 @@ helpers in ``repro.kernels.cache``, ...) working unchanged;
 from .arena import ALIGNMENT, ArenaStats, WorkspaceArena, WorkspaceBlock
 from .context import (
     ExecutionContext,
+    PreparedFilterCache,
+    PreparedFilterStats,
     TraceSpan,
     Tracer,
     activate,
@@ -40,6 +43,8 @@ __all__ = [
     "InferenceSession",
     "LayerPlan",
     "LayerRun",
+    "PreparedFilterCache",
+    "PreparedFilterStats",
     "SessionResult",
     "TraceSpan",
     "Tracer",

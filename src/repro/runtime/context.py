@@ -8,7 +8,8 @@ gate in ``repro.kernels.runner``.  Tests had to call three different
 in one process could not be isolated from each other at all.
 
 :class:`ExecutionContext` inverts that ownership: *it* holds the device,
-the caches, the stats, the lint gate, the workspace arena and the trace
+the caches, the stats, the lint gate, the workspace arena, the prepared
+fused-Winograd filters of :class:`InferenceSession` runs and the trace
 hooks, and the legacy module-level helpers now delegate to the **default
 context** (so every existing public API — ``conv2d``,
 ``get_dispatch_stats``, ``get_kernel_cache_stats`` … — behaves exactly
@@ -41,7 +42,10 @@ import json
 import os
 import threading
 import time
+import weakref
 from typing import Callable, Iterator
+
+import numpy as np
 
 from ..convolution.autotune import PlanCache
 from ..convolution.metrics import DispatchStats
@@ -130,6 +134,104 @@ class Tracer:
             self.dropped = 0
 
 
+@dataclasses.dataclass
+class PreparedFilterStats:
+    """Counters for :class:`PreparedFilterCache` (queryable at runtime)."""
+
+    hits: int = 0
+    misses: int = 0
+    entries: int = 0
+    bytes: int = 0  # kept filter copies plus their transformed filters
+
+
+@dataclasses.dataclass
+class _PreparedFilter:
+    ref: weakref.ref  # the caller's filter array
+    kept: np.ndarray  # private copy of its bits when it was transformed
+    prepared: np.ndarray  # the transformed filters of ``kept``
+
+
+def _same_bits(kept: np.ndarray, f: np.ndarray) -> bool:
+    """Whether *f* has *kept*'s dtype, shape and bits: −0.0 differs from
+    0.0, and a NaN matches only its own payload."""
+    if kept.dtype != f.dtype or kept.shape != f.shape:
+        return False
+    try:
+        unsigned = np.dtype(f"u{f.itemsize}")
+    except TypeError:  # no unsigned integer this wide (complex128, longdouble)
+        return kept.tobytes() == f.tobytes()
+    return bool(np.array_equal(kept.view(unsigned), f.view(unsigned)))
+
+
+class PreparedFilterCache:
+    """Transformed fused-Winograd filters, reused while the weights hold.
+
+    An inference caller's filters are its weights and change only when
+    the model does, so the filter transform (the paper's separate FTF
+    kernel, §4.1) need not rerun on every call.  :meth:`get` looks a
+    filter up by (tile, array identity) and reuses the stored transform
+    only while the caller's array still holds the bits of the private
+    copy kept with the entry; otherwise it transforms again and replaces
+    the entry.  An entry lives as long as the caller's array (a weak
+    reference), so the resident bytes are the kept copies plus their
+    transforms over the live prepared filters, with no size bound to
+    tune.  Thread-safe: serving dispatch threads share a tenant context.
+    """
+
+    def __init__(self):
+        # Reentrant: a weak-reference callback may fire on this thread
+        # (through garbage collection) while it holds the lock.
+        self._lock = threading.RLock()
+        self._entries: dict[tuple[str, int], _PreparedFilter] = {}
+        self._hits = 0
+        self._misses = 0
+
+    def get(
+        self,
+        tile: str,
+        f: np.ndarray,
+        prepare: Callable[[np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """The transform of *f* for *tile*: the stored one, or *prepare*
+        applied to a private copy of *f*, which the new entry keeps."""
+        key = (tile, id(f))
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.ref() is f and _same_bits(entry.kept, f):
+                self._hits += 1
+                return entry.prepared
+            self._misses += 1
+        kept = f.copy()
+        prepared = prepare(kept)
+        ref = weakref.ref(f, lambda ref: self._drop(key, ref))
+        with self._lock:
+            self._entries[key] = _PreparedFilter(ref, kept, prepared)
+        return prepared
+
+    def _drop(self, key: tuple[str, int], ref: weakref.ref) -> None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.ref is ref:
+                del self._entries[key]
+
+    def stats(self) -> PreparedFilterStats:
+        with self._lock:
+            return PreparedFilterStats(
+                hits=self._hits,
+                misses=self._misses,
+                entries=len(self._entries),
+                bytes=sum(
+                    e.kept.nbytes + e.prepared.nbytes for e in self._entries.values()
+                ),
+            )
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = 0
+
+
 class ExecutionContext:
     """Owner of every piece of state one execution environment needs.
 
@@ -185,6 +287,7 @@ class ExecutionContext:
         )
         self.lint_gate = LintGate()
         self.arena = WorkspaceArena(limit_bytes=workspace_limit_bytes)
+        self.prepared_filters = PreparedFilterCache()
         self.tracer = Tracer(max_spans=trace_spans)
 
     def _count_plan_eviction(self) -> None:
@@ -223,7 +326,8 @@ class ExecutionContext:
         Replaces the three separate ``reset_*``/``clear_*`` call sites
         tests used to need (and the state they could forget): plan cache,
         kernel-build cache (+stats), simulation cache (+stats), dispatch
-        stats, lint gate, arena, trace buffer and schedule book.
+        stats, lint gate, arena, prepared-filter cache (+stats), trace
+        buffer and schedule book.
         """
         self.plans.clear()
         self.kernel_cache.clear()
@@ -233,6 +337,7 @@ class ExecutionContext:
         self.dispatch_stats = DispatchStats()
         self.lint_gate.clear()
         self.arena.reset()
+        self.prepared_filters.clear()
         self.tracer.clear()
         self.schedules.clear()
 

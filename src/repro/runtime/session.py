@@ -12,13 +12,16 @@ do it:
    (``repro.perfmodel.workspace``).  The context's
    :class:`~repro.runtime.arena.WorkspaceArena` is pre-sized to the
    plan's high-water mark.
-2. **run** — each layer executes through :func:`repro.convolution.conv2d`
-   with its planned algorithm while its workspace is reserved from the
-   arena, so the whole network shares one buffer whose peak is the
-   *largest single layer's* workspace, not the sum.  Optional pipelined
-   execution fans independent layers over the
+2. **run** — each layer executes through :func:`repro.convolution.conv2d`'s
+   path for its planned algorithm while its workspace is reserved from
+   the arena, so the whole network shares one buffer whose peak is the
+   *largest single layer's* workspace, not the sum.  A fused Winograd
+   layer takes its transformed filters from the context's
+   :class:`~repro.runtime.context.PreparedFilterCache`, so the filter
+   transform runs once per weight set rather than once per call.
+   Optional pipelined execution fans independent layers over the
    :mod:`repro.runtime.parallel` process pool (deterministic output
-   order, serial fallback).
+   order, serial fallback; its workers call ``conv2d``).
 
 Outputs are bit-identical to calling ``conv2d`` per layer with the same
 algorithm — the session adds planning, reuse and observability, never
@@ -83,7 +86,7 @@ class LayerRun:
     Two clocks, deliberately kept apart:
 
     ``seconds`` is **worker compute time** — the wall-clock around the
-    ``conv2d`` call in whichever process executed the layer.  Pipelined
+    layer's convolution call in whichever process executed it.  Pipelined
     layers run concurrently, so these overlap and their sum can
     legitimately exceed ``SessionResult.total_seconds``; comparing the
     sum against the total is *not* a slowdown measurement.
@@ -367,6 +370,9 @@ class InferenceSession:
         *inputs* and *filters* are sequences with one NCHW activation
         and one KCRS filter per layer (the paper's layers are evaluated
         independently; chain outputs yourself for a sequential network).
+        Serially, fused Winograd layers reuse the transformed filters of
+        an earlier run (of any session on this context) while the same
+        filter arrays hold the same bits.
         With ``pipeline=True`` the (independent) layers fan out over the
         process pool; a layer's workspace is reserved only while it
         occupies a pool slot, so the arena's peak (and the enforced
@@ -410,7 +416,7 @@ class InferenceSession:
         )
 
     def _run_serial(self, plans, inputs, filters):
-        from ..convolution import conv2d
+        from ..convolution.api import _run_planned
 
         runs: list[LayerRun] = []
         outputs: list[np.ndarray] = []
@@ -420,9 +426,9 @@ class InferenceSession:
             with self.context.span("layer", label, algo=plan.algo):
                 with self.context.arena.reserve(plan.workspace_bytes, tag=label):
                     t0 = time.perf_counter()
-                    y = conv2d(
-                        x, f, pad=plan.prob.pad, stride=plan.prob.stride,
-                        algo=plan.algo,
+                    y = _run_planned(
+                        plan.algo, x, f, plan.prob.pad, plan.prob.stride,
+                        self.context.prepared_filters,
                     )
                     dt = time.perf_counter() - t0
             runs.append(LayerRun(

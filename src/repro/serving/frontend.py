@@ -30,8 +30,10 @@ does it (adaptive batch formation under a latency deadline; PAPERS.md):
 
 Everything observable lands in :class:`~repro.serving.metrics.ServingMetrics`
 (:meth:`ServingFrontend.stats` exports it alongside each tenant's
-dispatch stats and arena counters, and every batch records a ``batch``
-trace span in the tenant's context).
+dispatch stats, arena counters and prepared-filter cache counters, and
+every batch records a ``batch`` trace span in the tenant's context).
+The per-batch-size sessions of one tenant share its context, so a
+model's fused Winograd filters are transformed once for all batch sizes.
 """
 
 from __future__ import annotations
@@ -473,6 +475,9 @@ class ServingFrontend:
                     "sessions_compiled": len(state.sessions),
                     "dispatch": dataclasses.asdict(state.context.dispatch_stats),
                     "arena": dataclasses.asdict(state.context.arena.stats()),
+                    "prepared_filters": dataclasses.asdict(
+                        state.context.prepared_filters.stats()
+                    ),
                     "trace_spans": len(state.context.tracer.spans()),
                 }
                 for name, state in self._tenants.items()

@@ -39,7 +39,7 @@ import numpy as np
 from ..common.errors import ConvConfigError, LayoutError
 from ..common.problem import ConvProblem
 from .tilespec import TILE_F22, TileSpec, get_tile
-from .tiling import tile_index_grid
+from .tiling import problem_for_tensors, tile_index_grid
 from .transforms import (
     PAPER_ITF_FLOPS,
     PAPER_OTF_FLOPS,
@@ -131,6 +131,10 @@ def tile_block_config(tile: TileSpec) -> BlockConfig:
 #: accumulator plus one transformed channel chunk.
 _SLAB_BYTES = 32 << 20
 
+#: Byte budget of one channel group's temporaries in
+#: :meth:`FusedWinogradConv.transform_filters`.
+_FTF_CHUNK_BYTES = 4 << 20
+
 
 def _itf_fadds_per_tile(t: WinogradTransform) -> int:
     """ITF float adds per tile: the paper's §2.1 count for F(2,3), a
@@ -211,16 +215,30 @@ class FusedWinogradConv:
     # FTF kernel (§4.1)
     # ------------------------------------------------------------------
     def transform_filters(self, f_crsk: np.ndarray) -> np.ndarray:
-        """GFGᵀ for every (c, k): (C, r, r, K) → (C, alpha, alpha, K)."""
-        r = self.transform.r
-        if f_crsk.ndim != 4 or f_crsk.shape[1:3] != (r, r):
+        """GFGᵀ for every (c, k): (C, r, r, K) → (C, alpha, alpha, K).
+
+        Fills a C-contiguous output one group of channels at a time.  A
+        group's einsum temporaries take at most ``3·alpha²·K`` elements
+        per channel, and a group holds as many channels as fit
+        ``_FTF_CHUNK_BYTES`` (4 MiB), or one; the peak allocation is the
+        output plus one group.
+        """
+        t = self.transform
+        if f_crsk.ndim != 4 or f_crsk.shape[1:3] != (t.r, t.r):
             raise LayoutError(
-                f"expected CRSK {r}×{r} filters, got {f_crsk.shape}"
+                f"expected CRSK {t.r}×{t.r} filters, got {f_crsk.shape}"
             )
-        g = self.transform.g
-        return np.ascontiguousarray(
-            np.einsum("ij,cjsk,ls->cilk", g, f_crsk, g, optimize=True)
+        c, k = f_crsk.shape[0], f_crsk.shape[3]
+        out = np.empty(
+            (c, t.alpha, t.alpha, k), dtype=np.result_type(t.g, f_crsk)
         )
+        group = max(1, _FTF_CHUNK_BYTES // (3 * t.alpha**2 * max(1, k) * out.itemsize))
+        for c0 in range(0, c, group):
+            out[c0 : c0 + group] = np.einsum(
+                "ij,cjsk,ls->cilk", t.g, f_crsk[c0 : c0 + group], t.g,
+                optimize=True,
+            )
+        return out
 
     # ------------------------------------------------------------------
     # Fused main kernel
@@ -236,9 +254,10 @@ class FusedWinogradConv:
         The output is computed one slab of whole tile rows at a time.
         For each ``bc``-channel chunk, the slab's tiles are gathered and
         transformed once and multiplied with all K filters in one
-        alpha²-batched GEMM, added to the slab's accumulator in channel
-        order: the kernel's per-element summation order.  One OTF per
-        slab then writes the slab's output rows.
+        alpha²-batched GEMM into the slab's product buffer (the
+        operands' result dtype), which is added to the slab's float32
+        accumulator in channel order: the kernel's per-element summation
+        order.  One OTF per slab then writes the slab's output rows.
 
         A slab of ``tw``-tile-wide rows holds
         ``s = max(1, ⌊_SLAB_BYTES / (4·alpha²·(K + bc)·tw·N)⌋)`` of them,
@@ -263,12 +282,7 @@ class FusedWinogradConv:
                 f"got {f_transformed.shape}"
             )
         k = f_transformed.shape[3]
-        if prob is None:
-            prob = ConvProblem(n=n, c=c, h=h, w=w, k=k)
-        actual = dict(n=n, c=c, h=h, w=w, k=k)
-        wrong = {f: getattr(prob, f) for f in actual if getattr(prob, f) != actual[f]}
-        if wrong:
-            raise LayoutError(f"problem {wrong} disagrees with the tensors {actual}")
+        prob = problem_for_tensors(x_chwn, k, prob)
 
         y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
         th, tw = prob.tiles_h(t.m), prob.tiles_w(t.m)
@@ -308,15 +322,27 @@ class FusedWinogradConv:
         rows_cl = np.clip(in_rows, 0, h - 1)
         cols_cl = np.clip(in_cols, 0, w - 1)
 
-        acc = np.zeros((elements, k, batch.size), dtype=np.float32)
+        # (alpha², P, K): each chunk's product is added contiguously, and
+        # the slab's sum is transposed once for the OTF
+        acc = np.zeros((elements, batch.size, k), dtype=np.float32)
+        prod = None  # one GEMM result buffer per slab, in the operands' dtype
         for c0 in range(0, c, self.config.bc):
             c_hi = min(c0 + self.config.bc, c)
             i_smem = self._input_chunk(x_chwn[c0:c_hi], rows_cl, cols_cl, batch, mask)
             f_smem = f_transformed[c0:c_hi].transpose(1, 2, 0, 3).reshape(
                 elements, c_hi - c0, k
             )  # (alpha², bc, K)
-            # --- EWMM as alpha²-batched GEMM (Eq. 9) ---
-            acc += np.einsum("pck,pcn->pkn", f_smem, i_smem, optimize=True)
+            if prod is None:
+                prod = np.empty(acc.shape, dtype=np.result_type(f_smem, i_smem))
+            # --- EWMM as alpha²-batched GEMM (Eq. 9).  An einsum, so every
+            # product is the one einsum computes on this NumPy (a batched
+            # matmul from 2.4, a sum of products before); (alpha², P, K) is
+            # the order that matmul writes into `prod` without a copy.  A
+            # float64 product is rounded to float32 only as it is added ---
+            np.einsum("pck,pcn->pnk", f_smem, i_smem, optimize=True, out=prod)
+            acc += prod
+        del prod  # freed before the transposed copy, so the peak stays the loop's
+        acc = np.ascontiguousarray(acc.transpose(0, 2, 1))  # (alpha², K, P)
         # --- OTF, then tile (row, col, batch) → y[:, row·m+i, col·m+j, batch],
         # cropped at the output edge like the kernel's predicated stores ---
         o_hat = acc.reshape(alpha, alpha, k, batch.size).transpose(2, 3, 0, 1)
@@ -336,7 +362,7 @@ class FusedWinogradConv:
         """Gather and ITF one channel chunk: the (alpha², bc, P) buffer.
 
         A separate frame, so the gather and ITF temporaries are freed
-        before the chunk's GEMM allocates its result.
+        before the chunk's GEMM runs.
         """
         # --- gather bc×P input tiles with implicit zero pad ---
         tiles = x_chunk[:, rows[:, :, None], cols[:, None, :], batch[:, None, None]]

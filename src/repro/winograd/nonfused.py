@@ -20,7 +20,7 @@ import numpy as np
 
 from ..common.errors import ConvConfigError, LayoutError
 from ..common.problem import ConvProblem
-from .tiling import tile_index_grid
+from .tiling import problem_for_tensors, tile_index_grid
 from .transforms import WinogradTransform, get_transform
 
 
@@ -49,6 +49,11 @@ class NonFusedWinogradConv:
     def run(
         self, x_chwn: np.ndarray, f_crsk: np.ndarray, prob: ConvProblem | None = None
     ) -> tuple[np.ndarray, NonFusedRunStats]:
+        """Run the pipeline on CHWN input and CRSK filters; output is KHWN.
+
+        *prob* supplies ``pad``; its n, c, h, w and k must match the
+        tensors, or :class:`LayoutError` is raised.
+        """
         if x_chwn.ndim != 4:
             raise LayoutError(f"expected CHWN input, got {x_chwn.shape}")
         c, h, w, n = x_chwn.shape
@@ -57,8 +62,7 @@ class NonFusedWinogradConv:
         if f_crsk.shape[1:3] != (3, 3):
             raise ConvConfigError("non-fused pipeline implements 3×3 filters")
         k = f_crsk.shape[3]
-        if prob is None:
-            prob = ConvProblem(n=n, c=c, h=h, w=w, k=k)
+        prob = problem_for_tensors(x_chwn, k, prob)
         t = self.transform
         alpha, m, pad = t.alpha, t.m, prob.pad
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import LayoutError
+from ..common.problem import ConvProblem
 
 #: Predicate bits per mask register word (a 32-bit GPR filled by P2R).
 MASK_WORD_BITS = 32
@@ -179,3 +180,23 @@ def tile_index_grid(tiles_h: int, tiles_w: int, n: int) -> tuple[np.ndarray, np.
         np.arange(tiles_h), np.arange(tiles_w), np.arange(n), indexing="ij"
     )
     return hh.ravel(), ww.ravel(), nn.ravel()
+
+
+def problem_for_tensors(
+    x_chwn: np.ndarray, k: int, prob: ConvProblem | None
+) -> ConvProblem:
+    """*prob* checked against a CHWN input and K filters; without one,
+    the pad-1 problem of those tensors.
+
+    ``pad`` and ``name`` stay free (DWM parts run with their own pad);
+    an n, c, h, w or k that disagrees with the tensors raises
+    :class:`LayoutError` rather than shaping the output wrongly.
+    """
+    c, h, w, n = x_chwn.shape
+    if prob is None:
+        return ConvProblem(n=n, c=c, h=h, w=w, k=k)
+    actual = dict(n=n, c=c, h=h, w=w, k=k)
+    wrong = {f: getattr(prob, f) for f in actual if getattr(prob, f) != actual[f]}
+    if wrong:
+        raise LayoutError(f"problem {wrong} disagrees with the tensors {actual}")
+    return prob

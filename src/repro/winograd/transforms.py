@@ -87,6 +87,17 @@ def _to_float(a: FracMatrix, dtype=np.float64) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Transform container
 # ---------------------------------------------------------------------------
+#: Contraction order of ``M X Mᵀ``: the matrix with X first, then the
+#: result with Mᵀ.  It is the path ``optimize=True`` finds for every
+#: transform shape; passing it skips the search on every call.
+_NESTING_PATH = ("einsum_path", (0, 1), (0, 1))
+
+
+def _nest(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``mat · X · matᵀ`` over the trailing two dims of *x*."""
+    return np.einsum("ij,...jk,lk->...il", mat, x, mat, optimize=_NESTING_PATH)
+
+
 @dataclasses.dataclass(frozen=True)
 class WinogradTransform:
     """A 1-D minimal filtering algorithm F(m, r) and its nesting helpers.
@@ -135,15 +146,15 @@ class WinogradTransform:
     # -- 2-D nesting, vectorized over leading dims --------------------------
     def transform_filter(self, f: np.ndarray) -> np.ndarray:
         """``G F Gᵀ`` for trailing (r, r) dims; leading dims are batched."""
-        return np.einsum("ij,...jk,lk->...il", self.g, f, self.g, optimize=True)
+        return _nest(self.g, f)
 
     def transform_input(self, d: np.ndarray) -> np.ndarray:
         """``Bᵀ I B`` for trailing (alpha, alpha) dims."""
-        return np.einsum("ij,...jk,lk->...il", self.bt, d, self.bt, optimize=True)
+        return _nest(self.bt, d)
 
     def transform_output(self, o: np.ndarray) -> np.ndarray:
         """``Aᵀ Ô A`` for trailing (alpha, alpha) dims."""
-        return np.einsum("ij,...jk,lk->...il", self.at, o, self.at, optimize=True)
+        return _nest(self.at, o)
 
     # -- instruction accounting (paper §2.1) --------------------------------
     def tile_multiplies_2d(self) -> int:

@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from repro.common import ConvProblem
 from repro.convolution import conv2d
 from repro.runtime import (
     ExecutionContext,
+    InferenceSession,
+    PreparedFilterCache,
+    PreparedFilterStats,
     activate,
     current_context,
     default_context,
@@ -147,3 +151,36 @@ def test_device_default_used_by_auto_heuristic(tiny):
     conv2d(x, f, algo="AUTO_HEURISTIC", context=ctx)
     (span,) = [s for s in ctx.export_trace() if s["kind"] == "plan"]
     assert span["attrs"]["device"] == RTX2070.name
+
+
+def test_prepared_filters_reuse_only_identical_bits():
+    cache = PreparedFilterCache()
+    calls = []
+
+    def prepare(f):
+        calls.append(f)
+        return f * 2
+
+    f = np.array([np.nan, -0.0, 1.0], dtype=np.float32)
+    first = cache.get("f22", f, prepare)
+    assert cache.get("f22", f, prepare) is first
+    f[1] = 0.0  # equal as a float, different bits
+    cache.get("f22", f, prepare)
+    f.view(np.uint32)[0] ^= 1  # another NaN payload
+    cache.get("f22", f, prepare)
+    cache.get("f44", f, prepare)  # another tile family
+    cache.get("f22", f.copy(), prepare)  # equal bits, another array
+    assert len(calls) == 5
+    stats = cache.stats()
+    assert (stats.hits, stats.misses) == (1, 5)
+    assert stats.entries == 2  # the copy died with its call
+
+
+def test_reset_clears_prepared_filters(tiny):
+    x, f = tiny
+    ctx = ExecutionContext()
+    InferenceSession([ConvProblem(n=1, c=4, h=8, w=8, k=4)], mode="WINOGRAD",
+                     context=ctx).run([x], [f])
+    assert ctx.prepared_filters.stats().entries == 1
+    ctx.reset()
+    assert ctx.prepared_filters.stats() == PreparedFilterStats()

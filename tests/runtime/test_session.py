@@ -265,3 +265,81 @@ def test_layer_run_records_both_clocks():
     assert all(
         run.latency_seconds <= result.total_seconds for run in result.layers
     )
+
+
+# ---------------------------------------------------------------------------
+# Prepared fused-Winograd filters: transformed once per weight set
+# ---------------------------------------------------------------------------
+FUSED = [
+    ConvProblem(n=2, c=8, h=10, w=10, k=16),
+    ConvProblem(n=2, c=16, h=6, w=6, k=8),
+]
+
+
+def _prepared_bytes(problems, alpha):
+    """Kept KCRS copies plus CR'S'K transforms, float32."""
+    return sum(4 * p.k * p.c * p.r * p.s + 4 * alpha**2 * p.c * p.k for p in problems)
+
+
+@pytest.mark.parametrize("mode, alpha", [("WINOGRAD", 4), ("WINOGRAD_F44", 6)])
+def test_second_run_reuses_prepared_filters(mode, alpha):
+    session = InferenceSession(FUSED, mode=mode, context=ExecutionContext())
+    inputs, filters = _tensors(FUSED)
+    session.run(inputs, filters)
+    result = session.run(inputs, filters)
+    stats = session.context.prepared_filters.stats()
+    assert (stats.hits, stats.misses, stats.entries) == (2, 2, 2)
+    assert stats.bytes == _prepared_bytes(FUSED, alpha)
+    for x, f, y in zip(inputs, filters, result.outputs):
+        assert y.tobytes() == conv2d(x, f, algo=mode).tobytes()
+
+
+@pytest.mark.parametrize("before, after", [(-0.0, 0.0), (0.5, 0.75)])
+def test_in_place_filter_edit_is_transformed_again(before, after):
+    session = InferenceSession(FUSED, mode="WINOGRAD_F44", context=ExecutionContext())
+    inputs, filters = _tensors(FUSED)
+    filters[0][0, 0, 0, 0] = before
+    session.run(inputs, filters)
+    filters[0][0, 0, 0, 0] = after
+    result = session.run(inputs, filters)
+    stats = session.context.prepared_filters.stats()
+    assert (stats.hits, stats.misses, stats.entries) == (1, 3, 2)
+    expect = conv2d(inputs[0], filters[0], algo="WINOGRAD_F44")
+    assert result.outputs[0].tobytes() == expect.tobytes()
+
+
+def test_sessions_of_two_batch_sizes_share_one_entry_per_filter():
+    ctx = ExecutionContext()
+    _, filters = _tensors(FUSED)
+    for n in (1, 2):
+        problems = [p.with_batch(n) for p in FUSED]
+        inputs, _ = _tensors(problems, seed=n)
+        InferenceSession(problems, mode="WINOGRAD", context=ctx).run(inputs, filters)
+    stats = ctx.prepared_filters.stats()
+    assert (stats.hits, stats.misses, stats.entries) == (2, 2, 2)
+
+
+def test_prepared_entry_dies_with_the_filter_array():
+    ctx = ExecutionContext()
+    session = InferenceSession(FUSED, mode="WINOGRAD", context=ctx)
+    inputs, filters = _tensors(FUSED)
+    session.run(inputs, filters)
+    assert ctx.prepared_filters.stats().entries == 2
+    del filters[0]
+    stats = ctx.prepared_filters.stats()
+    assert stats.entries == 1
+    assert stats.bytes == _prepared_bytes(FUSED[1:], 4)
+
+
+def test_new_filter_arrays_every_run_keep_resident_bytes_flat():
+    ctx = ExecutionContext()
+    session = InferenceSession(FUSED, mode="WINOGRAD_F44", context=ctx)
+    inputs, filters = _tensors(FUSED)
+    resident = []
+    for _ in range(4):
+        fresh = [f.copy() for f in filters]
+        session.run(inputs, fresh)
+        resident.append(ctx.prepared_filters.stats().bytes)
+    assert resident == [_prepared_bytes(FUSED, 6)] * 4
+    stats = ctx.prepared_filters.stats()
+    assert (stats.hits, stats.misses, stats.entries) == (0, 8, 2)

@@ -268,4 +268,28 @@ def test_stats_export_is_json_ready():
     assert payload["serving"]["requests_completed"] == 1
     assert payload["serving"]["batches"] == 1
     assert payload["tenants"]["a"]["sessions_compiled"] == 1
+    assert payload["tenants"]["a"]["prepared_filters"] == dict(
+        hits=0, misses=0, entries=0, bytes=0
+    )  # GEMM runs no filter transform
     assert payload["config"]["max_batch"] == 4
+
+
+def test_batch_sizes_share_the_tenants_prepared_filters():
+    async def main():
+        frontend = ServingFrontend(ServingConfig(
+            max_batch=4, max_queue_delay_s=0.05, mode="WINOGRAD"))
+        frontend.register_model("a", _model())
+        await frontend.submit("a", "tiny", _image())  # a batch of one
+        await asyncio.gather(
+            *[frontend.submit("a", "tiny", _image(i)) for i in range(3)])
+        stats = frontend.stats()
+        await frontend.close()
+        return stats
+
+    tenant = asyncio.run(main())["tenants"]["a"]
+    assert tenant["sessions_compiled"] == 2
+    alpha = 4
+    assert tenant["prepared_filters"] == dict(
+        hits=1, misses=1, entries=1,
+        bytes=4 * PROB.k * PROB.c * 9 + 4 * alpha**2 * PROB.c * PROB.k,
+    )

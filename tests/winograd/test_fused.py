@@ -200,6 +200,54 @@ def test_transform_filters_rejects_bad_shape():
         FusedWinogradConv().transform_filters(np.zeros((5, 5, 5, 7), dtype=np.float32))
 
 
+def _ftf_reference(conv, f_crsk):
+    """The filter transform as one einsum over every channel at once."""
+    g = conv.transform.g
+    return np.ascontiguousarray(np.einsum("ij,cjsk,ls->cilk", g, f_crsk, g, optimize=True))
+
+
+FTF_SIZES = (1, 7, 31, 33, 64, 257, 512)
+
+
+@pytest.mark.parametrize("one_channel_groups", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("tile", ["f22", "f44"])
+def test_transform_filters_is_byte_identical_to_one_einsum(
+    tile, dtype, one_channel_groups, monkeypatch
+):
+    conv = FusedWinogradConv(tile=tile)
+    if one_channel_groups:
+        monkeypatch.setattr(fused, "_FTF_CHUNK_BYTES", 1)
+    rng = np.random.default_rng(11)
+    for c in FTF_SIZES:
+        for k in FTF_SIZES:
+            f = rng.standard_normal((c, 3, 3, k)).astype(dtype)
+            out = conv.transform_filters(f)
+            assert out.flags.c_contiguous
+            assert out.tobytes() == _ftf_reference(conv, f).tobytes(), (c, k)
+
+
+def test_transform_filters_peak_is_the_output_plus_one_group():
+    from repro.models import resnet_layer
+
+    prob = resnet_layer("Conv5", 1)
+    conv = FusedWinogradConv(tile="f44")
+    f = kcrs_to_crsk(random_filter(prob, make_rng(3)))
+    tracemalloc.start()
+    try:
+        out = conv.transform_filters(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + fused._FTF_CHUNK_BYTES
+
+
+def test_transform_filters_of_no_filters_is_empty():
+    assert FusedWinogradConv().transform_filters(
+        np.zeros((2, 3, 3, 0), dtype=np.float32)
+    ).shape == (2, 4, 4, 0)
+
+
 def test_fused_requires_f23_transform():
     from repro.winograd import get_transform
 
@@ -323,14 +371,19 @@ GRID_PROBLEMS = [
 ]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
 @pytest.mark.parametrize("one_row_slabs", [False, True])
 @pytest.mark.parametrize("tile, config, shape", GRID_PROBLEMS)
-def test_run_is_byte_identical_to_the_block_grid(tile, config, shape, one_row_slabs, monkeypatch):
+def test_run_is_byte_identical_to_the_block_grid(
+    tile, config, shape, one_row_slabs, dtype, monkeypatch
+):
+    """float64 operands give float64 GEMM products, which the block grid
+    rounds to float32 only as it adds them."""
     prob = ConvProblem(**shape)
     conv = FusedWinogradConv(config, tile=tile)
     rng = make_rng(5)
-    x = nchw_to_chwn(random_activation(prob, rng))
-    f_t = conv.transform_filters(kcrs_to_crsk(random_filter(prob, rng)))
+    x = nchw_to_chwn(random_activation(prob, rng).astype(dtype))
+    f_t = conv.transform_filters(kcrs_to_crsk(random_filter(prob, rng).astype(dtype)))
     if one_row_slabs:
         monkeypatch.setattr(fused, "_SLAB_BYTES", 1)
     y, _ = conv.run(x, f_t, prob)

@@ -82,3 +82,25 @@ def test_rejects_bad_layout():
     conv = NonFusedWinogradConv()
     with pytest.raises(LayoutError):
         conv.run(np.zeros((2, 8, 8), dtype=np.float32), np.zeros((2, 3, 3, 3), dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n", 3), ("c", 5), ("h", 4), ("h", 8), ("w", 5), ("k", 9)]
+)
+def test_run_rejects_problem_disagreeing_with_tensors(field, value):
+    shape = dict(n=2, c=4, h=6, w=6, k=8)
+    with pytest.raises(LayoutError):
+        NonFusedWinogradConv().run(
+            np.zeros((4, 6, 6, 2), dtype=np.float32),
+            np.zeros((4, 3, 3, 8), dtype=np.float32),
+            ConvProblem(**{**shape, field: value}),
+        )
+
+
+def test_run_takes_pad_from_the_problem():
+    y, _ = NonFusedWinogradConv().run(
+        np.zeros((4, 6, 6, 2), dtype=np.float32),
+        np.zeros((4, 3, 3, 8), dtype=np.float32),
+        ConvProblem(n=2, c=4, h=6, w=6, k=8, pad=0),
+    )
+    assert y.shape == (8, 4, 4, 2)
