@@ -34,7 +34,7 @@ from repro.runtime import ExecutionContext, InferenceSession
 LAYERS = ("Conv2", "Conv3", "Conv4", "Conv5")
 
 
-def run_session(batch: int, mode: str = "AUTO_HEURISTIC", pipeline: bool = False):
+def run_session(batch: int, mode: str = "AUTO_HEURISTIC"):
     """Run the four-layer stack twice on the same tensors.
 
     Returns (first result, second result, plans, context, reuse check);
@@ -46,13 +46,11 @@ def run_session(batch: int, mode: str = "AUTO_HEURISTIC", pipeline: bool = False
     rng = make_rng(0)
     inputs = [random_activation(p, rng) for p in problems]
     filters = [random_filter(p, rng) for p in problems]
-    first = session.run(inputs, filters, pipeline=pipeline)
+    first = session.run(inputs, filters)
     hits = ctx.prepared_filters.stats().hits
-    second = session.run(inputs, filters, pipeline=pipeline)
-    fused = sum(plan.algo in FUSED_TILE_FOR_ALGO for plan in session.plans)
+    second = session.run(inputs, filters)
     reuse = {
-        # Pipelined layers run conv2d in pool workers, without the cache.
-        "expected_hits": 0 if first.pipelined else fused,
+        "expected_hits": sum(plan.algo in FUSED_TILE_FOR_ALGO for plan in session.plans),
         "rerun_hits": ctx.prepared_filters.stats().hits - hits,
         "outputs_identical": all(
             a.tobytes() == b.tobytes() for a, b in zip(first.outputs, second.outputs)
@@ -81,8 +79,7 @@ def session_table(result, plans) -> str:
     return (
         f"{table}\n"
         f"end-to-end: {result.total_seconds * 1e3:.3f} ms over "
-        f"{len(result.layers)} layers"
-        f"{' (pipelined)' if result.pipelined else ''}\n"
+        f"{len(result.layers)} layers\n"
         f"arena: peak {a.peak_bytes / (1 << 20):.3f} MB, "
         f"{a.reserves} reserves, {a.reuses} reuses, {a.grows} grows"
     )
@@ -96,16 +93,13 @@ def main(argv=None) -> int:
                         help="batch size N (default: 32, or 2 with --quick)")
     parser.add_argument("--mode", default="AUTO_HEURISTIC",
                         help="session mode (default: AUTO_HEURISTIC)")
-    parser.add_argument("--pipeline", action="store_true",
-                        help="fan layers out over the process pool")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="trace JSON path (default: "
                              "results/session_resnet_trace.json)")
     args = parser.parse_args(argv)
     batch = args.batch or (2 if args.quick else 32)
 
-    result, rerun, plans, ctx, reuse = run_session(batch, mode=args.mode,
-                                                   pipeline=args.pipeline)
+    result, rerun, plans, ctx, reuse = run_session(batch, mode=args.mode)
     emit(f"Session: ResNet layers N={batch}", session_table(result, plans))
     prepared = reuse["prepared_filters"]
     print(

@@ -34,6 +34,10 @@ def _check(x: np.ndarray, f: np.ndarray) -> None:
         raise ConvConfigError("channel mismatch between input and filters")
 
 
+def _next_pow2(n: int) -> int:
+    return 1 << (n - 1).bit_length()
+
+
 def fft_conv2d(
     x: np.ndarray, f: np.ndarray, pad: int = 1
 ) -> tuple[np.ndarray, FftRunStats]:
@@ -64,17 +68,20 @@ def fft_tiling_conv2d(
 ) -> tuple[np.ndarray, FftRunStats]:
     """Tiled FFT convolution (cuDNN ``FFT_TILING``), overlap-save.
 
-    The image is cut into ``tile×tile`` output tiles; each transforms a
-    ``(tile+r-1)`` square.  Workspace scales with the tile count times
-    the fixed FFT size instead of the image size.
+    The image is cut into output tiles of at most ``tile×tile``; each
+    axis transforms at the power of two covering the largest input
+    extent a tile reads (``min(tile, out) + r - 1``), so an output
+    narrower than ``tile`` does not pay for tile-sized spectra.
+    Workspace scales with the tile count times that FFT size instead of
+    the image size.
     """
     _check(x, f)
     n, c, h, w = x.shape
     k, _, r, s = f.shape
     out_h = h + 2 * pad - r + 1
     out_w = w + 2 * pad - s + 1
-    ext = tile + r - 1  # input extent feeding one output tile
-    fh = fw = int(2 ** np.ceil(np.log2(ext)))
+    fh = _next_pow2(min(tile, out_h) + r - 1)
+    fw = _next_pow2(min(tile, out_w) + s - 1)
 
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ff = np.conj(np.fft.rfft2(f, s=(fh, fw)))

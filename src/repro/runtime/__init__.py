@@ -6,10 +6,11 @@ Three layers, each owning what used to be module-global state:
   plan cache, dispatch metrics, lint gate, workspace arena, prepared
   fused-Winograd filters (:class:`PreparedFilterCache`) and trace hooks,
   with one :meth:`~ExecutionContext.reset` clearing them all.
-- :class:`WorkspaceArena` — a bump/free-list allocator so multi-layer
-  runs share one high-water-mark workspace buffer.
+- :class:`WorkspaceArena` — the bump/free-list offset model of one
+  high-water-mark workspace that multi-layer runs share (it counts
+  bytes; it holds none).
 - :class:`InferenceSession` — compiles a layer stack into per-layer
-  plans and executes it end to end (optionally pipelined).
+  plans and executes it end to end, one layer after another.
 
 ``default_context()`` provides the process-wide context that keeps the
 legacy module-level APIs (``repro.convolution.conv2d``, the cache

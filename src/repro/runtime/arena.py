@@ -1,16 +1,21 @@
-"""Workspace arena: one reusable buffer for a whole network's workspaces.
+"""Workspace arena: the offset model of one workspace shared by a network.
 
 The paper's workspace study (Fig. 14) prices each algorithm's global
 scratch allocation per *call*; a serving system running a whole layer
 stack cannot afford a fresh ``cudaMalloc`` per convolution.  cuDNN's
 answer is the caller-owned workspace pointer; TVM's graph runtime and
 maxDNN both fold every operator's scratch into one arena sized at the
-plan's high-water mark.  :class:`WorkspaceArena` is that component for
-this library: a bump allocator with a free list over a single growable
-buffer, so a multi-layer :class:`~repro.runtime.session.InferenceSession`
-reserves each layer's closed-form workspace
-(``repro.perfmodel.workspace.dispatch_workspace_bytes``) from the same
-bytes the previous layer just released.
+plan's high-water mark.  :class:`WorkspaceArena` models that component
+for this library: a bump allocator with a free list over one growable
+device workspace, so a multi-layer
+:class:`~repro.runtime.session.InferenceSession` reserves each layer's
+closed-form workspace (``repro.perfmodel.workspace.dispatch_workspace_bytes``)
+at the offsets the previous layer just released.
+
+The arena holds no bytes.  The NumPy executors keep their own bounded
+host temporaries, and the fused kernel's one workspace (the transformed
+CR'S'K filters, §4.1) lives in the context's prepared-filter cache; the
+arena accounts for the device workspace a GPU run would allocate.
 
 Counters make the reuse observable — ``reserves``, ``reuses`` (a
 reservation served from previously-used bytes), ``grows``, ``peak_bytes``
@@ -45,13 +50,13 @@ class ArenaStats:
     ----------
     reserves: reservations granted (including zero-byte ones).
     reuses: reservations whose bytes overlap a region some earlier
-        reservation already used — the multi-layer "one buffer, many
+        reservation already used — the multi-layer "one workspace, many
         layers" win this arena exists for.
-    grows: times the backing buffer had to be enlarged.
+    grows: times the modelled capacity had to be enlarged.
     releases: blocks returned to the arena.
     in_use_bytes: bytes currently reserved.
     peak_bytes: high-water mark of concurrently reserved bytes.
-    capacity_bytes: current backing-buffer size.
+    capacity_bytes: current modelled workspace size.
     limit_bytes: the enforced budget (``None`` = unlimited).
     """
 
@@ -81,12 +86,6 @@ class WorkspaceBlock:
     def released(self) -> bool:
         return self._released
 
-    def view(self) -> memoryview:
-        """Writable view of this block's bytes in the backing buffer."""
-        if self._released:
-            raise WorkspaceError(f"workspace block {self.tag!r} already released")
-        return self.arena._view(self.offset, self.nbytes)
-
     def release(self) -> None:
         self.arena.release(self)
 
@@ -106,14 +105,14 @@ class WorkspaceBlock:
 
 
 class WorkspaceArena:
-    """Bump/free-list allocator over one growable workspace buffer.
+    """Bump/free-list allocator over one growable workspace.
 
     Reservations are served first-fit from the free list (bytes earlier
-    layers released), falling back to bumping the top of the buffer;
+    layers released), falling back to bumping the top of the workspace;
     released blocks coalesce with their free neighbours so sequential
     layer execution degenerates to the ideal case — every layer reuses
-    offset 0 of a buffer sized at the network's largest workspace.
-    Thread-safe: a pipelined session may reserve from worker threads.
+    offset 0 of a workspace sized at the network's largest.
+    Thread-safe: serving dispatch threads share a tenant's arena.
     """
 
     def __init__(self, limit_bytes: int | None = None, alignment: int = ALIGNMENT):
@@ -124,7 +123,6 @@ class WorkspaceArena:
         self._lock = threading.RLock()
         self._alignment = alignment
         self._limit = limit_bytes
-        self._buffer = bytearray()
         self._free: list[tuple[int, int]] = []  # sorted (offset, size)
         self._top = 0  # bump pointer: everything above is untouched capacity
         self._used_high_water = 0  # bytes [0, hw) have been reserved before
@@ -152,7 +150,7 @@ class WorkspaceArena:
             offset = self._take_free(size)
             if offset is None:
                 offset = self._top
-                if offset + size > len(self._buffer):
+                if offset + size > self._stats.capacity_bytes:
                     self._grow(offset + size)
                 self._top = offset + size
             self._stats.reserves += 1
@@ -182,22 +180,18 @@ class WorkspaceArena:
         # Geometric growth amortizes repeated bumps; capacity itself is
         # not budgeted (only concurrent *usage* is), matching a high-water
         # -mark workspace that outlives any single layer.
-        new_cap = max(needed, 2 * len(self._buffer))
-        self._buffer.extend(bytes(new_cap - len(self._buffer)))
+        self._stats.capacity_bytes = max(needed, 2 * self._stats.capacity_bytes)
         self._stats.grows += 1
-        self._stats.capacity_bytes = len(self._buffer)
 
     def reserve_capacity(self, nbytes: int) -> None:
-        """Pre-size the buffer (e.g. to a compiled plan's high-water mark).
+        """Pre-size the workspace (e.g. to a compiled plan's high-water mark).
 
         Does not count as a ``grow``: sizing the arena from the closed-form
         workspace plan *is* the intended use, not a fallback.
         """
         size = _align(nbytes, self._alignment)
         with self._lock:
-            if size > len(self._buffer):
-                self._buffer.extend(bytes(size - len(self._buffer)))
-                self._stats.capacity_bytes = len(self._buffer)
+            self._stats.capacity_bytes = max(self._stats.capacity_bytes, size)
 
     # ------------------------------------------------------------------
     # Release
@@ -232,10 +226,6 @@ class WorkspaceArena:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def _view(self, offset: int, nbytes: int) -> memoryview:
-        with self._lock:
-            return memoryview(self._buffer)[offset : offset + nbytes]
-
     @property
     def limit_bytes(self) -> int | None:
         return self._limit
@@ -250,14 +240,11 @@ class WorkspaceArena:
 
     def stats(self) -> ArenaStats:
         with self._lock:
-            snap = dataclasses.replace(self._stats)
-            snap.capacity_bytes = len(self._buffer)
-            return snap
+            return dataclasses.replace(self._stats)
 
     def reset(self) -> None:
-        """Drop the buffer, free list and every counter (fresh arena)."""
+        """Drop the capacity, free list and every counter (fresh arena)."""
         with self._lock:
-            self._buffer = bytearray()
             self._free = []
             self._top = 0
             self._used_high_water = 0

@@ -4,7 +4,7 @@ Examples::
 
     python -m repro session --layers Conv2,Conv3,Conv4,Conv5 --batch 32
     python -m repro session --model resnet --batch 32 --mode AUTO
-    python -m repro session --layers Conv3 --batch 8 --pipeline \
+    python -m repro session --layers Conv3 --batch 8 \
         --trace trace.json --json result.json
 """
 
@@ -41,17 +41,17 @@ def cmd_session(args: argparse.Namespace) -> int:
             if args.workspace_limit_mb is not None else None
         ),
     )
-    session = InferenceSession(
-        problems,
-        mode=args.mode,
-        workspace_limit_bytes=ctx.arena.stats().limit_bytes,
-        context=ctx,
-    )
     rng = make_rng(args.seed)
     inputs = [random_activation(p, rng) for p in problems]
     filters = [random_filter(p, rng) for p in problems]
     try:
-        result = session.run(inputs, filters, pipeline=args.pipeline)
+        session = InferenceSession(
+            problems,
+            mode=args.mode,
+            workspace_limit_bytes=ctx.arena.stats().limit_bytes,
+            context=ctx,
+        )
+        result = session.run(inputs, filters)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -82,10 +82,8 @@ def add_session_parser(sub) -> None:
     p.add_argument("--batch", type=int, default=32,
                    help="batch size N (default: 32)")
     p.add_argument("--mode", default="AUTO_HEURISTIC",
-                   help="AUTO, AUTO_HEURISTIC or a concrete algorithm "
+                   help="AUTO, AUTO_HEURISTIC or a dispatcher algorithm "
                         "(default: AUTO_HEURISTIC)")
-    p.add_argument("--pipeline", action="store_true",
-                   help="fan layers out over the process pool")
     p.add_argument("--workspace-limit-mb", type=int, default=None,
                    help="arena + selection workspace budget in MiB")
     p.add_argument("--seed", type=int, default=0,

@@ -1,9 +1,8 @@
 """Process-pool fan-out for independent, pure computations.
 
-The runtime's pipelined :class:`~repro.runtime.session.InferenceSession`
-and the benchmark harness share this machinery.  Results come back in
-**deterministic input order** (a worker finishing early never reorders a
-result series).
+The benchmark harness fans its measurements out through this module
+(e.g. its cache prewarm).  Results come back in **deterministic input
+order** (a worker finishing early never reorders a result series).
 
 Sizing and fallbacks:
 
@@ -19,16 +18,6 @@ Sizing and fallbacks:
   on platforms without ``fork`` the fan-out degrades to the serial path
   rather than guessing at spawn semantics.
 
-Slot hooks: ``parallel_map(fn, items, on_start=..., on_done=...)`` calls
-``on_start(index, item)`` in the parent immediately before an item is
-handed to a worker slot and ``on_done(index)`` when that item's result
-is in, with **at most ``workers`` items between the two at any moment**.
-That bound is the contract the pipelined session's workspace accounting
-is built on: a resource acquired in ``on_start`` (an arena reservation)
-is held by at most ``workers`` in-flight items, never by the whole input
-list.  Both hooks run in the parent process (``on_done`` possibly on an
-executor callback thread — keep it thread-safe and non-blocking).
-
 Worker functions must live at module top level so they pickle by
 reference.  Workers share the parent's on-disk simulation cache (writes
 are atomic renames), so anything a worker simulates is also persisted
@@ -39,10 +28,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable
 
 
 def _parallel_enabled() -> bool:
@@ -91,82 +78,22 @@ def default_workers(num_items: int) -> int:
     return max(1, min(_workers_from_env(), num_items))
 
 
-def parallel_map(
-    fn,
-    items,
-    workers: int | None = None,
-    *,
-    on_start: Callable[[int, object], None] | None = None,
-    on_done: Callable[[int], None] | None = None,
-) -> list:
+def parallel_map(fn, items, workers: int | None = None) -> list:
     """``[fn(item) for item in items]`` across a process pool.
 
     Results are returned in input order (deterministic); falls back to
     in-process serial execution when a pool cannot help (one worker, one
     item, parallelism disabled, or no ``fork`` support).
-
-    *on_start(index, item)* / *on_done(index)* bracket each item's stay
-    in a worker slot, with at most *workers* items between the calls at
-    any time (exactly one on the serial path).  ``on_done`` always runs,
-    even when the item's ``fn`` raised; an ``on_start`` that raises
-    aborts the map after in-flight items finish (and get their
-    ``on_done``).
     """
     items = list(items)
     if workers is None:
         workers = default_workers(len(items))
-
-    def _serial() -> list:
-        results = []
-        for i, item in enumerate(items):
-            if on_start is not None:
-                on_start(i, item)
-            try:
-                results.append(fn(item))
-            finally:
-                if on_done is not None:
-                    on_done(i)
-        return results
-
-    if workers <= 1 or len(items) <= 1:
-        return _serial()
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return _serial()
+    if (
+        workers <= 1
+        or len(items) <= 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        if on_start is None and on_done is None:
-            return list(pool.map(fn, items))
-        # Bounded submission: a semaphore slot is taken before on_start
-        # and returned from the future's done-callback, so no more than
-        # `workers` items are ever between on_start and on_done.
-        slots = threading.Semaphore(workers)
-        futures = []
-
-        def _finish(index: int, fut) -> None:
-            try:
-                if on_done is not None:
-                    on_done(index)
-            finally:
-                slots.release()
-
-        # An on_start that raises propagates out of the `with` block,
-        # which joins the pool: in-flight items finish and their
-        # done-callbacks fire before the caller sees the exception.
-        for i, item in enumerate(items):
-            slots.acquire()
-            try:
-                if on_start is not None:
-                    on_start(i, item)
-            except BaseException:
-                slots.release()
-                raise
-            fut = pool.submit(fn, item)
-            fut.add_done_callback(lambda f, index=i: _finish(index, f))
-            futures.append(fut)
-        results = [fut.result() for fut in futures]
-        # result() can unblock marginally before the done-callback runs;
-        # draining every slot proves all on_done hooks have completed,
-        # so callers observe fully-released resources on return.
-        for _ in range(workers):
-            slots.acquire()
-        return results
+        return list(pool.map(fn, items))

@@ -12,16 +12,14 @@ do it:
    (``repro.perfmodel.workspace``).  The context's
    :class:`~repro.runtime.arena.WorkspaceArena` is pre-sized to the
    plan's high-water mark.
-2. **run** — each layer executes through :func:`repro.convolution.conv2d`'s
-   path for its planned algorithm while its workspace is reserved from
-   the arena, so the whole network shares one buffer whose peak is the
-   *largest single layer's* workspace, not the sum.  A fused Winograd
-   layer takes its transformed filters from the context's
-   :class:`~repro.runtime.context.PreparedFilterCache`, so the filter
-   transform runs once per weight set rather than once per call.
-   Optional pipelined execution fans independent layers over the
-   :mod:`repro.runtime.parallel` process pool (deterministic output
-   order, serial fallback; its workers call ``conv2d``).
+2. **run** — the layers execute in order, each through
+   :func:`repro.convolution.conv2d`'s path for its planned algorithm
+   while its workspace is reserved from the arena, so the whole network
+   shares one workspace whose peak is the *largest single layer's*, not
+   the sum.  A fused Winograd layer takes its transformed filters from
+   the context's :class:`~repro.runtime.context.PreparedFilterCache`, so
+   the filter transform runs once per weight set rather than once per
+   call.
 
 Outputs are bit-identical to calling ``conv2d`` per layer with the same
 algorithm — the session adds planning, reuse and observability, never
@@ -37,12 +35,14 @@ import numpy as np
 
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
-from ..convolution.api import FUSED_TILE_FOR_ALGO, TILE_FOR_ALGO
+from ..convolution.api import FUSED_TILE_FOR_ALGO, TILE_FOR_ALGO, _run_planned
+from ..convolution.autotune import _select_candidates
 from .arena import ArenaStats
 from .context import ExecutionContext, activate, current_context
 
 #: Selection modes accepted by :class:`InferenceSession` on top of any
-#: concrete algorithm name from ``repro.convolution.ALGORITHMS``.
+#: algorithm the dispatcher can plan
+#: (``repro.perfmodel.selection.DISPATCH_CANDIDATES``).
 SESSION_MODES = ("AUTO", "AUTO_HEURISTIC")
 
 
@@ -83,21 +83,7 @@ class LayerPlan:
 class LayerRun:
     """Measured execution of one layer.
 
-    Two clocks, deliberately kept apart:
-
-    ``seconds`` is **worker compute time** — the wall-clock around the
-    layer's convolution call in whichever process executed it.  Pipelined
-    layers run concurrently, so these overlap and their sum can
-    legitimately exceed ``SessionResult.total_seconds``; comparing the
-    sum against the total is *not* a slowdown measurement.
-
-    ``latency_seconds`` is **parent-side queue-to-done latency** — from
-    the moment the parent handed the layer to an execution slot (which
-    is also when its workspace was reserved) until its result was back.
-    It includes pickling and pool round-trip overhead, so it is the
-    number a serving caller waits for; on the serial path the two clocks
-    measure nearly the same region and differ only by reservation and
-    dispatch bookkeeping.
+    ``seconds`` is the wall-clock around the layer's convolution call.
     """
 
     layer: str
@@ -105,14 +91,12 @@ class LayerRun:
     seconds: float
     workspace_bytes: int
     output_shape: tuple
-    latency_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "layer": self.layer,
             "algo": self.algo,
             "seconds": self.seconds,
-            "latency_seconds": self.latency_seconds,
             "workspace_bytes": self.workspace_bytes,
             "output_shape": list(self.output_shape),
         }
@@ -122,26 +106,20 @@ class LayerRun:
 class SessionResult:
     """Per-layer and end-to-end statistics of one session run.
 
-    ``total_seconds`` is parent wall-clock around the whole run.  Each
-    :class:`LayerRun` carries two per-layer clocks: ``seconds`` (worker
-    compute time — overlapping under pipelining, so the per-layer sum
-    may exceed ``total_seconds``) and ``latency_seconds`` (parent-side
-    queue-to-done latency, which is what ``total_seconds`` decomposes
-    into).  See :class:`LayerRun` for the distinction.
+    ``total_seconds`` is the wall-clock around the whole run: the layer
+    ``seconds`` plus arena and span bookkeeping.
     """
 
     layers: list[LayerRun]
     outputs: list[np.ndarray]
     total_seconds: float
     arena: ArenaStats
-    pipelined: bool
 
     def to_dict(self) -> dict:
         """JSON-serializable stats (outputs excluded — they are tensors)."""
         return {
             "layers": [run.to_dict() for run in self.layers],
             "total_seconds": self.total_seconds,
-            "pipelined": self.pipelined,
             "arena": dataclasses.asdict(self.arena),
         }
 
@@ -161,21 +139,10 @@ class SessionResult:
         return (
             f"{table}\n"
             f"end-to-end: {self.total_seconds * 1e3:.3f} ms over "
-            f"{len(self.layers)} layers"
-            f"{' (pipelined)' if self.pipelined else ''}\n"
+            f"{len(self.layers)} layers\n"
             f"arena: peak {a.peak_bytes / (1024 * 1024):.3f} MB, "
             f"{a.reserves} reserves, {a.reuses} reuses, {a.grows} grows"
         )
-
-
-def _pipeline_layer_worker(args):
-    """Execute one layer in a pool worker (top level: pickles by name)."""
-    prob, algo, x, f = args
-    from ..convolution import conv2d
-
-    t0 = time.perf_counter()
-    y = conv2d(x, f, pad=prob.pad, stride=prob.stride, algo=algo)
-    return y, time.perf_counter() - t0
 
 
 class InferenceSession:
@@ -186,8 +153,8 @@ class InferenceSession:
     problems: the layer stack (e.g. ``repro.models.paper_layers()``).
     mode: ``"AUTO_HEURISTIC"`` (default — perfmodel-ranked, no data
         touched at compile time), ``"AUTO"`` (timed trials on the first
-        run's tensors), or any concrete algorithm name to force it for
-        every layer.
+        run's tensors), or any algorithm in ``DISPATCH_CANDIDATES`` to
+        force it for every layer.
     workspace_limit_bytes: excluded candidates whose closed-form
         workspace exceeds this budget; also installed as the arena's
         enforced limit.
@@ -217,13 +184,13 @@ class InferenceSession:
                 raise ConvConfigError(
                     f"layers must be ConvProblem instances, got {prob!r}"
                 )
-        from ..convolution.api import ALGORITHMS
+        from ..perfmodel.selection import DISPATCH_CANDIDATES
 
         mode = mode.upper()
-        if mode not in SESSION_MODES + ALGORITHMS:
+        if mode not in SESSION_MODES + DISPATCH_CANDIDATES:
             raise ConvConfigError(
                 f"unknown session mode {mode!r}; choose from "
-                f"{SESSION_MODES + ALGORITHMS}"
+                f"{SESSION_MODES + DISPATCH_CANDIDATES}"
             )
         self.problems = problems
         self.mode = mode
@@ -255,9 +222,6 @@ class InferenceSession:
         """
         if self._plans is not None:
             return self._plans
-        from ..perfmodel.selection import rank_algorithms
-        from ..perfmodel.workspace import dispatch_workspace_bytes
-
         plans: list[LayerPlan] = []
         with activate(self.context):
             for i, prob in enumerate(self.problems):
@@ -265,7 +229,7 @@ class InferenceSession:
                     "plan", prob.label(), mode=self.mode
                 ) as span:
                     plan = self._plan_layer(
-                        prob, rank_algorithms, dispatch_workspace_bytes,
+                        prob,
                         calibration[0][i] if calibration else None,
                         calibration[1][i] if calibration else None,
                     )
@@ -275,7 +239,7 @@ class InferenceSession:
                     if plan.schedule is not None:
                         span["schedule"] = plan.schedule.label()
                 plans.append(plan)
-            # One buffer sized at the network's high-water mark: the core
+            # One workspace sized at the network's high-water mark: the core
             # of the arena story (not counted as a runtime "grow").
             self.context.arena.reserve_capacity(
                 max(plan.workspace_bytes for plan in plans)
@@ -283,8 +247,8 @@ class InferenceSession:
         self._plans = plans
         return plans
 
-    def _plan_layer(self, prob, rank_algorithms, workspace_bytes, x, f) -> LayerPlan:
-        from ..perfmodel.selection import predicted_time
+    def _plan_layer(self, prob, x, f) -> LayerPlan:
+        from ..perfmodel.workspace import dispatch_workspace_bytes
 
         if self.mode == "AUTO":
             if x is None or f is None:
@@ -311,7 +275,7 @@ class InferenceSession:
             return LayerPlan(
                 prob=prob,
                 algo=plan.algo,
-                workspace_bytes=workspace_bytes(prob, plan.algo),
+                workspace_bytes=dispatch_workspace_bytes(prob, plan.algo),
                 predicted_seconds=plan.trial_times.get(plan.algo, 0.0),
                 fallbacks=plan.fallbacks,
                 excluded=dict(plan.excluded),
@@ -319,7 +283,7 @@ class InferenceSession:
                 tile=TILE_FOR_ALGO.get(plan.algo),
             )
 
-        ranked, excluded = rank_algorithms(
+        ranked, excluded, predictions = _select_candidates(
             prob, self.device, self.workspace_limit_bytes
         )
         if self.mode == "AUTO_HEURISTIC":
@@ -348,8 +312,8 @@ class InferenceSession:
         return LayerPlan(
             prob=prob,
             algo=algo,
-            workspace_bytes=workspace_bytes(prob, algo),
-            predicted_seconds=predicted_time(prob, self.device, algo),
+            workspace_bytes=dispatch_workspace_bytes(prob, algo),
+            predicted_seconds=predictions[algo],
             fallbacks=fallbacks,
             excluded=excluded,
             schedule=schedule,
@@ -364,20 +328,15 @@ class InferenceSession:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, inputs, filters, *, pipeline: bool = False) -> SessionResult:
+    def run(self, inputs, filters) -> SessionResult:
         """Execute every layer; returns outputs plus per-layer/e2e stats.
 
         *inputs* and *filters* are sequences with one NCHW activation
         and one KCRS filter per layer (the paper's layers are evaluated
         independently; chain outputs yourself for a sequential network).
-        Serially, fused Winograd layers reuse the transformed filters of
-        an earlier run (of any session on this context) while the same
-        filter arrays hold the same bits.
-        With ``pipeline=True`` the (independent) layers fan out over the
-        process pool; a layer's workspace is reserved only while it
-        occupies a pool slot, so the arena's peak (and the enforced
-        budget) reflect the true concurrent residency at the effective
-        worker count — never more than ``workers`` workspaces at once.
+        Fused Winograd layers reuse the transformed filters of an earlier
+        run (of any session on this context) while the same filter
+        arrays hold the same bits.
         """
         inputs, filters = list(inputs), list(filters)
         if len(inputs) != len(self.problems) or len(filters) != len(self.problems):
@@ -399,88 +358,26 @@ class InferenceSession:
                     f"{getattr(f, 'shape', None)} != {expect_f}"
                 )
         plans = self.compile(calibration=(inputs, filters))
-
+        runs: list[LayerRun] = []
+        outputs: list[np.ndarray] = []
         with activate(self.context):
             t0 = time.perf_counter()
-            if pipeline and len(self.problems) > 1:
-                runs, outputs = self._run_pipelined(plans, inputs, filters)
-            else:
-                runs, outputs = self._run_serial(plans, inputs, filters)
+            for plan, x, f in zip(plans, inputs, filters):
+                label = plan.prob.label()
+                with self.context.span("layer", label, algo=plan.algo):
+                    with self.context.arena.reserve(plan.workspace_bytes, tag=label):
+                        start = time.perf_counter()
+                        y = _run_planned(
+                            plan.algo, x, f, plan.prob.pad, plan.prob.stride,
+                            self.context.prepared_filters,
+                        )
+                        dt = time.perf_counter() - start
+                runs.append(LayerRun(label, plan.algo, dt, plan.workspace_bytes, y.shape))
+                outputs.append(y)
             total = time.perf_counter() - t0
         return SessionResult(
             layers=runs,
             outputs=outputs,
             total_seconds=total,
             arena=self.context.arena.stats(),
-            pipelined=pipeline and len(self.problems) > 1,
         )
-
-    def _run_serial(self, plans, inputs, filters):
-        from ..convolution.api import _run_planned
-
-        runs: list[LayerRun] = []
-        outputs: list[np.ndarray] = []
-        for plan, x, f in zip(plans, inputs, filters):
-            label = plan.prob.label()
-            queued = time.perf_counter()
-            with self.context.span("layer", label, algo=plan.algo):
-                with self.context.arena.reserve(plan.workspace_bytes, tag=label):
-                    t0 = time.perf_counter()
-                    y = _run_planned(
-                        plan.algo, x, f, plan.prob.pad, plan.prob.stride,
-                        self.context.prepared_filters,
-                    )
-                    dt = time.perf_counter() - t0
-            runs.append(LayerRun(
-                label, plan.algo, dt, plan.workspace_bytes, y.shape,
-                latency_seconds=time.perf_counter() - queued,
-            ))
-            outputs.append(y)
-        return runs, outputs
-
-    def _run_pipelined(self, plans, inputs, filters):
-        from .parallel import default_workers, parallel_map
-
-        # Concurrent residency tracks *actual* concurrency: a layer's
-        # workspace is reserved in on_start — i.e. only while the layer
-        # occupies one of the pool's `workers` slots — and released in
-        # on_done.  Reserving every layer up front would charge the
-        # arena (and its enforced budget) for phantom concurrency the
-        # pool can never reach, spuriously tripping WorkspaceLimitError
-        # on sessions that fit the budget at the true pool width.
-        workers = default_workers(len(plans))
-        arena = self.context.arena
-        blocks: list = [None] * len(plans)
-        queued = [0.0] * len(plans)
-        latency = [0.0] * len(plans)
-
-        def on_start(i, _item):
-            queued[i] = time.perf_counter()
-            blocks[i] = arena.reserve(
-                plans[i].workspace_bytes, tag=plans[i].prob.label()
-            )
-
-        def on_done(i):
-            latency[i] = time.perf_counter() - queued[i]
-            block = blocks[i]
-            if block is not None and not block.released:
-                block.release()
-
-        results = parallel_map(
-            _pipeline_layer_worker,
-            [
-                (plan.prob, plan.algo, x, f)
-                for plan, x, f in zip(plans, inputs, filters)
-            ],
-            workers=workers,
-            on_start=on_start,
-            on_done=on_done,
-        )
-        runs = [
-            LayerRun(
-                plan.prob.label(), plan.algo, dt, plan.workspace_bytes, y.shape,
-                latency_seconds=latency[i],
-            )
-            for i, (plan, (y, dt)) in enumerate(zip(plans, results))
-        ]
-        return runs, [y for y, _ in results]

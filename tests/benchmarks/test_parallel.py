@@ -1,5 +1,5 @@
-"""The process-pool fan-out the benchmarks and the pipelined session
-share: determinism, sizing, fallbacks."""
+"""The process-pool fan-out the benchmark harness uses: determinism,
+sizing, fallbacks."""
 
 import multiprocessing
 import os
@@ -82,44 +82,3 @@ def test_default_workers_nonpositive_env_falls_back(monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_WORKERS", value)
         with pytest.warns(RuntimeWarning, match="must be >= 1"):
             assert parallel.default_workers(100) == max(1, min(cpus, 100))
-
-
-def test_parallel_map_slot_hooks_bound_concurrency():
-    # At most `workers` items may sit between on_start and on_done; the
-    # pipelined session's workspace accounting relies on this bound.
-    import threading
-
-    live = 0
-    peak = 0
-    lock = threading.Lock()
-
-    def on_start(i, item):
-        nonlocal live, peak
-        with lock:
-            live += 1
-            peak = max(peak, live)
-
-    def on_done(i):
-        nonlocal live
-        with lock:
-            live -= 1
-
-    results = parallel.parallel_map(
-        _square, list(range(12)), workers=2,
-        on_start=on_start, on_done=on_done,
-    )
-    assert results == [x * x for x in range(12)]
-    assert live == 0  # every on_done ran before parallel_map returned
-    assert peak <= 2
-
-
-def test_parallel_map_slot_hooks_serial_path():
-    calls = []
-    out = parallel.parallel_map(
-        _square, [1, 2, 3], workers=1,
-        on_start=lambda i, item: calls.append(("start", i)),
-        on_done=lambda i: calls.append(("done", i)),
-    )
-    assert out == [1, 4, 9]
-    assert calls == [("start", 0), ("done", 0), ("start", 1), ("done", 1),
-                     ("start", 2), ("done", 2)]

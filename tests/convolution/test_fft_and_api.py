@@ -49,6 +49,18 @@ def test_fft_tiling_matches_direct_multiple_tiles():
     assert stats.fft_size == (32, 32)  # next pow2 of 16+2
 
 
+def test_fft_tiling_sizes_each_axis_from_the_output_extent():
+    # A 7×7 output (Conv5) reads at most 9 input rows per tile: a 16-point
+    # FFT, not the 64 a full 32-wide tile would need.
+    prob = ConvProblem(n=1, c=2, h=7, w=7, k=3)
+    x, f = _data(prob)
+    y, stats = fft_tiling_conv2d(x, f)
+    np.testing.assert_allclose(y, direct_conv2d(x, f), atol=1e-5)
+    assert stats.fft_size == (16, 16)
+    y, stats = fft_tiling_conv2d(*_data(ConvProblem(n=1, c=2, h=7, w=40, k=3)))
+    assert stats.fft_size == (16, 64)
+
+
 def test_fft_tiling_single_tile():
     prob = ConvProblem(n=1, c=1, h=6, w=6, k=1)
     x, f = _data(prob)

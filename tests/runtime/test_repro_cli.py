@@ -62,6 +62,15 @@ def test_session_forced_algorithm(capsys):
     assert "DIRECT" in capsys.readouterr().out
 
 
+def test_session_mode_the_dispatcher_cannot_plan_is_an_error(capsys):
+    rc = cli_main([
+        "session", "--layers", "Conv3", "--batch", "1",
+        "--mode", "WINOGRAD_REFERENCE",
+    ])
+    assert rc == 1
+    assert "unknown session mode 'WINOGRAD_REFERENCE'" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_module_invocation_subprocess(tmp_path):
     proc = subprocess.run(

@@ -84,18 +84,6 @@ def test_auto_mode_requires_calibration_for_bare_compile():
         session.compile()
 
 
-def test_pipelined_run_matches_serial():
-    ctx_a, ctx_b = ExecutionContext(), ExecutionContext()
-    inputs, filters = _tensors(TINY)
-    serial = InferenceSession(TINY, context=ctx_a).run(inputs, filters)
-    piped = InferenceSession(TINY, context=ctx_b).run(
-        inputs, filters, pipeline=True
-    )
-    assert piped.pipelined
-    for a, b in zip(serial.outputs, piped.outputs):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_shape_mismatch_rejected():
     session = InferenceSession(TINY, context=ExecutionContext())
     inputs, filters = _tensors(TINY)
@@ -113,6 +101,32 @@ def test_layer_count_mismatch_rejected():
 def test_unknown_mode_rejected():
     with pytest.raises(ConvConfigError):
         InferenceSession(TINY, mode="FASTEST", context=ExecutionContext())
+
+
+def test_mode_outside_the_dispatch_candidates_rejected_at_construction():
+    # WINOGRAD_REFERENCE is a conv2d algorithm the dispatcher cannot
+    # plan (no workspace or time model): a typed error naming the
+    # accepted modes, raised before any planning.
+    from repro.perfmodel.selection import DISPATCH_CANDIDATES
+
+    with pytest.raises(ConvConfigError, match="AUTO_HEURISTIC") as err:
+        InferenceSession(TINY, mode="WINOGRAD_REFERENCE", context=ExecutionContext())
+    assert all(algo in str(err.value) for algo in DISPATCH_CANDIDATES)
+
+
+@pytest.mark.parametrize("mode", ["AUTO_HEURISTIC", "GEMM", "WINOGRAD_F44"])
+def test_plans_take_predictions_from_the_dispatcher_selection(mode):
+    from repro.convolution.autotune import _select_candidates
+
+    session = InferenceSession(TINY, mode=mode, context=ExecutionContext())
+    for plan in session.compile():
+        ranked, excluded, predictions = _select_candidates(
+            plan.prob, session.device, None
+        )
+        assert plan.predicted_seconds == predictions[plan.algo]
+        assert plan.excluded == excluded
+        if mode == "AUTO_HEURISTIC":
+            assert [plan.algo, *plan.fallbacks] == ranked
 
 
 def test_empty_layer_list_rejected():
@@ -192,79 +206,6 @@ def test_paper_resnet_layers_end_to_end():
     )
     for a, b in zip(result.outputs, again.outputs):
         np.testing.assert_array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Pipelined workspace accounting: reservations must track the pool's
-# *actual* width, not the layer count (regression for the phantom-
-# concurrency bug where _run_pipelined reserved every layer up front).
-# ---------------------------------------------------------------------------
-GEMM_STACK = [
-    ConvProblem(n=1, c=4, h=8, w=8, k=4, name=f"Pipe{i}") for i in range(4)
-]
-
-
-def test_pipelined_arena_peak_matches_worker_concurrency(monkeypatch):
-    # With one effective worker only one layer is ever in flight, so the
-    # arena's high-water mark must be a single layer's workspace.  The
-    # pre-fix code reserved all four up front and reported 4x.
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")
-    ctx = ExecutionContext()
-    session = InferenceSession(GEMM_STACK, mode="GEMM", context=ctx)
-    inputs, filters = _tensors(GEMM_STACK)
-    result = session.run(inputs, filters, pipeline=True)
-    per_layer = session.plans[0].workspace_bytes
-    assert per_layer > 0
-    assert result.arena.peak_bytes == per_layer
-    for plan, x, f, y in zip(session.plans, inputs, filters, result.outputs):
-        np.testing.assert_array_equal(y, conv2d(x, f, pad=plan.prob.pad, algo="GEMM"))
-
-
-def test_pipelined_fits_budget_sized_for_true_concurrency(monkeypatch):
-    # A budget that fits the serial (and one-worker pipelined) run must
-    # not trip WorkspaceLimitError just because pipeline=True.  Pre-fix,
-    # the up-front reservation of all layers blew this limit.
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "1")
-    per_layer = InferenceSession(
-        GEMM_STACK, mode="GEMM", context=ExecutionContext()
-    ).compile()[0].workspace_bytes
-    ctx = ExecutionContext()
-    session = InferenceSession(
-        GEMM_STACK, mode="GEMM",
-        workspace_limit_bytes=per_layer, context=ctx,
-    )
-    inputs, filters = _tensors(GEMM_STACK)
-    result = session.run(inputs, filters, pipeline=True)  # must not raise
-    assert result.arena.peak_bytes <= per_layer
-
-
-def test_pipelined_peak_bounded_by_two_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "2")
-    ctx = ExecutionContext()
-    session = InferenceSession(GEMM_STACK, mode="GEMM", context=ctx)
-    inputs, filters = _tensors(GEMM_STACK)
-    result = session.run(inputs, filters, pipeline=True)
-    per_layer = session.plans[0].workspace_bytes
-    assert per_layer <= result.arena.peak_bytes <= 2 * per_layer
-
-
-def test_layer_run_records_both_clocks():
-    # seconds = worker compute time; latency_seconds = parent-side
-    # queue-to-done latency (>= compute on the pool path, ~equal serial).
-    ctx = ExecutionContext()
-    session = InferenceSession(TINY, context=ctx)
-    inputs, filters = _tensors(TINY)
-    result = session.run(inputs, filters, pipeline=True)
-    for run in result.layers:
-        assert run.seconds >= 0.0
-        assert run.latency_seconds > 0.0
-        payload = run.to_dict()
-        assert "latency_seconds" in payload and "seconds" in payload
-    # Parent-side latencies are what total_seconds decomposes into; each
-    # must fit inside the end-to-end wall-clock.
-    assert all(
-        run.latency_seconds <= result.total_seconds for run in result.layers
-    )
 
 
 # ---------------------------------------------------------------------------
