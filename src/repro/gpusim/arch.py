@@ -24,6 +24,7 @@ import math
 import os
 
 from ..common.errors import DeviceError, SimLaunchError
+from ..sass.hw import PER_BLOCK_LIMITS, TURING_LIMITS, VOLTA_LIMITS, blocks_per_sm
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,12 +35,13 @@ class DeviceSpec:
     clock_ghz: float
     fp32_lanes_per_sm: int = 64
     schedulers_per_sm: int = 4
-    max_warps_per_sm: int = 64  # Turing: 32
-    max_threads_per_block: int = 1024
-    registers_per_sm: int = 65536
-    max_registers_per_thread: int = 255
-    smem_per_sm: int = 96 * 1024  # Turing: 64 KB
-    smem_per_block: int = 96 * 1024
+    # Per-SM limits (§7.1): Volta's unless given, as repro.sass.hw states them.
+    max_warps_per_sm: int = VOLTA_LIMITS.max_warps_per_sm
+    max_threads_per_block: int = VOLTA_LIMITS.max_threads_per_block
+    registers_per_sm: int = VOLTA_LIMITS.registers_per_sm
+    max_registers_per_thread: int = VOLTA_LIMITS.max_registers_per_thread
+    smem_per_sm: int = VOLTA_LIMITS.smem_per_sm
+    smem_per_block: int = VOLTA_LIMITS.smem_per_block
     dram_gbps: float = 900.0
     l2_bytes: int = 6 * 1024 * 1024
     l2_gbps: float = 2500.0  # Fig. 2's L2 roofline
@@ -72,31 +74,23 @@ class DeviceSpec:
     def occupancy(
         self, threads_per_block: int, registers_per_thread: int, smem_bytes: int
     ) -> int:
-        """Concurrent thread blocks per SM (the §7.1 occupancy argument)."""
-        if threads_per_block > self.max_threads_per_block:
-            raise SimLaunchError(
-                f"{threads_per_block} threads/block exceeds the limit "
-                f"{self.max_threads_per_block}"
-            )
-        if registers_per_thread > self.max_registers_per_thread:
-            raise SimLaunchError(
-                f"{registers_per_thread} registers/thread exceeds "
-                f"{self.max_registers_per_thread}"
-            )
-        if smem_bytes > self.smem_per_block:
-            raise SimLaunchError(
-                f"{smem_bytes} B shared memory exceeds the per-block limit "
-                f"{self.smem_per_block} on {self.name}"
-            )
-        warps = math.ceil(threads_per_block / 32)
-        by_warps = self.max_warps_per_sm // warps
-        # The register file allocates per warp in 256-register granules.
-        regs_per_warp = max(registers_per_thread, 1) * 32
-        by_regs = self.registers_per_sm // (regs_per_warp * warps)
-        by_smem = (
-            self.smem_per_sm // smem_bytes if smem_bytes > 0 else self.max_warps_per_sm
+        """Concurrent thread blocks per SM (the §7.1 occupancy argument).
+
+        :func:`repro.sass.hw.blocks_per_sm` on this device's limits, the
+        rule sasslint's OCC002 reports; a block that breaks a per-block
+        limit raises :class:`SimLaunchError` instead of returning 0.
+        """
+        blocks, limiter = blocks_per_sm(
+            self, math.ceil(threads_per_block / 32), registers_per_thread,
+            smem_bytes,
         )
-        return max(0, min(by_warps, by_regs, by_smem))
+        if limiter in PER_BLOCK_LIMITS:
+            raise SimLaunchError(
+                f"a block of {threads_per_block} threads, "
+                f"{registers_per_thread} registers/thread and {smem_bytes} B "
+                f"shared memory breaks the {limiter} on {self.name}"
+            )
+        return blocks
 
     def waves(self, blocks: int, blocks_per_sm: int = 1) -> int:
         """Sequential rounds a *blocks*-block launch takes on this device.
@@ -125,9 +119,7 @@ V100 = DeviceSpec(
     arch="volta",
     num_sms=80,
     clock_ghz=1.53,
-    max_warps_per_sm=64,
-    smem_per_sm=96 * 1024,
-    smem_per_block=96 * 1024,
+    **VOLTA_LIMITS.fields(),
     dram_gbps=900.0,
     l2_bytes=6 * 1024 * 1024,
 )
@@ -137,9 +129,7 @@ RTX2070 = DeviceSpec(
     arch="turing",
     num_sms=36,
     clock_ghz=1.62,
-    max_warps_per_sm=32,
-    smem_per_sm=64 * 1024,
-    smem_per_block=64 * 1024,
+    **TURING_LIMITS.fields(),
     dram_gbps=448.0,
     l2_bytes=4 * 1024 * 1024,
     l2_gbps=1200.0,

@@ -14,9 +14,11 @@ functional replay in :mod:`repro.gpusim.fastsim`.
 :func:`static_instances` packs the arrays into the instruction-instance
 tuples that :func:`repro.gpusim.sm.schedule` consumes for both engines.
 
-Register-bank conflicts (§5.2.2) are resolved *statically* here: a
-conflict depends only on the instruction's register sources and on the
-reuse cache left by the dynamically-previous participating instruction.
+Register-bank conflicts (§5.2.2) are resolved *statically* here, with
+:func:`repro.sass.hw.reg_bank_conflict` (the rule sasslint's RB001
+reports): a conflict depends only on the instruction's register sources
+and on the reuse cache left by the dynamically-previous participating
+instruction.
 ``conflict_cleared[i]`` is the conflict with an empty cache;
 :meth:`DecodedProgram.conflict_cached` memoizes the conflict given the
 predecessor's reuse flags.  The scheduler then only tracks *which*
@@ -29,14 +31,8 @@ from __future__ import annotations
 from ..common.errors import SimulatorError
 from ..sass.control import NO_BARRIER
 from ..sass.instruction import Instruction
-from ..sass.isa import (
-    REUSE_CACHE_OPCODES,
-    RZ,
-    SETP_BOOL,
-    SETP_CMP,
-    SPECIAL_REGISTERS,
-    width_of,
-)
+from ..sass.hw import lop3_op, reg_bank_conflict, reg_sources, setp_mode
+from ..sass.isa import REUSE_CACHE_OPCODES, RZ, SPECIAL_REGISTERS, width_of
 from ..sass.operands import Const, Imm, Reg
 
 # Replay dispatch kinds.
@@ -129,25 +125,6 @@ def _decode_src(op) -> tuple:
     raise SimulatorError(f"cannot evaluate operand {op!r}")
 
 
-def _bank_conflict(src_regs: tuple, cache: dict) -> bool:
-    """Paper footnote 6: >=3 distinct uncached sources in one 64-bit bank.
-
-    *cache* maps operand slot to register: a ``.reuse`` flag on slot *s*
-    serves the register to the *next* participating instruction's slot
-    *s* from the cache instead of the bank.
-    """
-    banks = []
-    seen = set()
-    for slot, idx in src_regs:
-        if cache.get(slot) == idx:
-            continue
-        if idx in seen:
-            continue
-        seen.add(idx)
-        banks.append(idx & 1)
-    return len(banks) >= 3 and len(set(banks)) == 1
-
-
 class DecodedProgram:
     """Flat per-instruction arrays + replay records for one program."""
 
@@ -188,7 +165,7 @@ class DecodedProgram:
         key = (i, prev)
         hit = self._conflict_memo.get(key)
         if hit is None:
-            hit = _bank_conflict(self._src_regs[i], self.reuse_map[prev])
+            hit = reg_bank_conflict(self._src_regs[i], self.reuse_map[prev])
             self._conflict_memo[key] = hit
         return hit
 
@@ -253,9 +230,7 @@ class DecodedProgram:
         elif name == "ISETP":
             d.kind = K_ISETP
             d.srcs = tuple(_decode_src(op) for op in instr.srcs)
-            d.setp_cmp = next((f for f in instr.flags if f in SETP_CMP), "EQ")
-            d.setp_bool = next((f for f in instr.flags if f in SETP_BOOL), "AND")
-            d.setp_u32 = "U32" in instr.flags
+            d.setp_cmp, d.setp_bool, d.setp_u32 = setp_mode(instr.flags)
             d.setp_dest = instr.dest_preds[0].index
             d.setp_src_idx = instr.src_pred.index
             d.setp_src_neg = instr.src_pred.negated
@@ -280,9 +255,7 @@ class DecodedProgram:
             elif name == "SHF":
                 d.shf_left = "L" in instr.flags
             elif name == "LOP3":
-                d.lop3_op = next(
-                    (f for f in instr.flags if f in ("AND", "OR", "XOR")), "AND"
-                )
+                d.lop3_op = lop3_op(instr.flags)
             elif name == "MUFU":
                 if "RCP" in instr.flags:
                     d.mufu_fn = "RCP"
@@ -308,18 +281,14 @@ class DecodedProgram:
         # Reuse-cache participation + static bank-conflict variants.
         if name in REUSE_CACHE_OPCODES:
             self.participating[i] = True
-            src_regs = tuple(
-                (slot, op.index)
-                for slot, op in enumerate(instr.srcs)
-                if isinstance(op, Reg) and not op.is_rz
-            )
+            src_regs = reg_sources(instr.srcs)
             self._src_regs[i] = src_regs
             self.reuse_map[i] = {
                 slot: op.index
                 for slot, op in enumerate(instr.srcs)
                 if isinstance(op, Reg) and ctl.reuse & (1 << slot)
             }
-            self.conflict_cleared[i] = _bank_conflict(src_regs, {})
+            self.conflict_cleared[i] = reg_bank_conflict(src_regs, {})
 
 
 # Field layout of one instruction-instance tuple, the unit a per-warp

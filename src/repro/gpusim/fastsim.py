@@ -14,7 +14,10 @@ at the same pc.  Groups split on per-warp-uniform divergence
 barrier-phase order — valid for the data-race-free kernels this
 simulator targets (the §5.1.4 control-code contract the assembler's
 hazard checker enforces).  Intra-warp divergence raises
-:class:`SimulatorError` exactly like the reference engine.
+:class:`SimulatorError` exactly like the reference engine.  The integer
+lane arithmetic and the shared-memory bank rule are
+:mod:`repro.sass.hw`'s, the functions sasslint's address evaluation
+calls too; FP arithmetic lives only here and in the reference engine.
 
 :func:`replay_traces` turns the replay into one trace per warp of
 instruction instances carrying their dynamic timing footprint (LSU
@@ -29,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import SimDeadlock, SimMemoryFault, SimulatorError
+from ..sass import hw
 from .arch import DeviceSpec
 from .decode import (
     K_ALU,
@@ -43,7 +47,6 @@ from .decode import (
     K_R2P,
     K_S2R,
     K_ISETP,
-    SRC_CONST,
     SRC_IMM,
     SRC_REG,
     DecodedProgram,
@@ -91,43 +94,6 @@ def _classify_group(
     return dram.astype(np.int64), l2.astype(np.int64)
 
 
-def _conflict_cycles_group(
-    addrs: np.ndarray, width: int, full: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Vectorized ``memory.bank_conflict_report`` over a (g, 32) group.
-
-    Returns per-warp serialized cycles plus the phase count; conflicts
-    are ``cycles - phases``.  An all-inactive warp (or phase) still
-    consumes its phase slots, exactly like the scalar version.
-    """
-    g = addrs.shape[0]
-    phases = width // 4
-    lanes_per_phase = 32 // phases
-    words_per_lane = width // 4
-    offs = np.arange(words_per_lane, dtype=np.int64)
-    rowid = np.arange(g, dtype=np.int64)[:, None]
-    total = np.zeros(g, dtype=np.int64)
-    for p in range(phases):
-        lanes = slice(p * lanes_per_phase, (p + 1) * lanes_per_phase)
-        words = (
-            addrs[:, lanes, None] // 4 + offs[None, None, :]
-        ).reshape(g, -1)
-        valid = np.repeat(full[:, lanes], words_per_lane, axis=1)
-        words = np.where(valid, words, _BIG)
-        words.sort(axis=1)
-        valid = words < _BIG
-        uniq = valid.copy()
-        uniq[:, 1:] &= words[:, 1:] != words[:, :-1]
-        banks = words % 32
-        cnt = np.bincount(
-            (rowid * 32 + banks).ravel(),
-            weights=uniq.ravel(),
-            minlength=g * 32,
-        ).reshape(g, 32)
-        total += np.maximum(cnt.max(axis=1).astype(np.int64), 1)
-    return total, phases
-
-
 # Candidate schedules of one problem share the synthetic buffer arena,
 # so global accesses with the same addresses classify identically — and
 # trip-count siblings repeat their first-iteration addresses exactly.
@@ -151,29 +117,6 @@ def _classify_cached(
         l2.setflags(write=False)
         hit = (dram, l2)
         _CLASSIFY_MEMO[key] = hit
-    return hit
-
-
-# The double-buffered main loop touches the same shared-memory address
-# pattern every iteration, so conflict analysis is re-run on identical
-# inputs thousands of times per search.  The report is a pure function
-# of (addrs, width, active mask) — memoize it module-wide.
-_CONFLICT_MEMO: dict[tuple, tuple[np.ndarray, int]] = {}
-_CONFLICT_MEMO_MAX = 4096
-
-
-def _conflict_cycles_cached(
-    addrs: np.ndarray, width: int, full: np.ndarray
-) -> tuple[np.ndarray, int]:
-    key = (width, addrs.tobytes(), full.tobytes())
-    hit = _CONFLICT_MEMO.get(key)
-    if hit is None:
-        if len(_CONFLICT_MEMO) >= _CONFLICT_MEMO_MAX:
-            _CONFLICT_MEMO.clear()
-        total, phases = _conflict_cycles_group(addrs, width, full)
-        total.setflags(write=False)
-        hit = (total, phases)
-        _CONFLICT_MEMO[key] = hit
     return hit
 
 
@@ -221,21 +164,19 @@ class _Replay:
 
         block_of = np.empty(nw, dtype=np.int64)
         wid = np.empty(nw, dtype=_U32)
-        bx = np.empty(nw, dtype=_U32)
-        by = np.empty(nw, dtype=_U32)
-        bz = np.empty(nw, dtype=_U32)
+        ctaid = np.empty((3, nw, 1), dtype=_U32)  # block index x, y, z
         w0 = 0
         for b_pos, block in enumerate(blocks):
             for w in range(block.num_warps):
                 block_of[w0] = b_pos
                 wid[w0] = w
-                bx[w0] = block.block_idx
-                by[w0] = block.block_idx_y
-                bz[w0] = block.block_idx_z
+                ctaid[:, w0, 0] = (
+                    block.block_idx, block.block_idx_y, block.block_idx_z
+                )
                 w0 += 1
         self.block_of = block_of
         self.wid = wid
-        self.bx, self.by, self.bz = bx, by, bz
+        self.ctaid = ctaid
 
         self.smem_sizes = [max(b.smem_bytes, 16) for b in blocks]
         self.smem_size = max(self.smem_sizes)
@@ -322,6 +263,9 @@ class _Replay:
             return np.uint32(src[1])
         # constant: one u32 per block, broadcast over lanes
         return self._const_u32(src[1])[self.block_of[warps]][:, None]
+
+    def _pair64(self, base: int, warps: np.ndarray) -> np.ndarray:
+        return hw.pair64(self.regs[base][warps], self.regs[base + 1][warps])
 
     def _write_reg(self, idx: int, warps: np.ndarray, vals, mask) -> None:
         if idx == 255:
@@ -458,38 +402,18 @@ class _Replay:
 
     # -- per-kind executors -------------------------------------------------
     def _exec_s2r(self, d, warps: np.ndarray) -> None:
-        mask = self._mask(d, warps)
-        g = len(warps)
-        sr = d.sr_id
-        if sr == 0:
-            vals = self.wid[warps][:, None] * _U32(32) + self.lane[None, :]
-        elif sr in (1, 2):
-            vals = np.zeros((g, 32), dtype=_U32)
-        elif sr == 3:
-            vals = np.broadcast_to(self.bx[warps][:, None], (g, 32))
-        elif sr == 4:
-            vals = np.broadcast_to(self.by[warps][:, None], (g, 32))
-        elif sr == 5:
-            vals = np.broadcast_to(self.bz[warps][:, None], (g, 32))
-        elif sr == 6:
-            vals = np.broadcast_to(self.lane[None, :], (g, 32))
-        else:
-            vals = np.broadcast_to(self.wid[warps][:, None], (g, 32))
-        self._write_reg(d.dest, warps, vals, mask)
+        vals = hw.special_register(
+            d.sr_id, self.wid[warps][:, None], self.lane, self.ctaid[:, warps]
+        )
+        self._write_reg(d.dest, warps, vals, self._mask(d, warps))
 
     def _addrs(self, d, warps: np.ndarray) -> np.ndarray:
         base = d.mem_base
         if base == 255:
             return np.full((len(warps), 32), d.mem_offset, dtype=np.int64)
-        lo = self.regs[base][warps].astype(np.int64)
         if d.mem_extended:
-            hi = (
-                self.regs[base + 1][warps].astype(np.int64)
-                if base + 1 < 256
-                else 0
-            )
-            lo = lo | (hi << 32)
-        return lo + d.mem_offset
+            return self._pair64(base, warps) + d.mem_offset
+        return self.regs[base][warps].astype(np.int64) + d.mem_offset
 
     def _exec_gmem(self, d, warps: np.ndarray) -> tuple:
         g = len(warps)
@@ -509,7 +433,7 @@ class _Replay:
             for j in range(g):
                 active = addrs[j][full[j]]
                 if active.size:
-                    self._check_gmem_lanes(active, width)
+                    gmem._check_lanes(active, width)
         dram, l2 = _classify_cached(gmem, addrs, width, full)
         cyc = np.maximum(1, full.sum(axis=1, dtype=np.int64) * width // 128)
         if not d.is_load:
@@ -522,45 +446,8 @@ class _Replay:
                 dev.lat_gmem_l2_hit,
                 dev.lat_gmem_l2_miss,
             )
-        nwords = width // 4
-        offsets = np.arange(width, dtype=np.int64)
-        if d.is_load:
-            vals = np.zeros((g, 32, nwords), dtype=_U32)
-            sel = full
-            if sel.any():
-                idx = addrs[sel][:, None] + offsets[None, :]
-                vals[sel] = (
-                    gmem.data[idx].view(_U32).reshape(-1, nwords)
-                )
-            for i in range(nwords):
-                self._write_reg(d.dest + i, warps, vals[:, :, i], mask)
-        else:
-            data_reg = d.srcs[0][1]
-            if full.any():
-                data = np.stack(
-                    [self.regs[data_reg + i][warps] for i in range(nwords)],
-                    axis=2,
-                )
-                raw = (
-                    np.ascontiguousarray(data[full])
-                    .view(np.uint8)
-                    .reshape(-1, width)
-                )
-                idx = addrs[full][:, None] + offsets[None, :]
-                gmem.data[idx] = raw
+        self._move(d, warps, gmem.data, addrs, full, mask)
         return (cyc, lat, dram, l2, np.zeros(g, dtype=np.int64))
-
-    def _check_gmem_lanes(self, addrs: np.ndarray, width: int) -> None:
-        if addrs.min() < 256 or addrs.max() + width > self.gmem.size:
-            bad = addrs[(addrs < 256) | (addrs + width > self.gmem.size)][0]
-            raise SimMemoryFault(
-                f"global lane access at {int(bad):#x} out of bounds"
-            )
-        if np.any(addrs % width):
-            bad = int(addrs[addrs % width != 0][0])
-            raise SimMemoryFault(
-                f"misaligned {width}-byte global access at {bad:#x}"
-            )
 
     def _exec_smem(self, d, warps: np.ndarray) -> tuple:
         g = len(warps)
@@ -568,7 +455,6 @@ class _Replay:
         full = np.ones((g, 32), dtype=bool) if mask is None else mask
         addrs = self._addrs(d, warps)
         width = d.mem_width
-        size = self.smem_size
         blocks = self.block_of[warps]
         base_lat = (
             (self.device.lat_smem if self.device else 19) if d.is_load else 10
@@ -582,34 +468,13 @@ class _Replay:
                 active = addrs[j][full[j]]
                 if active.size:
                     self._check_smem_lanes(active, width, int(sizes[j]))
-        cyc, phases = _conflict_cycles_cached(addrs, width, full)
-        sconf = cyc - phases
+        cyc, _ = hw.bank_phases(addrs, width, full)
+        sconf = cyc - width // hw.BANK_BYTES
         lat = base_lat + sconf
-        nwords = width // 4
-        offsets = np.arange(width, dtype=np.int64)
-        flat = self.smem.reshape(-1)
-        block_base = (self.block_of[warps] * size)[:, None]
-        if d.is_load:
-            vals = np.zeros((g, 32, nwords), dtype=_U32)
-            if full.any():
-                idx = (addrs + block_base)[full][:, None] + offsets[None, :]
-                vals[full] = flat[idx].view(_U32).reshape(-1, nwords)
-            for i in range(nwords):
-                self._write_reg(d.dest + i, warps, vals[:, :, i], mask)
-        else:
-            data_reg = d.srcs[0][1]
-            if full.any():
-                data = np.stack(
-                    [self.regs[data_reg + i][warps] for i in range(nwords)],
-                    axis=2,
-                )
-                raw = (
-                    np.ascontiguousarray(data[full])
-                    .view(np.uint8)
-                    .reshape(-1, width)
-                )
-                idx = (addrs + block_base)[full][:, None] + offsets[None, :]
-                flat[idx] = raw
+        block_base = (blocks * self.smem_size)[:, None]
+        self._move(
+            d, warps, self.smem.reshape(-1), addrs + block_base, full, mask
+        )
         return (
             cyc, lat, np.zeros(g, dtype=np.int64),
             np.zeros(g, dtype=np.int64), sconf,
@@ -628,86 +493,76 @@ class _Replay:
             )
 
     def _exec_ldc(self, d, warps: np.ndarray) -> None:
-        g = len(warps)
         mask = self._mask(d, warps)
-        full = np.ones((g, 32), dtype=bool) if mask is None else mask
-        addrs = self._addrs(d, warps)
+        full = np.ones((len(warps), 32), dtype=bool) if mask is None else mask
+        cbase = (self.block_of[warps] * self.const.shape[1])[:, None]
+        self._move(
+            d, warps, self.const.reshape(-1), self._addrs(d, warps) + cbase,
+            full, mask,
+        )
+
+    def _move(self, d, warps: np.ndarray, mem: np.ndarray, addrs, full, mask) -> None:
+        """Load the active lanes' bytes at *addrs* of the flat byte image
+        *mem* into ``d.dest`` onward, or store them from the data
+        registers."""
         width = d.mem_width
         nwords = width // 4
-        vals = np.zeros((g, 32, nwords), dtype=_U32)
-        if full.any():
-            offsets = np.arange(width, dtype=np.int64)
-            cbase = (self.block_of[warps] * self.const.shape[1])[:, None]
-            idx = (addrs + cbase)[full][:, None] + offsets[None, :]
-            vals[full] = (
-                self.const.reshape(-1)[idx].view(_U32).reshape(-1, nwords)
+        idx = addrs[full][:, None] + np.arange(width, dtype=np.int64)
+        if d.is_load:
+            vals = np.zeros((len(warps), 32, nwords), dtype=_U32)
+            vals[full] = mem[idx].view(_U32).reshape(-1, nwords)
+            for i in range(nwords):
+                self._write_reg(d.dest + i, warps, vals[:, :, i], mask)
+        else:
+            data = np.stack(
+                [self.regs[d.srcs[0][1] + i][warps] for i in range(nwords)],
+                axis=2,
             )
-        for i in range(nwords):
-            self._write_reg(d.dest + i, warps, vals[:, :, i], mask)
+            mem[idx] = (
+                np.ascontiguousarray(data[full]).view(np.uint8).reshape(-1, width)
+            )
 
     def _exec_p2r(self, d, warps: np.ndarray) -> None:
-        mask = self._mask(d, warps)
-        vals = np.zeros((len(warps), 32), dtype=_U32)
-        for i in range(7):
-            if d.pack_mask & (1 << i):
-                vals |= self.preds[i][warps].astype(_U32) << _U32(i)
-        self._write_reg(d.dest, warps, vals, mask)
+        preds = {
+            i: self.preds[i][warps] for i in range(7) if d.pack_mask >> i & 1
+        }
+        self._write_reg(d.dest, warps, hw.p2r(preds), self._mask(d, warps))
 
     def _exec_r2p(self, d, warps: np.ndarray) -> None:
         mask = self._mask(d, warps)
         src = self.regs[d.srcs[0][1]][warps]
         for i in range(7):
-            if d.pack_mask & (1 << i):
-                self._write_pred(
-                    i, warps, (src >> _U32(i)) & _U32(1) != 0, mask
-                )
+            if d.pack_mask >> i & 1:
+                self._write_pred(i, warps, hw.r2p(src, i), mask)
 
     def _exec_isetp(self, d, warps: np.ndarray) -> None:
-        mask = self._mask(d, warps)
-        a = self._fetch(d.srcs[0], warps)
-        b = self._fetch(d.srcs[1], warps)
-        if d.setp_u32:
-            a_cmp = (
-                np.uint64(a) if np.isscalar(a) or a.ndim == 0
-                else a.astype(np.uint64)
-            )
-            b_cmp = (
-                np.uint64(b) if np.isscalar(b) or b.ndim == 0
-                else b.astype(np.uint64)
-            )
-        else:
-            a_cmp = _s32(a)
-            b_cmp = _s32(b)
-        cmp = d.setp_cmp
-        if cmp == "EQ":
-            result = a_cmp == b_cmp
-        elif cmp == "NE":
-            result = a_cmp != b_cmp
-        elif cmp == "LT":
-            result = a_cmp < b_cmp
-        elif cmp == "LE":
-            result = a_cmp <= b_cmp
-        elif cmp == "GT":
-            result = a_cmp > b_cmp
-        else:
-            result = a_cmp >= b_cmp
         combine = self.preds[d.setp_src_idx][warps]
         if d.setp_src_neg:
             combine = ~combine
-        if d.setp_bool == "AND":
-            result = result & combine
-        elif d.setp_bool == "OR":
-            result = result | combine
-        else:
-            result = result ^ combine
-        self._write_pred(d.setp_dest, warps, result, mask)
+        result = hw.isetp(
+            self._fetch(d.srcs[0], warps), self._fetch(d.srcs[1], warps),
+            combine, d.setp_cmp, d.setp_bool, d.setp_u32,
+        )
+        self._write_pred(d.setp_dest, warps, result, self._mask(d, warps))
 
     def _exec_alu(self, d, warps: np.ndarray) -> None:
         mask = self._mask(d, warps)
         name = d.name
         srcs = [self._fetch(s, warps) for s in d.srcs]
 
-        if name == "FFMA":
+        if d.imad_wide:
+            c_src = d.srcs[2]
+            if c_src[0] == SRC_REG and c_src[1] != 255:
+                addend = self._pair64(c_src[1], warps)
+            else:
+                addend = srcs[2]
+            lo, hi = hw.imad_wide(srcs[0], srcs[1], addend, d.imad_u32)
+            self._write_reg(d.dest, warps, lo, mask)
+            self._write_reg(d.dest + 1, warps, hi, mask)
+            return
+        if name in hw.INT_ALU_OPCODES:
+            out = hw.int_alu(name, srcs, d.lop3_op, d.shf_left)
+        elif name == "FFMA":
             out = _f32u(_f32(srcs[0]) * _f32(srcs[1]) + _f32(srcs[2]))
         elif name in ("HFMA2", "HADD2", "HMUL2"):
             halves = [_f16(s, len(warps)) for s in srcs]
@@ -732,71 +587,6 @@ class _Replay:
             else:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     out = _f32u(np.float32(1.0) / np.sqrt(x))
-        elif name == "IADD3":
-            out = _wrap_u32(srcs[0] + srcs[1] + srcs[2])
-        elif name == "IMAD":
-            if d.imad_wide:
-                if d.imad_u32:
-                    prod = _u64(srcs[0]) * _u64(srcs[1])
-                else:
-                    prod = _s32(srcs[0]).astype(np.int64) * _s32(
-                        srcs[1]
-                    ).astype(np.int64)
-                c_src = d.srcs[2]
-                if c_src[0] == SRC_REG and c_src[1] != 255:
-                    base = c_src[1]
-                    lo = self.regs[base][warps].astype(np.int64)
-                    hi = (
-                        self.regs[base + 1][warps].astype(np.int64)
-                        if base + 1 < 256
-                        else 0
-                    )
-                    addend = lo | (hi << 32)
-                else:
-                    addend = _i64(srcs[2])
-                total = (prod.astype(np.int64) + addend).astype(np.uint64)
-                self._write_reg(
-                    d.dest, warps, (total & np.uint64(0xFFFFFFFF)).astype(_U32),
-                    mask,
-                )
-                self._write_reg(
-                    d.dest + 1, warps, (total >> np.uint64(32)).astype(_U32),
-                    mask,
-                )
-                return
-            out = _wrap_u32(srcs[0] * srcs[1] + srcs[2])
-        elif name == "LOP3":
-            a, b, c = srcs
-            if d.lop3_op == "AND":
-                out = (a & b) ^ c
-            elif d.lop3_op == "OR":
-                out = (a | b) ^ c
-            else:
-                out = a ^ b ^ c
-        elif name == "SHF":
-            a, sh, c = srcs
-            sh = sh & _U32(31)
-            if d.shf_left:
-                hi_in = np.where(sh > 0, c >> ((_U32(32) - sh) & _U32(31)), _U32(0))
-                out = ((a << sh) | hi_in).astype(_U32)
-            else:
-                lo_shift = a >> sh
-                hi_in = np.where(sh > 0, c << ((_U32(32) - sh) & _U32(31)), _U32(0))
-                out = (lo_shift | hi_in).astype(_U32)
-        elif name == "MOV":
-            out = srcs[0]
-        elif name == "SEL":
-            out = srcs[0]
-        elif name == "CS2R":
-            out = np.zeros((len(warps), 32), dtype=_U32)
-        elif name == "POPC":
-            v = np.ascontiguousarray(srcs[0])
-            out = (
-                np.unpackbits(v.view(np.uint8))
-                .reshape(v.shape + (32,))
-                .sum(axis=-1)
-                .astype(_U32)
-            )
         else:  # pragma: no cover — decode marks these unsupported
             raise SimulatorError(f"instruction {name} has no execution semantics")
         self._write_reg(d.dest, warps, out, mask)
@@ -816,30 +606,6 @@ def _f16(v, g: int):
     if isinstance(v, np.ndarray):
         return np.ascontiguousarray(v).view(np.float16)
     return np.full((g, 32), v, dtype=_U32).view(np.float16)
-
-
-def _s32(v):
-    if isinstance(v, np.ndarray):
-        return v.view(np.int32)
-    return np.array(v, dtype=_U32).view(np.int32)[()]
-
-
-def _u64(v):
-    if isinstance(v, np.ndarray):
-        return v.astype(np.uint64)
-    return np.uint64(v)
-
-
-def _i64(v):
-    if isinstance(v, np.ndarray):
-        return v.astype(np.int64)
-    return np.int64(int(v))
-
-
-def _wrap_u32(v):
-    if isinstance(v, np.ndarray):
-        return v.astype(_U32) if v.dtype != _U32 else v
-    return np.uint32(v & 0xFFFFFFFF)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ conflict rules of §4.3: 32-bit accesses follow the classic one-phase
 rule with same-word broadcast; 64/128-bit accesses are serialized into
 2/4 word transactions, each of which follows the 32-bit rule (see
 :func:`bank_conflict_report` for how this calibrates against the
-paper's Fig. 3 profiling observation).
+paper's Fig. 3 profiling observation).  :func:`bank_conflict_report` is
+the reference engine's scalar, one-warp statement of the rule;
+:func:`repro.sass.hw.bank_phases` is the vectorized one that the fast
+engine and sasslint share, and tests compare the two.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import dataclasses
 import numpy as np
 
 from ..common.errors import SimMemoryFault
+from ..sass.hw import BANK_BYTES, NUM_BANKS
 
 SECTOR_BYTES = 32
-NUM_BANKS = 32
-BANK_BYTES = 4
 
 
 class GlobalMemory:

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Sequence
 
+from ..hw import TURING_LIMITS, VOLTA_LIMITS, ArchLimits
 from ..instruction import Instruction
 from ..preprocess import KernelMeta
 from .barrier import BarrierDivergencePass
@@ -58,14 +59,7 @@ from .diagnostics import (
     max_severity,
 )
 from .liveness import LivenessPass
-from .occupancy import (
-    TURING_LIMITS,
-    VOLTA_LIMITS,
-    ArchLimits,
-    OccupancyPass,
-    StaticReport,
-    static_report,
-)
+from .occupancy import OccupancyPass, StaticReport, static_report
 from .race import SharedRacePass
 from .regbank import RegisterBankPass
 from .smem import SharedMemoryPass, shared_access_table

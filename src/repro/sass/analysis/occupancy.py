@@ -16,11 +16,11 @@ the quantity the simulator will charge per warp, so candidates whose
 static cost is far above the best candidate's can be pruned before
 paying for simulation.
 
-The occupancy arithmetic mirrors ``DeviceSpec.occupancy`` in
-:mod:`repro.gpusim.arch`; the limits are duplicated here because the
-assembler layer must not import the simulator (the shared-memory pass
-sets the precedent), and a differential test keeps the two in lock
-step.
+The occupancy rule and the per-architecture limits are
+:func:`repro.sass.hw.blocks_per_sm` and :class:`~repro.sass.hw.ArchLimits`,
+which ``DeviceSpec.occupancy`` also applies when the simulator launches
+a kernel: on a device's limits, a kernel gets OCC003 exactly when the
+simulator refuses to launch it there.
 
 Rules:
 
@@ -35,33 +35,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
+from ..hw import TURING_LIMITS, ArchLimits, blocks_per_sm
 from ..isa import MAX_USABLE_REGISTERS
 from .base import AnalysisContext, AnalysisPass
 from .diagnostics import Diagnostic, Severity
 from .liveness import compute_live_in
-
-
-@dataclasses.dataclass(frozen=True)
-class ArchLimits:
-    """Per-SM resource limits (mirror of ``DeviceSpec``'s fields)."""
-
-    name: str = "turing-sm"
-    max_warps_per_sm: int = 32
-    max_threads_per_block: int = 1024
-    registers_per_sm: int = 65536
-    smem_per_sm: int = 64 * 1024
-    smem_per_block: int = 64 * 1024
-    max_registers_per_thread: int = 255
-
-
-#: Default limits: the Turing SM the perf-regression gate targets.
-TURING_LIMITS = ArchLimits()
-VOLTA_LIMITS = ArchLimits(
-    name="volta-sm",
-    max_warps_per_sm=64,
-    smem_per_sm=96 * 1024,
-    smem_per_block=96 * 1024,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,7 +96,7 @@ def static_report(
     declared = ctx.meta.registers if ctx.meta is not None else None
     smem_bytes = ctx.smem_bytes or 0
     regs = declared if declared else peak
-    blocks, limiter = _occupancy(ctx.num_warps, regs, smem_bytes, limits)
+    blocks, limiter = blocks_per_sm(limits, ctx.num_warps, regs, smem_bytes)
 
     report = StaticReport(
         num_instructions=len(ctx.instructions),
@@ -135,31 +113,6 @@ def static_report(
     )
     ctx.__dict__["_static_report_cache"] = (limits, report)
     return report
-
-
-def _occupancy(
-    warps: int, regs_per_thread: int, smem_bytes: int, limits: ArchLimits
-) -> tuple[int, str]:
-    """Blocks/SM + limiting resource (mirror of ``DeviceSpec.occupancy``)."""
-    if warps * 32 > limits.max_threads_per_block:
-        return 0, "threads-per-block limit"
-    if regs_per_thread > limits.max_registers_per_thread:
-        return 0, "registers-per-thread limit"
-    if smem_bytes > limits.smem_per_block:
-        return 0, "shared-memory-per-block limit"
-    by = {
-        "warps": limits.max_warps_per_sm // max(warps, 1),
-        # The register file allocates per warp in 256-register granules.
-        "registers": limits.registers_per_sm
-        // (max(regs_per_thread, 1) * 32 * max(warps, 1)),
-        "shared memory": (
-            limits.smem_per_sm // smem_bytes
-            if smem_bytes > 0
-            else limits.max_warps_per_sm
-        ),
-    }
-    limiter = min(by, key=lambda k: (by[k], k))
-    return max(0, by[limiter]), limiter
 
 
 class OccupancyPass(AnalysisPass):

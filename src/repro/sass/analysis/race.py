@@ -36,11 +36,12 @@ import dataclasses
 
 import numpy as np
 
+from ..hw import BANK_BYTES
 from .base import AnalysisContext, AnalysisPass
 from .cfg import BasicBlock, Edge, get_cfg
 from .dataflow import solve_forward
 from .diagnostics import Diagnostic, Severity
-from .smem import BANK_BYTES, shared_access_table
+from .smem import shared_access_table
 
 #: Sentinel predicate for "unguarded or guard no longer trustworthy".
 _NO_GUARD = (-1, False)

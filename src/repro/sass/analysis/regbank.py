@@ -7,12 +7,13 @@ one of them is served by the operand **reuse cache**: a ``.reuse`` flag
 on operand slot *s* keeps that register's value latched for the *next*
 instruction's slot *s*.
 
-The pass replays the cache exactly the way the simulator's scheduler
-does (:func:`repro.gpusim.sm.schedule`, through the static bank rule in
-:mod:`repro.gpusim.decode`) and reports:
+The pass replays the cache the way the simulator's scheduler does
+(:func:`repro.gpusim.sm.schedule`) and reports:
 
 * ``RB001`` (warning) — three or more distinct un-cached register
-  sources in one bank: the conflict the Fig. 4 register plan eliminates;
+  sources in one bank: the conflict the Fig. 4 register plan eliminates,
+  found by :func:`repro.sass.hw.reg_bank_conflict`, the function the
+  simulator's decode charges the extra cycle with;
 * ``RB002`` (error) — a consumer is served a **stale** value: the
   cached register was overwritten after the flag latched it.  The
   functional simulator reads the register file and hides this, but real
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..hw import reg_bank_conflict, reg_sources
 from ..instruction import Instruction
 from ..isa import REUSE_CACHE_OPCODES
 from ..operands import Reg
@@ -84,41 +86,33 @@ class RegisterBankPass(AnalysisPass):
                 continue
 
             # ---- consume: which sources are served by the cache? ----------
-            banks: list[int] = []
-            seen: set[int] = set()
-            for slot, op in enumerate(instr.srcs):
-                if not isinstance(op, Reg) or op.is_rz:
-                    continue
+            sources = reg_sources(instr.srcs)
+            for slot, reg in sources:
                 entry = cache.get(slot)
-                if entry is not None and entry.reg == op.index:
-                    consumed.add((entry.producer_pos, slot))
-                    if entry.stale:
-                        diags.append(Diagnostic(
-                            rule="RB002",
-                            severity=Severity.ERROR,
-                            pos=pos,
-                            instruction=instr.name,
-                            message=(
-                                f"operand slot {slot} reads R{op.index} from the "
-                                f"reuse cache, but R{op.index} was overwritten "
-                                f"after instr {entry.producer_pos} latched it — "
-                                "hardware serves the stale value"
-                            ),
-                            hint="drop the .reuse flag or move the overwrite "
-                                 "after the consumer",
-                        ))
-                    continue  # served by the cache, no bank-port read
-                if op.index in seen:
-                    continue  # one physical read feeds both operands
-                seen.add(op.index)
-                banks.append(op.index & 1)
+                if entry is None or entry.reg != reg:
+                    continue
+                consumed.add((entry.producer_pos, slot))
+                if entry.stale:
+                    diags.append(Diagnostic(
+                        rule="RB002",
+                        severity=Severity.ERROR,
+                        pos=pos,
+                        instruction=instr.name,
+                        message=(
+                            f"operand slot {slot} reads R{reg} from the "
+                            f"reuse cache, but R{reg} was overwritten "
+                            f"after instr {entry.producer_pos} latched it — "
+                            "hardware serves the stale value"
+                        ),
+                        hint="drop the .reuse flag or move the overwrite "
+                             "after the consumer",
+                    ))
 
-            if len(banks) >= 3 and len(set(banks)) == 1:
-                which = "odd" if banks[0] else "even"
-                regs = ", ".join(
-                    f"R{op.index}" for op in instr.srcs
-                    if isinstance(op, Reg) and not op.is_rz
-                )
+            cached = {slot: entry.reg for slot, entry in cache.items()}
+            if reg_bank_conflict(sources, cached):
+                bank = next(r & 1 for slot, r in sources if cached.get(slot) != r)
+                which = ("even", "odd")[bank]
+                regs = ", ".join(f"R{reg}" for _, reg in sources)
                 diags.append(Diagnostic(
                     rule="RB001",
                     severity=Severity.WARNING,

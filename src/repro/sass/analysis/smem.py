@@ -4,13 +4,12 @@ The paper's Table 4 layout, Fig. 3 lane arrangement and Fig. 5 transpose
 interleave exist to make every LDS/STS in the kernel conflict-free on
 the 32-bank × 4-byte shared memory.  This pass proves those properties
 *statically*: it symbolically executes the integer/address portion of
-the instruction stream for each warp — seeding ``S2R SR_TID.X`` with the
-warp's concrete thread ids and evaluating IMAD/IADD3/LOP3/SHF/ISETP/...
-exactly as the simulator's engine does — and then replays every shared
-access against the same phase/bank model the simulator charges cycles
-with (:func:`repro.gpusim.memory.bank_conflict_report`; the model is
-duplicated here so the assembler layer does not import the simulator,
-and a differential test keeps the two in lock step).
+the instruction stream for every warp — seeding ``S2R SR_TID.X`` with
+the warps' concrete thread ids and evaluating IMAD/IADD3/LOP3/SHF/ISETP/...
+with :mod:`repro.sass.hw`'s lane arithmetic, which the simulator's fast
+engine executes too — and then checks every shared access against the
+phase/bank rule the fast engine charges cycles with
+(:func:`repro.sass.hw.bank_phases`), all warps of an access in one call.
 
 Registers whose values depend on memory contents or kernel parameters
 become *unknown* and poison anything computed from them; shared-memory
@@ -40,78 +39,22 @@ hardware excludes them.
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterator
 
 import numpy as np
 
+from .. import hw
 from ..instruction import Instruction
-from ..isa import RZ, SETP_BOOL, SETP_CMP, SPECIAL_REGISTERS, width_of
+from ..isa import RZ, SPECIAL_REGISTERS, width_of
 from ..operands import Const, Imm, Pred, Reg
 from .base import AnalysisContext, AnalysisPass
 from .diagnostics import Diagnostic, Severity
-
-NUM_BANKS = 32
-BANK_BYTES = 4
 
 _U32 = np.uint32
 
 _FULL_MASK = np.ones(32, dtype=bool)
 _FULL_MASK.setflags(write=False)  # shared by every unguarded step
-
-
-def warp_access_cycles(
-    addrs: np.ndarray, width: int, mask: np.ndarray
-) -> tuple[int, int, int]:
-    """(phases, cycles, worst multiplicity) for one warp shared access.
-
-    Mirror of :func:`repro.gpusim.memory.bank_conflict_report`: a
-    ``width``-byte access is served in ``width/4`` phases of
-    ``128/width × 4`` consecutive lanes; within a phase the classic
-    32-bit rule applies to all words the phase's lanes touch (same-word
-    broadcast, distinct words in one bank serialize).
-    """
-    phases = width // BANK_BYTES
-    lanes_per_phase = 32 // phases
-    if not mask.any():
-        return phases, phases, 1
-    cycles = 0
-    worst = 1
-    words_per_lane = width // BANK_BYTES
-    lane_ids = np.arange(addrs.size)
-    offsets = np.arange(words_per_lane, dtype=np.int64)
-    for p in range(phases):
-        sel = (lane_ids // lanes_per_phase == p) & mask
-        if not sel.any():
-            cycles += 1
-            continue
-        words = np.unique(
-            (addrs[sel][:, None] // BANK_BYTES + offsets[None, :]).ravel()
-        )
-        banks = words % NUM_BANKS
-        multiplicity = int(np.bincount(banks, minlength=NUM_BANKS).max())
-        cycles += max(multiplicity, 1)
-        worst = max(worst, multiplicity)
-    return phases, cycles, worst
-
-
-# Tunables that share a layout produce the same warp access patterns,
-# and a double-buffered loop repeats each pattern every iteration — the
-# conflict report is a pure function of (addrs, width, mask), so
-# memoize it module-wide.
-_ACCESS_MEMO: dict[tuple, tuple[int, int, int]] = {}
-_ACCESS_MEMO_MAX = 8192
-
-
-def _access_cycles_cached(
-    addrs: np.ndarray, width: int, mask: np.ndarray
-) -> tuple[int, int, int]:
-    key = (width, addrs.tobytes(), mask.tobytes())
-    hit = _ACCESS_MEMO.get(key)
-    if hit is None:
-        if len(_ACCESS_MEMO) >= _ACCESS_MEMO_MAX:
-            _ACCESS_MEMO.clear()
-        hit = warp_access_cycles(addrs, width, mask)
-        _ACCESS_MEMO[key] = hit
-    return hit
+_CTAID = (np.zeros(32, dtype=_U32),) * 3  # 1-D blocks, block (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +66,18 @@ class _WarpEval:
     """Concrete lane evaluation with unknown-poisoning, all warps at once.
 
     Register and predicate files hold either a lane vector or None
-    (unknown).  Values are ``(num_warps, 32)`` arrays — or ``(32,)``
-    when warp-invariant, which broadcasts identically — so one pass
-    evaluates every warp in lockstep.  The arithmetic mirrors
-    ``repro.gpusim.engine`` so the static address model cannot drift
-    from the dynamic one.
+    (unknown).  Values broadcast against ``(num_warps, 32)`` — a
+    warp-invariant value stays ``(32,)`` — so one pass evaluates every
+    warp in lockstep.  The lane arithmetic is :mod:`repro.sass.hw`'s,
+    the functions the fast engine replays kernels with; this class adds
+    only what linting needs: a linear walk, unknown-poisoning and guard
+    masks.
     """
 
     def __init__(self, num_warps: int):
         self.nw = num_warps
         self.lanes = np.arange(32, dtype=_U32)
-        wid = np.arange(num_warps, dtype=_U32)[:, None]
-        self.warp_ids = np.broadcast_to(wid, (num_warps, 32))
-        self.tids = (wid * _U32(32) + self.lanes[None, :]).astype(_U32)
+        self.warp_ids = np.arange(num_warps, dtype=_U32)[:, None]
         self.regs: dict[int, np.ndarray | None] = {}
         self.preds: dict[int, np.ndarray | None] = {
             i: np.zeros(32, dtype=bool) for i in range(7)
@@ -212,9 +154,8 @@ class _WarpEval:
             return
         spec = instr.spec
         if spec.pipe == "fma" or name == "MUFU":
-            # FP results never feed shared addressing; ``_alu`` would
-            # evaluate the sources only to return None, so jump straight
-            # to the poisoned destination it produces.
+            # FP results never feed shared addressing: poison the
+            # destination without evaluating the sources.
             if instr.dest is not None and instr.dest.index != RZ:
                 self.regs[instr.dest.index] = None
             return
@@ -223,15 +164,9 @@ class _WarpEval:
         if name == "S2R":
             assert instr.dest is not None
             sr = next(f for f in instr.flags if f.startswith("SR_"))
-            sr_id = SPECIAL_REGISTERS[sr]
-            if sr_id == 0:
-                vals: np.ndarray | None = self.tids
-            elif sr_id in (1, 2, 3, 4, 5):
-                vals = np.zeros(32, dtype=_U32)  # 1-D blocks, block (0,0,0)
-            elif sr_id == 6:
-                vals = self.lanes
-            else:
-                vals = self.warp_ids
+            vals = hw.special_register(
+                SPECIAL_REGISTERS[sr], self.warp_ids, self.lanes, _CTAID
+            )
             self.set_reg(instr.dest.index, vals, mask)
             return
         if instr.spec.is_load:
@@ -244,112 +179,39 @@ class _WarpEval:
             b = self.src(instr.srcs[1])
             assert instr.src_pred is not None
             combine = self.pred(instr.src_pred)
-            result: np.ndarray | None
-            if a is None or b is None or combine is None:
-                result = None
-            else:
-                if "U32" in instr.flags:
-                    a_cmp, b_cmp = a.astype(np.uint64), b.astype(np.uint64)
-                else:
-                    a_cmp, b_cmp = a.view(np.int32), b.view(np.int32)
-                cmp_name = next((f for f in instr.flags if f in SETP_CMP), "EQ")
-                result = {
-                    "EQ": a_cmp == b_cmp, "NE": a_cmp != b_cmp,
-                    "LT": a_cmp < b_cmp, "LE": a_cmp <= b_cmp,
-                    "GT": a_cmp > b_cmp, "GE": a_cmp >= b_cmp,
-                }[cmp_name]
-                bool_name = next((f for f in instr.flags if f in SETP_BOOL), "AND")
-                if bool_name == "AND":
-                    result = result & combine
-                elif bool_name == "OR":
-                    result = result | combine
-                else:
-                    result = result ^ combine
+            result = (
+                None if a is None or b is None or combine is None
+                else hw.isetp(a, b, combine, *hw.setp_mode(instr.flags))
+            )
             self.set_pred(instr.dest_preds[0].index, result, mask)
             return
         if name == "P2R":
             assert instr.dest is not None
             pack = instr.srcs[0].bits if isinstance(instr.srcs[0], Imm) else 0x7F
-            vals = np.zeros(32, dtype=_U32)
-            known = True
-            for i in range(7):
-                if pack & (1 << i):
-                    p = self.preds.get(i)
-                    if p is None:
-                        known = False
-                        break
-                    vals = vals | (p.astype(_U32) << _U32(i))
-            self.set_reg(instr.dest.index, vals if known else None, mask)
+            preds = {i: self.preds.get(i) for i in range(7) if pack >> i & 1}
+            known = not any(p is None for p in preds.values())
+            self.set_reg(instr.dest.index, hw.p2r(preds) if known else None, mask)
             return
         if name == "R2P":
             src_op = instr.srcs[0]
             src = self.reg(src_op.index) if isinstance(src_op, Reg) else None
             unpack = instr.srcs[1].bits if isinstance(instr.srcs[1], Imm) else 0
             for i in range(7):
-                if unpack & (1 << i):
-                    bit = None if src is None else (src >> _U32(i)) & _U32(1) != 0
-                    self.set_pred(i, bit, mask)
+                if unpack >> i & 1:
+                    self.set_pred(i, None if src is None else hw.r2p(src, i), mask)
             return
 
         srcs = [self.src(op) for op in instr.srcs]
         if name == "IMAD" and "WIDE" in instr.flags:
             self._imad_wide(instr, srcs, mask)
             return
-        out = self._alu(instr, srcs)
+        out = None
+        if name in hw.INT_ALU_OPCODES and not any(v is None for v in srcs):
+            out = hw.int_alu(
+                name, srcs, hw.lop3_op(instr.flags), "L" in instr.flags
+            )
         if instr.dest is not None:
             self.set_reg(instr.dest.index, out, mask)
-
-    def _alu(
-        self, instr: Instruction, srcs: list[np.ndarray | None]
-    ) -> np.ndarray | None:
-        name = instr.name
-        if name == "CS2R":
-            return np.zeros(32, dtype=_U32)
-        if any(s is None for s in srcs):
-            return None
-        known = [s for s in srcs if s is not None]
-        if name == "MOV":
-            return known[0]
-        if name == "IADD3":
-            a, b, c = known
-            return a + b + c
-        if name == "IMAD":
-            a, b, c = known
-            return (
-                a.astype(np.int64) * b.astype(np.int64) + c.astype(np.int64)
-            ).astype(np.uint64).astype(_U32)
-        if name == "LOP3":
-            a, b, c = known
-            op_name = next(
-                (f for f in instr.flags if f in ("AND", "OR", "XOR")), "AND"
-            )
-            if op_name == "AND":
-                return (a & b) ^ c
-            if op_name == "OR":
-                return (a | b) ^ c
-            return a ^ b ^ c
-        if name == "SHF":
-            a, sh, c = known
-            sh = sh & _U32(31)
-            if "L" in instr.flags:
-                hi_in = np.where(sh > 0, c >> ((_U32(32) - sh) & _U32(31)), _U32(0))
-                return ((a << sh) | hi_in).astype(_U32)
-            lo = a >> sh
-            hi_in = np.where(sh > 0, c << ((_U32(32) - sh) & _U32(31)), _U32(0))
-            return (lo | hi_in).astype(_U32)
-        if name == "SEL":
-            return known[0]  # engine models SEL the same way
-        if name == "POPC":
-            v = np.ascontiguousarray(
-                np.broadcast_to(known[0], (self.nw, 32)).astype(_U32)
-            )
-            return (
-                np.unpackbits(v.view(np.uint8))
-                .reshape(v.shape + (32,))
-                .sum(axis=-1)
-                .astype(_U32)
-            )
-        return None  # FP pipe etc.: values never feed shared addressing
 
     def _imad_wide(
         self,
@@ -358,31 +220,19 @@ class _WarpEval:
         mask: np.ndarray | None,
     ) -> None:
         assert instr.dest is not None
-        a, b = srcs[0], srcs[1]
+        a, b, addend = srcs
         c_op = instr.srcs[2]
-        addend: np.ndarray | None
         if isinstance(c_op, Reg) and not c_op.is_rz:
             lo, hi = self.reg(c_op.index), self.reg(c_op.index + 1)
-            addend = (
-                None
-                if lo is None or hi is None
-                else lo.astype(np.int64) | (hi.astype(np.int64) << 32)
+            addend = None if lo is None or hi is None else hw.pair64(lo, hi)
+        words = (
+            None if a is None or b is None or addend is None
+            else hw.imad_wide(a, b, addend, "U32" in instr.flags)
+        )
+        for i in range(2):
+            self.set_reg(
+                instr.dest.index + i, None if words is None else words[i], mask
             )
-        else:
-            addend = None if srcs[2] is None else srcs[2].astype(np.int64)
-        if a is None or b is None or addend is None:
-            self.set_reg(instr.dest.index, None, mask)
-            self.set_reg(instr.dest.index + 1, None, mask)
-            return
-        if "U32" in instr.flags:
-            prod = a.astype(np.int64) * b.astype(np.int64)
-        else:
-            prod = a.view(np.int32).astype(np.int64) * b.view(np.int32).astype(
-                np.int64
-            )
-        total = (prod + addend).astype(np.uint64)
-        self.set_reg(instr.dest.index, (total & 0xFFFFFFFF).astype(_U32), mask)
-        self.set_reg(instr.dest.index + 1, (total >> 32).astype(_U32), mask)
 
     def _clobber_dest(
         self, instr: Instruction, mask: np.ndarray | None
@@ -412,9 +262,7 @@ class _WarpEval:
                 hi = self.reg(base + 1)
                 if hi is None:
                     return None
-                addrs = (
-                    lo.astype(np.int64) | (hi.astype(np.int64) << 32)
-                ) + instr.mem.offset
+                addrs = hw.pair64(lo, hi) + instr.mem.offset
             else:
                 addrs = lo.astype(np.int64) + instr.mem.offset
         shape = (self.nw, 32)
@@ -482,46 +330,23 @@ def shared_access_table(ctx: AnalysisContext) -> list[SharedAccess]:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class _Finding:
-    severity: Severity
-    message: str
-    hint: str
-    worst: int = 0  # n-way multiplicity, to keep the worst warp's report
-
-
 class SharedMemoryPass(AnalysisPass):
     name = "smem-bank"
     rules = ("SM001", "SM002", "SM003", "SM004")
 
     def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
-        findings: dict[tuple[int, str], _Finding] = {}
-        unknown_positions: set[int] = set()
-        smem_bytes = ctx.smem_bytes
-
+        diags: list[Diagnostic] = []
+        unknown_positions: list[int] = []
         for access in shared_access_table(ctx):
             if access.addrs is None or access.active is None:
-                unknown_positions.add(access.pos)
+                unknown_positions.append(access.pos)
                 continue
-            for warp_id in range(ctx.num_warps):
-                self._check_access(
-                    access.pos, access.instr, warp_id,
-                    access.addrs[warp_id], access.active[warp_id],
-                    smem_bytes=smem_bytes, findings=findings,
-                )
-
-        diags = [
-            Diagnostic(
-                rule=rule,
-                severity=f.severity,
-                pos=pos,
-                instruction=ctx.instructions[pos].name,
-                message=f.message,
-                hint=f.hint,
-            )
-            for (pos, rule), f in findings.items()
-        ]
+            diags.extend(_check_access(
+                access, access.addrs, access.active, ctx.smem_bytes
+            ))
         if unknown_positions:
+            shown = unknown_positions[:8]
+            suffix = "..." if len(unknown_positions) > 8 else ""
             diags.append(Diagnostic(
                 rule="SM004",
                 severity=Severity.INFO,
@@ -530,82 +355,73 @@ class SharedMemoryPass(AnalysisPass):
                 message=(
                     f"{len(unknown_positions)} shared-memory access(es) have "
                     "statically unknown addresses and were not checked "
-                    f"(instructions {sorted(unknown_positions)[:8]}...)"
-                    if len(unknown_positions) > 8 else
-                    f"{len(unknown_positions)} shared-memory access(es) have "
-                    "statically unknown addresses and were not checked "
-                    f"(instructions {sorted(unknown_positions)})"
+                    f"(instructions {shown}{suffix})"
                 ),
                 hint="shared addressing should be a pure function of "
                      "threadIdx; data-dependent addresses cannot be audited",
             ))
         return diags
 
-    def _check_access(
-        self,
-        pos: int,
-        instr: Instruction,
-        warp_id: int,
-        addrs: np.ndarray,
-        mask: np.ndarray,
-        smem_bytes: int | None,
-        findings: dict[tuple[int, str], _Finding],
-    ) -> None:
-        width = width_of(instr.flags)
-        active = addrs[mask]
-        if active.size == 0:
-            return
 
-        misaligned = active[active % width != 0]
-        if misaligned.size:
-            self._keep(findings, pos, "SM002", _Finding(
-                severity=Severity.ERROR,
-                message=(
-                    f"warp {warp_id}: {width}-byte access at address "
-                    f"{int(misaligned[0]):#x} is not {width}-byte aligned "
-                    "(the hardware faults; §4.3 requirement (ii))"
-                ),
-                hint=f"make the byte address a multiple of {width} for "
-                     "every lane",
-            ))
+def _check_access(
+    access: SharedAccess,
+    addrs: np.ndarray,
+    active: np.ndarray,
+    smem_bytes: int | None,
+) -> Iterator[Diagnostic]:
+    """SM002, SM003 and SM001 for all warps of one access.
 
-        if smem_bytes is not None and (
-            active.min() < 0 or int(active.max()) + width > smem_bytes
-        ):
-            bad = int(active[(active < 0) | (active + width > smem_bytes)][0])
-            self._keep(findings, pos, "SM003", _Finding(
-                severity=Severity.ERROR,
-                message=(
-                    f"warp {warp_id}: access at {bad:#x} falls outside the "
-                    f"{smem_bytes}-byte .smem window"
-                ),
-                hint="raise the .smem directive or fix the address "
-                     "computation",
-            ))
+    Each finding names one warp: the first warp with an offending lane
+    (and its first such lane), or for SM001 the warp with the worst
+    conflict, the first one among ties.
+    """
+    width = access.width
 
-        phases, cycles, worst = _access_cycles_cached(addrs, width, mask)
-        if cycles > phases:
-            self._keep(findings, pos, "SM001", _Finding(
-                severity=Severity.WARNING,
-                message=(
-                    f"warp {warp_id}: {worst}-way bank conflict "
-                    f"({cycles - phases} extra MIO cycle(s) over the "
-                    f"{phases}-phase minimum)"
-                ),
-                hint="re-map addresses so each phase's lanes touch 32 "
-                     "distinct banks (Table 4 / Fig. 5 layouts)",
-                worst=worst,
-            ))
+    def diag(
+        rule: str, severity: Severity, warp: int, message: str, hint: str
+    ) -> Diagnostic:
+        return Diagnostic(
+            rule=rule,
+            severity=severity,
+            pos=access.pos,
+            instruction=access.instr.name,
+            message=f"warp {warp}: {message}",
+            hint=hint,
+        )
 
-    @staticmethod
-    def _keep(
-        findings: dict[tuple[int, str], _Finding],
-        pos: int,
-        rule: str,
-        finding: _Finding,
-    ) -> None:
-        """Keep one finding per (instruction, rule): the worst warp's."""
-        key = (pos, rule)
-        existing = findings.get(key)
-        if existing is None or finding.worst > existing.worst:
-            findings[key] = finding
+    def first(bad: np.ndarray) -> tuple[int, int]:
+        warp = int(bad.any(axis=1).argmax())
+        return warp, int(addrs[warp, bad[warp].argmax()])
+
+    misaligned = active & (addrs % width != 0)
+    if misaligned.any():
+        warp, addr = first(misaligned)
+        yield diag(
+            "SM002", Severity.ERROR, warp,
+            f"{width}-byte access at address {addr:#x} is not "
+            f"{width}-byte aligned (the hardware faults; §4.3 "
+            "requirement (ii))",
+            f"make the byte address a multiple of {width} for every lane",
+        )
+    if smem_bytes is not None:
+        outside = active & ((addrs < 0) | (addrs + width > smem_bytes))
+        if outside.any():
+            warp, addr = first(outside)
+            yield diag(
+                "SM003", Severity.ERROR, warp,
+                f"access at {addr:#x} falls outside the {smem_bytes}-byte "
+                ".smem window",
+                "raise the .smem directive or fix the address computation",
+            )
+    cycles, worst = hw.bank_phases(addrs, width, active)
+    warp = int(worst.argmax())
+    if worst[warp] > 1:
+        phases = width // hw.BANK_BYTES
+        yield diag(
+            "SM001", Severity.WARNING, warp,
+            f"{int(worst[warp])}-way bank conflict "
+            f"({int(cycles[warp]) - phases} extra MIO cycle(s) over the "
+            f"{phases}-phase minimum)",
+            "re-map addresses so each phase's lanes touch 32 distinct banks "
+            "(Table 4 / Fig. 5 layouts)",
+        )

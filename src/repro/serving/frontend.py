@@ -288,14 +288,23 @@ class ServingFrontend:
     def register_model(self, tenant: str, model: ModelSpec) -> None:
         """Install *model* for *tenant* (creating the tenant on first use).
 
-        Raises :class:`ServingError` if even a batch of one cannot fit
-        the workspace budget — such a model could never be served, so
-        the failure belongs at registration, not per request.
+        Raises :class:`ServingError` if the model's session mode is not
+        one a session can run, or if even a batch of one cannot fit the
+        workspace budget — such a model could never be served, so the
+        failure belongs at registration, not per request.
         """
+        from ..perfmodel.selection import DISPATCH_CANDIDATES
+
         if self._closed:
             raise ServingError("serving frontend is closed")
         if not tenant:
             raise ServingError("tenant name must be non-empty")
+        mode = (model.mode or self.config.mode).upper()
+        if mode not in SESSION_MODES + DISPATCH_CANDIDATES:
+            raise ServingError(
+                f"model {model.name!r}: unknown session mode {mode!r}; "
+                f"choose from {SESSION_MODES + DISPATCH_CANDIDATES}"
+            )
         state = self._tenants.get(tenant)
         if state is None:
             ctx = ExecutionContext(
@@ -330,9 +339,7 @@ class ServingFrontend:
             return self.config.max_batch
         from ..perfmodel.workspace import DISPATCH_WORKSPACE
 
-        workspace = DISPATCH_WORKSPACE.get(mode)
-        if workspace is None:
-            return self.config.max_batch
+        workspace = DISPATCH_WORKSPACE[mode]
         cap = 0
         for n in range(1, self.config.max_batch + 1):
             worst = max(

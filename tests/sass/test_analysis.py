@@ -1,11 +1,12 @@
 """Unit tests for the SASS static analyzer: one crafted violation per rule."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro.sass import parse_program, schedule, validate_control
+from repro.sass import hw, parse_program, schedule, validate_control
 from repro.sass.analysis import (
     ControlCodePass,
     Diagnostic,
@@ -20,7 +21,6 @@ from repro.sass.analysis import (
     render_json,
     render_text,
 )
-from repro.sass.analysis.smem import warp_access_cycles
 from repro.sass.operands import Pred
 from repro.sass.preprocess import KernelMeta
 
@@ -234,20 +234,99 @@ def test_guarded_lanes_excluded():
     assert _run(SharedMemoryPass(), src) == []
 
 
+def test_sm001_names_the_worst_warp_first_among_ties():
+    # addr = lane << (2 + warp): warp w's lanes sit 2**w words apart, a
+    # min(2**w, 32)-way conflict.  Warp 1 conflicts first (2-way); the
+    # worst, 32-way, is reached by warps 5, 6 and 7.
+    src = (
+        "S2R R0, SR_TID.X;\n"
+        "SHF.R R1, R0, 0x5, RZ;\n"  # warp = tid / 32
+        "LOP3.AND R2, R0, 0x1f, RZ;\n"  # lane
+        "IADD3 R3, R1, 0x2, RZ;\n"
+        "SHF.L R4, R2, R3, RZ;\n"
+        "LDS R5, [R4];\n"
+        "EXIT;\n"
+    )
+    (diag,) = _run(SharedMemoryPass(), src)
+    assert diag.rule == "SM001"
+    assert diag.message.startswith(
+        "warp 5: 32-way bank conflict (31 extra MIO cycle(s)"
+    )
+
+
 def test_static_bank_model_matches_simulator():
-    """Differential: the pass's local mirror agrees with the dynamic model."""
+    """The shared bank rule agrees, warp by warp, with the reference
+    engine's scalar oracle over multi-warp ``(g, 32)`` groups."""
     from repro.gpusim.memory import bank_conflict_report
 
     rng = np.random.default_rng(7)
     for width in (4, 8, 16):
-        for _ in range(25):
-            addrs = (
-                rng.integers(0, 2048 // width, size=32) * width
-            ).astype(np.int64)
-            mask = rng.random(32) < 0.8
-            report = bank_conflict_report(addrs, width, mask)
-            phases, cycles, _ = warp_access_cycles(addrs, width, mask)
-            assert (phases, cycles) == (report.phases, report.cycles)
+        for g in (1, 3, 8):
+            for _ in range(8):
+                addrs = (
+                    rng.integers(0, 2048 // width, size=(g, 32)) * width
+                ).astype(np.int64)
+                active = rng.random((g, 32)) < 0.8
+                active[0, : 128 // width] = False  # an idle phase
+                if g > 1:
+                    active[-1] = False  # an idle warp
+                cycles, worst = hw.bank_phases(addrs, width, active)
+                for w in range(g):
+                    report = bank_conflict_report(addrs[w], width, active[w])
+                    assert cycles[w] == report.cycles
+                    assert (worst[w] > 1) == (report.conflicts > 0)
+                    assert 1 <= worst[w] <= report.conflicts + 1
+
+
+@pytest.mark.parametrize("tile", ["f22", "f44"])
+def test_static_addresses_match_the_fast_replay(monkeypatch, tile):
+    """The static address model cannot drift from the dynamic one.
+
+    Every shared access sasslint resolves in a default full kernel has
+    the ``(num_warps, 32)`` addresses and active lanes that the fast
+    engine's replay computes at the instruction's first execution in
+    block 0.
+    """
+    from repro.gpusim import V100, fastsim, simulate_resident_blocks
+    from repro.kernels.runner import _problem_arena
+    from repro.kernels.winograd_fused import default_tunables, kernel_for_tile
+    from repro.perfmodel.layer_model import _SURROGATE
+    from repro.sass.analysis import AnalysisContext, shared_access_table
+
+    tunables = default_tunables(tile)
+    prob = dataclasses.replace(_SURROGATE, k=tunables.bk)
+    kernel = kernel_for_tile(prob, tile, tunables).build()
+    pcs: dict[int, int] = {}
+    replayed = {}
+    exec_smem = fastsim._Replay._exec_smem
+
+    def recording_exec_smem(self, d, warps):
+        if not pcs:
+            pcs.update((id(x), pc) for pc, x in enumerate(self.dp.instrs))
+        addrs = self._addrs(d, warps)
+        mask = self._mask(d, warps)
+        active = np.ones(addrs.shape, dtype=bool) if mask is None else mask
+        for j in np.flatnonzero(self.block_of[warps] == 0):
+            key = (pcs[id(d)], int(self.wid[warps[j]]))
+            replayed.setdefault(key, (addrs[j].copy(), active[j].copy()))
+        return exec_smem(self, d, warps)
+
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
+    monkeypatch.setattr(fastsim._Replay, "_exec_smem", recording_exec_smem)
+    gmem, params = _problem_arena(prob, tile)
+    simulate_resident_blocks(
+        kernel, V100, params=params, gmem=gmem, threads_per_block=256,
+        num_blocks=1,
+    )
+
+    ctx = AnalysisContext(instructions=kernel.instructions, meta=kernel.meta)
+    resolved = [a for a in shared_access_table(ctx) if a.resolved]
+    assert resolved
+    for access in resolved:
+        for warp in range(ctx.num_warps):
+            addrs, active = replayed[(access.pos, warp)]
+            np.testing.assert_array_equal(access.active[warp], active)
+            np.testing.assert_array_equal(access.addrs[warp], addrs)
 
 
 # ---------------------------------------------------------------------------

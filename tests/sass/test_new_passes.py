@@ -17,7 +17,6 @@ from repro.sass import parse_program
 from repro.sass.analysis import (
     TURING_LIMITS,
     VOLTA_LIMITS,
-    ArchLimits,
     BarrierDivergencePass,
     ControlCodePass,
     OccupancyPass,
@@ -29,7 +28,7 @@ from repro.sass.analysis import (
     static_report,
 )
 from repro.sass.analysis.base import AnalysisContext
-from repro.sass.analysis.occupancy import _occupancy
+from repro.sass.hw import PER_BLOCK_LIMITS, blocks_per_sm
 from repro.sass.preprocess import KernelMeta
 
 
@@ -329,45 +328,51 @@ def test_static_report_cycles_count_stalls_and_yields():
     assert report.num_instructions == 3
 
 
-def _limits_of(spec) -> ArchLimits:
-    return ArchLimits(
-        name=spec.name,
-        max_warps_per_sm=spec.max_warps_per_sm,
-        max_threads_per_block=spec.max_threads_per_block,
-        registers_per_sm=spec.registers_per_sm,
-        smem_per_sm=spec.smem_per_sm,
-        smem_per_block=spec.smem_per_block,
-        max_registers_per_thread=spec.max_registers_per_thread,
-    )
+# (limits, warps/block, regs/thread, smem bytes) -> (blocks, limiter)
+OCCUPANCY_CASES = {
+    "volta-warps": ((VOLTA_LIMITS, 8, 16, 0), (8, "warps")),
+    "turing-warps": ((TURING_LIMITS, 8, 16, 0), (4, "warps")),
+    "volta-registers": ((VOLTA_LIMITS, 8, 128, 0), (2, "registers")),
+    "turing-registers-zero": ((TURING_LIMITS, 32, 255, 0), (0, "registers")),
+    "volta-shared-memory": ((VOLTA_LIMITS, 8, 32, 48 * 1024), (2, "shared memory")),
+    "turing-shared-memory": ((TURING_LIMITS, 8, 32, 48 * 1024), (1, "shared memory")),
+    "threads-per-block": ((VOLTA_LIMITS, 33, 32, 0), (0, "threads-per-block limit")),
+    "registers-per-thread": (
+        (TURING_LIMITS, 8, 256, 0), (0, "registers-per-thread limit"),
+    ),
+    "smem-per-block": (
+        (TURING_LIMITS, 8, 32, 64 * 1024 + 4),
+        (0, "shared-memory-per-block limit"),
+    ),
+}
 
 
-@pytest.mark.parametrize("spec", [RTX2070, V100], ids=lambda s: s.arch)
-def test_occupancy_matches_device_spec(spec):
-    """Differential: the analyzer's mirror tracks ``DeviceSpec.occupancy``."""
+@pytest.mark.parametrize("case", OCCUPANCY_CASES.values(), ids=OCCUPANCY_CASES)
+def test_blocks_per_sm(case):
+    """Each limiter of the one occupancy rule, as lint and launch see it.
+
+    ``DeviceSpec.occupancy`` raises exactly for the per-block limits and
+    otherwise returns the lint's count, so a launch is refused (a raise,
+    or 0 resident blocks) exactly when OCC003 fires.
+    """
     from repro.common.errors import SimLaunchError
 
-    limits = _limits_of(spec)
-    for warps in (1, 4, 8, 16, 32, 64):
-        for regs in (32, 64, 128, 255, 300):
-            for smem in (0, 4096, 34 * 1024, 64 * 1024, 100 * 1024):
-                blocks, _ = _occupancy(warps, regs, smem, limits)
-                try:
-                    expected = spec.occupancy(warps * 32, regs, smem)
-                except SimLaunchError:
-                    expected = 0  # the static mirror reports 0, not a raise
-                assert blocks == expected, (warps, regs, smem)
-
-
-def test_builtin_limits_track_device_specs():
-    # TURING_LIMITS/VOLTA_LIMITS are duplicated from gpusim.arch (the
-    # assembler layer must not import the simulator); keep them in step.
-    for limits, spec in ((TURING_LIMITS, RTX2070), (VOLTA_LIMITS, V100)):
-        assert limits.max_warps_per_sm == spec.max_warps_per_sm
-        assert limits.max_threads_per_block == spec.max_threads_per_block
-        assert limits.registers_per_sm == spec.registers_per_sm
-        assert limits.smem_per_sm == spec.smem_per_sm
-        assert limits.smem_per_block == spec.smem_per_block
-        assert limits.max_registers_per_thread == spec.max_registers_per_thread
+    (limits, warps, regs, smem), expected = case
+    assert blocks_per_sm(limits, warps, regs, smem) == expected
+    device = {VOLTA_LIMITS: V100, TURING_LIMITS: RTX2070}[limits]
+    blocks, limiter = expected
+    if limiter in PER_BLOCK_LIMITS:
+        with pytest.raises(SimLaunchError, match=limiter):
+            device.occupancy(warps * 32, regs, smem)
+    else:
+        assert device.occupancy(warps * 32, regs, smem) == blocks
+    ctx = AnalysisContext(
+        instructions=parse_program("EXIT;\n").instructions,
+        meta=KernelMeta(name="t", registers=regs, smem_bytes=smem),
+        num_warps=warps,
+    )
+    rules = [d.rule for d in OccupancyPass(limits).run(ctx)]
+    assert ("OCC003" in rules) == (blocks == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,26 @@ def test_unservable_model_rejected_at_registration():
         frontend.register_model("a", _model())
 
 
+def test_unknown_mode_rejected_at_registration():
+    # A mode no session can run would fail every request; registration
+    # refuses it, from the model or from the frontend-wide config.
+    from repro.perfmodel.selection import DISPATCH_CANDIDATES
+    from repro.perfmodel.workspace import DISPATCH_WORKSPACE
+
+    frontend = ServingFrontend(ServingConfig(workspace_limit_bytes=1 << 30))
+    with pytest.raises(ServingError, match="'FASTEST'") as err:
+        frontend.register_model("a", _model(mode="fastest"))
+    assert "AUTO_HEURISTIC" in str(err.value)
+    assert "WINOGRAD_F44" in str(err.value)  # lists what it accepts
+    with pytest.raises(ServingError, match="'FASTEST'"):
+        ServingFrontend(ServingConfig(mode="FASTEST")).register_model(
+            "a", _model()
+        )
+    # Every accepted algorithm has a workspace formula for the batch cap.
+    assert set(DISPATCH_CANDIDATES) <= set(DISPATCH_WORKSPACE)
+    frontend.register_model("a", _model(mode="winograd_nonfused"))
+
+
 def test_workspace_limit_surfaces_as_typed_backpressure():
     # Occupy the tenant's arena so the dispatch-time reservation loses:
     # the client must see BackpressureError, never WorkspaceLimitError.
