@@ -62,10 +62,6 @@ class DeviceSpec:
         return 2 * self.fp32_lanes_per_sm * self.num_sms * self.clock_ghz / 1e3
 
     @property
-    def warps_per_scheduler(self) -> int:
-        return self.max_warps_per_sm // self.schedulers_per_sm
-
-    @property
     def dram_bytes_per_cycle_per_sm(self) -> float:
         """Fair-share DRAM bandwidth per SM, in bytes per SM clock."""
         return self.dram_gbps / self.clock_ghz / self.num_sms

@@ -34,6 +34,7 @@ from ..sass.instruction import Instruction
 from ..sass.hw import lop3_op, reg_bank_conflict, reg_sources, setp_mode
 from ..sass.isa import REUSE_CACHE_OPCODES, RZ, SPECIAL_REGISTERS, width_of
 from ..sass.operands import Const, Imm, Reg
+from .arch import DeviceSpec
 
 # Replay dispatch kinds.
 K_ALU = 0       # vectorizable ALU/FMA arithmetic (incl. MUFU)
@@ -141,7 +142,8 @@ class DecodedProgram:
         # Scheduling / bookkeeping.
         self.pipe: list[int] = [PIPE_NONE] * n
         self.base_cycles: list[int] = [1] * n  # static pipe occupancy
-        self.base_lat: list[int] = [0] * n     # static variable latency
+        # static variable latency; DEVICE_LATENCY opcodes take theirs per launch
+        self.base_lat: list[int] = [0] * n
         self.kind: list[int] = [K_UNSUPPORTED] * n
         self.name: list[str] = [""] * n
         self.cclass: list[int] = [CC_NONE] * n
@@ -205,7 +207,6 @@ class DecodedProgram:
             sr = next(f for f in instr.flags if f.startswith("SR_"))
             d.sr_id = SPECIAL_REGISTERS[sr]
             self.base_cycles[i] = 1
-            self.base_lat[i] = 12
         elif spec.is_load or spec.is_store:
             d.is_load = spec.is_load
             d.mem_width = width_of(instr.flags)
@@ -264,8 +265,6 @@ class DecodedProgram:
                 else:
                     d.kind = K_UNSUPPORTED
             self.base_cycles[i] = 2
-            if name == "MUFU":
-                self.base_lat[i] = 17
         else:
             d.kind = K_UNSUPPORTED
 
@@ -291,6 +290,11 @@ class DecodedProgram:
             self.conflict_cleared[i] = reg_bank_conflict(src_regs, {})
 
 
+#: Opcodes whose variable latency is a :class:`DeviceSpec` field, so
+#: :func:`static_instances` reads it from the launch's device.
+DEVICE_LATENCY = {"S2R": "lat_s2r", "MUFU": "lat_mufu"}
+
+
 # Field layout of one instruction-instance tuple, the unit a per-warp
 # trace is made of: (pc, wait_bits, pipe, pipe_cycles, var_lat,
 # dram_sectors, l2_sectors, smem_conflict_cycles, stall, yield,
@@ -298,8 +302,9 @@ class DecodedProgram:
 # Fields 2-7 are the instance's footprint.  The fast engine overwrites
 # fields 3-7 for every instance whose footprint depends on data; the
 # reference engine overwrites 2-7 with what ``engine.execute`` reports.
-def static_instances(dp: DecodedProgram) -> list[tuple]:
-    """One instance tuple per instruction, with decode's static footprint.
+def static_instances(dp: DecodedProgram, device: DeviceSpec) -> list[tuple]:
+    """One instance tuple per instruction, with decode's static footprint
+    and *device*'s :data:`DEVICE_LATENCY` latencies.
 
     Both engines build their traces from these: instances whose
     footprint is static share the tuple object, so one issue in the
@@ -308,13 +313,14 @@ def static_instances(dp: DecodedProgram) -> list[tuple]:
     wait_bits = [
         tuple(b for b in range(6) if wm >> b & 1) for wm in dp.wait_mask
     ]
+    device_lat = {op: getattr(device, f) for op, f in DEVICE_LATENCY.items()}
     return [
         (
             i,
             wait_bits[i],
             dp.pipe[i],
             dp.base_cycles[i],
-            dp.base_lat[i],
+            device_lat.get(dp.name[i], dp.base_lat[i]),
             0,
             0,
             0,

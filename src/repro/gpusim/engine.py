@@ -136,7 +136,8 @@ def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecR
         else:
             vals = np.full(32, warp.warp_id, dtype=_U32)
         warp.write_reg(instr.dest.index, vals, mask)
-        return ExecResult("mio", pipe_cycles=1, variable_latency=12)
+        lat = ctx.device.lat_s2r if ctx.device else 12
+        return ExecResult("mio", pipe_cycles=1, variable_latency=lat)
 
     # ---- memory -----------------------------------------------------------
     if spec.is_load or spec.is_store:
@@ -299,7 +300,8 @@ def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecR
         else:
             raise SimulatorError(f"MUFU function {instr.flags} not implemented")
         warp.write_reg(instr.dest.index, out, mask)
-        return ExecResult("mio", pipe_cycles=2, variable_latency=17)
+        lat = ctx.device.lat_mufu if ctx.device else 17
+        return ExecResult("mio", pipe_cycles=2, variable_latency=lat)
     elif name == "IADD3":
         out = (srcs[0] + srcs[1] + srcs[2]).astype(_U32)
         pipe, cycles = "alu", 2

@@ -628,7 +628,7 @@ def replay_traces(
     """
     replay = _Replay(dp, device, gmem, blocks, max_cycles)
     replay.run()
-    static = static_instances(dp)
+    static = static_instances(dp, device)
     traces: list[list[tuple]] = []
     for w in range(replay.nw):
         trace: list[tuple] = []

@@ -148,7 +148,7 @@ def _executing_traces(
     cross-checked against the engine.
     """
     program = dp.program
-    static = static_instances(dp)
+    static = static_instances(dp, device)
     warps: list[tuple[WarpState, ExecutionContext]] = []
     for b_pos, block in enumerate(blocks):
         ctx = ExecutionContext(

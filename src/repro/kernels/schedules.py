@@ -105,11 +105,3 @@ def _set_yield(line: str) -> str:
         parts[3] = "Y"
         return f"{indent}[{':'.join(parts)}]{rest}"
     return f"{indent}[B------:R-:W-:Y:S01] {text}"
-
-
-def round_robin_slots(total_slots: int, items: int) -> list[int]:
-    """Evenly spread ``items`` insertion points over ``total_slots``."""
-    if items <= 0:
-        return []
-    step = total_slots / items
-    return [int(step * (i + 1)) - 1 for i in range(items)]

@@ -43,10 +43,6 @@ EFF_NONFUSED_GEMM = 0.80  # the non-fused variant's batched SGEMM step
 TURING_WINOGRAD_PENALTY = 1.30
 
 
-def _device_key(device: DeviceSpec) -> str:
-    return "RTX2070" if device.arch == "turing" else "V100"
-
-
 def tile_overcompute(prob: ConvProblem, m: int = 2) -> float:
     """Wasted-pixel factor of F(m×m) tiling (≈1.31 for 7×7 outputs, §7.3)."""
     th, tw = prob.tiles_h(m), prob.tiles_w(m)

@@ -2,7 +2,7 @@
 
 Every whole-program analysis in this package (path-sensitive control
 codes, reaching definitions, barrier divergence, the shared-memory race
-detector) runs over the same block decomposition:
+detector, liveness) runs over the same block decomposition:
 
 * **Leaders** are instruction 0, every resolved ``BRA`` target, and the
   instruction after any ``BRA``, ``EXIT`` or ``BAR``.
@@ -15,8 +15,7 @@ detector) runs over the same block decomposition:
   guarded access did not execute along an edge use these conditions
   (:class:`EdgeCondition`) to kill facts.
 
-Unresolved (string-label) branch targets fall through conservatively —
-the same choice :mod:`repro.sass.analysis.liveness` has always made —
+Unresolved (string-label) branch targets fall through conservatively,
 so programs straight out of ``parse_program`` remain analyzable.
 
 Rules emitted by :class:`CfgPass`:
@@ -226,7 +225,7 @@ def build_cfg(instructions: list[Instruction]) -> ControlFlowGraph:
                     fall("fall", fall_cond)
             else:
                 # Unresolved label or out-of-range target: conservative
-                # fall-through, matching the liveness pass.
+                # fall-through.
                 fall("fall")
         elif last.name == "EXIT":
             _, fall_cond = _branch_conditions(last)

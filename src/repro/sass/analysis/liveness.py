@@ -16,37 +16,33 @@ Rules:
   kernel cannot be allocated without spills, which the paper's design
   rules out.
 
-The CFG is minimal: ``EXIT`` ends a path, an unpredicated ``BRA`` goes
-only to its target, a predicated ``BRA`` to both target and
-fall-through.  Unresolved (label) targets conservatively fall through.
+The solve is :func:`~repro.sass.analysis.dataflow.solve_backward` over
+the context's shared CFG (:func:`~repro.sass.analysis.cfg.get_cfg`), and
+its result is memoized on the context (:func:`peak_live`), so this pass
+and the occupancy report share one solve.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from ..instruction import Instruction
 from ..isa import MAX_USABLE_REGISTERS
 from .base import AnalysisContext, AnalysisPass
+from .cfg import BasicBlock, ControlFlowGraph, build_cfg, get_cfg
+from .dataflow import solve_backward
 from .diagnostics import Diagnostic, Severity
 
 
-def _successors(instructions: list[Instruction], pos: int) -> list[int]:
-    instr = instructions[pos]
-    n = len(instructions)
-    if instr.name == "EXIT":
-        return []
-    if instr.name == "BRA" and isinstance(instr.target, int):
-        target = pos + 1 + instr.target
-        succ = [target] if 0 <= target < n else []
-        if not (instr.guard.is_pt and not instr.guard.negated):
-            if pos + 1 < n:
-                succ.append(pos + 1)
-        return succ
-    return [pos + 1] if pos + 1 < n else []
+def compute_live_in(
+    instructions: list[Instruction], cfg: ControlFlowGraph | None = None
+) -> list[int]:
+    """Per-instruction live-in register sets as 256-bit masks.
 
-
-def compute_live_in(instructions: list[Instruction]) -> list[int]:
-    """Per-instruction live-in register sets as 256-bit masks."""
-    n = len(instructions)
+    *cfg* defaults to a graph built from *instructions*.  Instructions
+    in blocks unreachable from the entry are left at 0.
+    """
     uses = []
     defs = []
     for instr in instructions:
@@ -61,20 +57,34 @@ def compute_live_in(instructions: list[Instruction]) -> list[int]:
         uses.append(use_mask)
         defs.append(def_mask)
 
-    succs = [_successors(instructions, pos) for pos in range(n)]
-    live_in = [0] * n
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(n - 1, -1, -1):
-            live_out = 0
-            for s in succs[pos]:
-                live_out |= live_in[s]
-            new = uses[pos] | (live_out & ~defs[pos])
-            if new != live_in[pos]:
-                live_in[pos] = new
-                changed = True
+    live_in = [0] * len(instructions)
+
+    def transfer(block: BasicBlock, live: int) -> int:
+        # Records every position's live-in; a block's last transfer runs
+        # on its final live-out, so the records end at the fixpoint.
+        for pos in reversed(block.positions()):
+            live = uses[pos] | (live & ~defs[pos])
+            live_in[pos] = live
+        return live
+
+    solve_backward(
+        cfg if cfg is not None else build_cfg(instructions),
+        0, transfer, lambda states: functools.reduce(operator.or_, states),
+    )
     return live_in
+
+
+def peak_live(ctx: AnalysisContext) -> tuple[int, int]:
+    """(peak live-register count, first position holding it), memoized
+    on the context like its CFG."""
+    cached: tuple[int, int] | None = ctx.__dict__.get("_peak_live_cache")
+    if cached is None:
+        live_in = compute_live_in(ctx.instructions, get_cfg(ctx))
+        counts = [bin(mask).count("1") for mask in live_in]
+        peak = max(counts, default=0)
+        cached = (peak, counts.index(peak) if counts else 0)
+        ctx.__dict__["_peak_live_cache"] = cached
+    return cached
 
 
 class LivenessPass(AnalysisPass):
@@ -84,14 +94,7 @@ class LivenessPass(AnalysisPass):
     def run(self, ctx: AnalysisContext) -> list[Diagnostic]:
         if not ctx.instructions:
             return []
-        live_in = compute_live_in(ctx.instructions)
-        peak = 0
-        peak_pos = 0
-        for pos, mask in enumerate(live_in):
-            count = bin(mask).count("1")
-            if count > peak:
-                peak, peak_pos = count, pos
-
+        peak, peak_pos = peak_live(ctx)
         diags = [Diagnostic(
             rule="LV001",
             severity=Severity.INFO,

@@ -39,7 +39,7 @@ from ..hw import TURING_LIMITS, ArchLimits, blocks_per_sm
 from ..isa import MAX_USABLE_REGISTERS
 from .base import AnalysisContext, AnalysisPass
 from .diagnostics import Diagnostic, Severity
-from .liveness import compute_live_in
+from .liveness import peak_live
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,13 +86,7 @@ def static_report(
             yields += 1
     cycles += yields
 
-    peak = 0
-    if ctx.instructions:
-        for mask in compute_live_in(ctx.instructions):
-            count = bin(mask).count("1")
-            if count > peak:
-                peak = count
-
+    peak, _ = peak_live(ctx)
     declared = ctx.meta.registers if ctx.meta is not None else None
     smem_bytes = ctx.smem_bytes or 0
     regs = declared if declared else peak

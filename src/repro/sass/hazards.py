@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..common.errors import AssemblerError
 from .control import NO_BARRIER
 from .instruction import Instruction
 from .isa import NUM_WAIT_BARRIERS
@@ -245,7 +244,3 @@ def validate_control(instructions: list[Instruction]) -> list[str]:
         f"instr {d.pos} ({d.instruction}) {d.message}"
         for d in ControlCodePass().run(ctx)
     ]
-
-
-class HazardError(AssemblerError):
-    """Raised when strict assembly finds control-code hazards."""

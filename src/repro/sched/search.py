@@ -216,14 +216,6 @@ class SearchResult:
         """The final rung's scores, best first."""
         return list(self.rungs[-1])
 
-    def score_for(self, schedule: Schedule) -> CandidateScore | None:
-        """The *latest* (highest-budget) score of one candidate, if any."""
-        for rung in reversed(self.rungs):
-            for score in rung:
-                if score.schedule == schedule:
-                    return score
-        return None
-
     def rung0_score_for(self, schedule: Schedule) -> CandidateScore | None:
         """The rung-0 score — the only rung where every candidate was
         measured at the *same* budget, so cross-candidate ratios are

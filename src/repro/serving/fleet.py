@@ -25,6 +25,9 @@ every device:
   (:func:`repro.perfmodel.selection.predicted_time`), with workspace
   exclusions from :func:`~repro.perfmodel.selection.rank_algorithms`.
 
+That is the AUTO modes' bid, per layer the cheapest candidate; a model
+whose mode forces one algorithm is costed with that algorithm alone.
+
 Placement is **greedy load-aware**: the model goes to the device
 minimizing ``accumulated_load + cost`` — a pure fastest-device argmin
 would park the whole fleet on the V100; balancing against accumulated
@@ -46,6 +49,7 @@ from ..common.errors import ReproError, ServingError
 from ..convolution.api import FUSED_TILE_FOR_ALGO
 from ..gpusim.arch import DeviceSpec, canonical_device_key, resolve_device
 from ..runtime.context import ExecutionContext
+from ..runtime.session import SESSION_MODES
 from .config import ServingConfig
 from .frontend import ModelSpec, ServingFrontend
 
@@ -211,18 +215,27 @@ class FleetRouter:
         return cycles / (dev.spec.clock_ghz * 1e9)
 
     def _model_cost(self, model: ModelSpec, dev: _FleetDevice) -> tuple[float, list[str]]:
-        """(estimated seconds, costing notes) for a full-batch pass."""
+        """(estimated seconds, costing notes) for a full-batch pass.
+
+        Under an AUTO mode each layer bids its fastest dispatch candidate
+        that fits the workspace budget; a mode that forces an algorithm
+        bids that algorithm alone.
+        """
         from ..perfmodel.selection import predicted_time, rank_algorithms
 
+        mode = (model.mode or self.config.mode).upper()
         total = 0.0
         notes: list[str] = []
         limit = self.config.workspace_limit_bytes
         for prob in model.problems:
             batched = prob.with_batch(self.config.max_batch)
-            ranked, excluded = rank_algorithms(batched, dev.spec, limit)
-            for algo, reason in excluded.items():
-                if "workspace" in reason:
-                    notes.append(f"{batched.label()}: {algo} excluded ({reason})")
+            if mode not in SESSION_MODES:
+                ranked = [mode]
+            else:
+                ranked, excluded = rank_algorithms(batched, dev.spec, limit)
+                for algo, reason in excluded.items():
+                    if "workspace" in reason:
+                        notes.append(f"{batched.label()}: {algo} excluded ({reason})")
             best = math.inf
             for algo in ranked:
                 family = FUSED_TILE_FOR_ALGO.get(algo)

@@ -289,11 +289,12 @@ class ServingFrontend:
         """Install *model* for *tenant* (creating the tenant on first use).
 
         Raises :class:`ServingError` if the model's session mode is not
-        one a session can run, or if even a batch of one cannot fit the
+        one a session can run, if it forces an algorithm that cannot run
+        one of the layers, or if even a batch of one cannot fit the
         workspace budget — such a model could never be served, so the
         failure belongs at registration, not per request.
         """
-        from ..perfmodel.selection import DISPATCH_CANDIDATES
+        from ..perfmodel.selection import DISPATCH_CANDIDATES, algorithm_supports
 
         if self._closed:
             raise ServingError("serving frontend is closed")
@@ -305,6 +306,13 @@ class ServingFrontend:
                 f"model {model.name!r}: unknown session mode {mode!r}; "
                 f"choose from {SESSION_MODES + DISPATCH_CANDIDATES}"
             )
+        for prob in model.problems:
+            if mode not in SESSION_MODES and not algorithm_supports(mode, prob):
+                raise ServingError(
+                    f"model {model.name!r} layer {prob.label()}: {mode} cannot run "
+                    f"a {prob.r}x{prob.s} filter at pad {prob.pad}, stride "
+                    f"{prob.stride}; choose an AUTO mode or another algorithm"
+                )
         state = self._tenants.get(tenant)
         if state is None:
             ctx = ExecutionContext(

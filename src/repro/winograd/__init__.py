@@ -13,11 +13,11 @@ from .nonfused import NonFusedRunStats, NonFusedWinogradConv
 from .reference import winograd_conv2d_nchw
 from .tilespec import TILE_F22, TILE_F44, TILE_FAMILIES, TileSpec, get_tile
 from .tiling import (
-    gather_input_tiles_chwn,
+    gather_tiles,
     mask_words,
     pack_mask,
-    scatter_output_tiles_khwn,
     tile_index_grid,
+    tile_windows,
     unpack_mask,
     zero_pad_mask,
 )
@@ -52,14 +52,14 @@ __all__ = [
     "cook_toom",
     "f23",
     "f43",
-    "gather_input_tiles_chwn",
+    "gather_tiles",
     "get_tile",
     "get_transform",
     "mask_words",
     "pack_mask",
-    "scatter_output_tiles_khwn",
     "tile_block_config",
     "tile_index_grid",
+    "tile_windows",
     "unpack_mask",
     "warp_load_sectors",
     "winograd_conv2d_nchw",

@@ -11,6 +11,12 @@ It keeps the decomposition of Algorithm 1:
 * an **output transform** (OTF) that turns the accumulators into m×m
   output tiles and scatters them (with crop) into the KHWN output.
 
+The stages are the module functions :func:`ftf`, :func:`gather_itf` and
+:func:`otf_store` (over :func:`~repro.winograd.tiling.tile_windows`'
+windows and masks): the host's one Winograd tile path, which the §8.4
+NCHW port (``fused_nchw.py``) and the non-fused executor
+(``nonfused.py``) run too.
+
 The kernel runs the main loop in a grid of thread blocks, each owning
 ``bk × bn`` output tiles (Fig. 1).  :meth:`FusedWinogradConv.run`
 computes the same sums in the same per-element order without replaying
@@ -39,7 +45,7 @@ import numpy as np
 from ..common.errors import ConvConfigError, LayoutError
 from ..common.problem import ConvProblem
 from .tilespec import TILE_F22, TileSpec, get_tile
-from .tiling import problem_for_tensors, tile_index_grid
+from .tiling import gather_tiles, problem_for_tensors, tile_index_grid, tile_windows
 from .transforms import (
     PAPER_ITF_FLOPS,
     PAPER_OTF_FLOPS,
@@ -154,6 +160,64 @@ def _otf_fadds_per_tile(t: WinogradTransform) -> int:
     return (t.m * t.alpha + t.m * t.m) * (t.alpha - 1)
 
 
+def ftf(t: WinogradTransform, f_crsk: np.ndarray) -> np.ndarray:
+    """The FTF (§4.1): GFGᵀ for every (c, k), (C, r, r, K) → (C, alpha, alpha, K).
+
+    Fills a C-contiguous output one group of channels at a time.  A
+    group's einsum temporaries take at most ``3·alpha²·K`` elements
+    per channel, and a group holds as many channels as fit
+    ``_FTF_CHUNK_BYTES`` (4 MiB), or one; the peak allocation is the
+    output plus one group.
+    """
+    if f_crsk.ndim != 4 or f_crsk.shape[1:3] != (t.r, t.r):
+        raise LayoutError(f"expected CRSK {t.r}×{t.r} filters, got {f_crsk.shape}")
+    c, k = f_crsk.shape[0], f_crsk.shape[3]
+    out = np.empty((c, t.alpha, t.alpha, k), dtype=np.result_type(t.g, f_crsk))
+    group = max(1, _FTF_CHUNK_BYTES // (3 * t.alpha**2 * max(1, k) * out.itemsize))
+    for c0 in range(0, c, group):
+        out[c0 : c0 + group] = np.einsum(
+            "ij,cjsk,ls->cilk", t.g, f_crsk[c0 : c0 + group], t.g, optimize=True
+        )
+    return out
+
+
+def gather_itf(
+    t: WinogradTransform,
+    x_chwn: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    batch: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """Gather and ITF: the (alpha², C, T) transformed tiles of *x_chwn*.
+
+    *rows*, *cols*, *batch* and *mask* locate the T tiles (see
+    :func:`~repro.winograd.tiling.tile_windows`).  A separate frame, so
+    the gather and ITF temporaries are freed before the caller's GEMM.
+    """
+    tiles_t = t.transform_input(gather_tiles(x_chwn, rows, cols, batch, mask))
+    # the (alpha², bc, bn) shared buffer of Table 4, bn → T
+    return tiles_t.transpose(2, 3, 0, 1).reshape(t.alpha**2, x_chwn.shape[0], batch.size)
+
+
+def otf_store(t: WinogradTransform, o_hat: np.ndarray, y_khwn: np.ndarray, r0: int) -> None:
+    """OTF and store: tile rows ``r0 ..`` of *y_khwn* from their (alpha², K, T) sums.
+
+    The T tiles are whole tile rows in :func:`tile_index_grid` order
+    (row, col, batch).  Tile (row, col, batch) lands in
+    ``y[:, row·m+i, col·m+j, batch]``, cropped at the output edge like
+    the kernel's predicated stores.  *y_khwn* may be any strided view.
+    """
+    alpha, m = t.alpha, t.m
+    k, out_h, out_w, n = y_khwn.shape
+    tw = -(-out_w // m)
+    rows = o_hat.shape[2] // (tw * n)
+    o = t.transform_output(o_hat.reshape(alpha, alpha, k, -1).transpose(2, 3, 0, 1))
+    o = o.reshape(k, rows, tw, n, m, m).transpose(0, 1, 4, 2, 5, 3)
+    o = o.reshape(k, rows * m, tw * m, n)
+    y_khwn[:, r0 * m : (r0 + rows) * m] = o[:, : out_h - r0 * m, :out_w]
+
+
 @dataclasses.dataclass
 class FusedRunStats:
     """Work accounting for one fused-kernel invocation."""
@@ -166,10 +230,6 @@ class FusedRunStats:
     gmem_load_bytes: int = 0
     gmem_store_bytes: int = 0
     effective_flops: int = 0
-
-    @property
-    def total_main_loop_iters(self) -> int:
-        return self.grid_blocks * self.main_loop_iters_per_block
 
 
 class FusedWinogradConv:
@@ -215,30 +275,8 @@ class FusedWinogradConv:
     # FTF kernel (§4.1)
     # ------------------------------------------------------------------
     def transform_filters(self, f_crsk: np.ndarray) -> np.ndarray:
-        """GFGᵀ for every (c, k): (C, r, r, K) → (C, alpha, alpha, K).
-
-        Fills a C-contiguous output one group of channels at a time.  A
-        group's einsum temporaries take at most ``3·alpha²·K`` elements
-        per channel, and a group holds as many channels as fit
-        ``_FTF_CHUNK_BYTES`` (4 MiB), or one; the peak allocation is the
-        output plus one group.
-        """
-        t = self.transform
-        if f_crsk.ndim != 4 or f_crsk.shape[1:3] != (t.r, t.r):
-            raise LayoutError(
-                f"expected CRSK {t.r}×{t.r} filters, got {f_crsk.shape}"
-            )
-        c, k = f_crsk.shape[0], f_crsk.shape[3]
-        out = np.empty(
-            (c, t.alpha, t.alpha, k), dtype=np.result_type(t.g, f_crsk)
-        )
-        group = max(1, _FTF_CHUNK_BYTES // (3 * t.alpha**2 * max(1, k) * out.itemsize))
-        for c0 in range(0, c, group):
-            out[c0 : c0 + group] = np.einsum(
-                "ij,cjsk,ls->cilk", t.g, f_crsk[c0 : c0 + group], t.g,
-                optimize=True,
-            )
-        return out
+        """:func:`ftf` with this tile's transform: (C, r, r, K) → (C, alpha, alpha, K)."""
+        return ftf(self.transform, f_crsk)
 
     # ------------------------------------------------------------------
     # Fused main kernel
@@ -271,26 +309,37 @@ class FusedWinogradConv:
         *prob* supplies ``pad``; its n, c, h, w and k must match the
         tensors, or :class:`LayoutError` is raised.
         """
+        prob = self._checked_problem(x_chwn, f_transformed, prob)
+        y = np.zeros((prob.k, prob.out_h, prob.out_w, prob.n), dtype=np.float32)
+        self._run_into(x_chwn, f_transformed, prob, y)
+        return y, self._grid_stats(prob)
+
+    def _checked_problem(
+        self, x_chwn: np.ndarray, f_transformed: np.ndarray, prob: ConvProblem | None
+    ) -> ConvProblem:
+        """*prob* checked against the tensors (see :func:`problem_for_tensors`)."""
         if x_chwn.ndim != 4:
             raise LayoutError(f"expected CHWN input, got {x_chwn.shape}")
-        c, h, w, n = x_chwn.shape
-        t = self.transform
-        alpha = t.alpha
-        if f_transformed.ndim != 4 or f_transformed.shape[:3] != (c, alpha, alpha):
+        alpha = self.transform.alpha
+        if f_transformed.ndim != 4 or f_transformed.shape[:3] != (
+            x_chwn.shape[0], alpha, alpha
+        ):
             raise LayoutError(
                 f"expected (C,{alpha},{alpha},K) transformed filters, "
                 f"got {f_transformed.shape}"
             )
-        k = f_transformed.shape[3]
-        prob = problem_for_tensors(x_chwn, k, prob)
+        return problem_for_tensors(x_chwn, f_transformed.shape[3], prob)
 
-        y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
+    def _run_into(
+        self, x_chwn: np.ndarray, f_transformed: np.ndarray, prob: ConvProblem, y: np.ndarray
+    ) -> None:
+        """The slab loop of :meth:`run`, storing into the KHWN-ordered *y*."""
+        t = self.transform
         th, tw = prob.tiles_h(t.m), prob.tiles_w(t.m)
-        row_bytes = 4 * alpha * alpha * (k + self.config.bc) * tw * n
+        row_bytes = 4 * t.alpha**2 * (prob.k + self.config.bc) * tw * prob.n
         slab_rows = max(1, _SLAB_BYTES // max(1, row_bytes))
         for r0 in range(0, th, slab_rows):
             self._run_slab(x_chwn, f_transformed, prob, r0, min(slab_rows, th - r0), y)
-        return y, self._grid_stats(prob)
 
     def _run_slab(
         self,
@@ -307,20 +356,12 @@ class FusedWinogradConv:
         slab allocates: :meth:`run`'s working-set bound counts one slab.
         """
         t = self.transform
-        alpha, m, pad = t.alpha, t.m, prob.pad
-        elements = alpha * alpha
+        elements = t.alpha**2
         c, h, w, n = x_chwn.shape
         k = f_transformed.shape[3]
-        tw = prob.tiles_w(m)
-        tile_r, tile_c, batch = tile_index_grid(rows, tw, n)
-        arange_a = np.arange(alpha)
-        in_rows = (tile_r + r0)[:, None] * m - pad + arange_a  # (P, a)
-        in_cols = tile_c[:, None] * m - pad + arange_a
-        mask = ((in_rows >= 0) & (in_rows < h))[:, :, None] & (
-            (in_cols >= 0) & (in_cols < w)
-        )[:, None, :]  # (P, a, a) — the precomputed predicate masks (§3.5)
-        rows_cl = np.clip(in_rows, 0, h - 1)
-        cols_cl = np.clip(in_cols, 0, w - 1)
+        tile_r, tile_c, batch = tile_index_grid(rows, prob.tiles_w(t.m), n)
+        # the precomputed predicate masks (§3.5)
+        rows_cl, cols_cl, mask = tile_windows(tile_r + r0, tile_c, h, w, t.alpha, t.m, prob.pad)
 
         # (alpha², P, K): each chunk's product is added contiguously, and
         # the slab's sum is transposed once for the OTF
@@ -328,7 +369,7 @@ class FusedWinogradConv:
         prod = None  # one GEMM result buffer per slab, in the operands' dtype
         for c0 in range(0, c, self.config.bc):
             c_hi = min(c0 + self.config.bc, c)
-            i_smem = self._input_chunk(x_chwn[c0:c_hi], rows_cl, cols_cl, batch, mask)
+            i_smem = gather_itf(t, x_chwn[c0:c_hi], rows_cl, cols_cl, batch, mask)
             f_smem = f_transformed[c0:c_hi].transpose(1, 2, 0, 3).reshape(
                 elements, c_hi - c0, k
             )  # (alpha², bc, K)
@@ -343,36 +384,7 @@ class FusedWinogradConv:
             acc += prod
         del prod  # freed before the transposed copy, so the peak stays the loop's
         acc = np.ascontiguousarray(acc.transpose(0, 2, 1))  # (alpha², K, P)
-        # --- OTF, then tile (row, col, batch) → y[:, row·m+i, col·m+j, batch],
-        # cropped at the output edge like the kernel's predicated stores ---
-        o_hat = acc.reshape(alpha, alpha, k, batch.size).transpose(2, 3, 0, 1)
-        o = t.transform_output(o_hat)  # (K, P, m, m)
-        o = o.reshape(k, rows, tw, n, m, m).transpose(0, 1, 4, 2, 5, 3)
-        o = o.reshape(k, rows * m, tw * m, n)
-        y[:, r0 * m : (r0 + rows) * m] = o[:, : prob.out_h - r0 * m, : prob.out_w]
-
-    def _input_chunk(
-        self,
-        x_chunk: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        batch: np.ndarray,
-        mask: np.ndarray,
-    ) -> np.ndarray:
-        """Gather and ITF one channel chunk: the (alpha², bc, P) buffer.
-
-        A separate frame, so the gather and ITF temporaries are freed
-        before the chunk's GEMM runs.
-        """
-        # --- gather bc×P input tiles with implicit zero pad ---
-        tiles = x_chunk[:, rows[:, :, None], cols[:, None, :], batch[:, None, None]]
-        tiles = np.where(mask[None], tiles, np.float32(0))
-        # --- ITF: per-tile BᵀIB adds (§4.2) ---
-        tiles_t = self.transform.transform_input(tiles)  # (bc, P, a, a)
-        alpha = self.transform.alpha
-        return tiles_t.transpose(2, 3, 0, 1).reshape(
-            alpha * alpha, x_chunk.shape[0], batch.size
-        )  # the (alpha², bc, bn) shared buffer of Table 4, bn → P
+        otf_store(t, acc, y, r0)
 
     def _grid_stats(self, prob: ConvProblem) -> FusedRunStats:
         """The work of the kernel's grid on *prob*, in closed form.

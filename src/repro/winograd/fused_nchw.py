@@ -6,30 +6,32 @@ little effort.  For example, each thread block can load and transform a
 coalesced.  The offsets of global and shared memory accesses need to be
 recomputed, while all other optimizations can be adopted."
 
-The change versus :class:`~repro.winograd.fused.FusedWinogradConv` is
-exactly the tile-to-block mapping: instead of a block's 32 tiles being
+:meth:`FusedWinogradConvNCHW.run_nchw` is that port on the host: it runs
+:class:`~repro.winograd.fused.FusedWinogradConv`'s tile path unchanged
+(windows and masks, gather + ITF, the alpha²-batched GEMM, OTF + store)
+on CHWN-ordered *views* of the NCHW input and the NKHW output, so only
+the offsets differ — NumPy recomputes them from the strides — and the
+result is byte-identical to the CHWN pipeline's.
+
+The coalescing half of the claim is about the kernel's tile-to-block
+mapping, not the host's tile order: instead of a block's 32 tiles being
 32 consecutive *batch* elements of one (h̃, w̃) position (CHWN: batch is
 the fast axis), they form an 8×4 patch of tile positions inside one
 image — a 16×8 pixel window whose rows are contiguous in NCHW, so a
-warp's loads still coalesce.  Everything downstream of the gather (the
-transforms, the 16-batched GEMM, the blocking arithmetic) is shared
-with the CHWN pipeline, demonstrating §8.4's claim in code.
-
-:func:`warp_load_sectors` quantifies the claim: it counts the 32-byte
-sectors one warp's 32 tile-loads touch per tile element under each
-layout/mapping combination — both chosen mappings hit the 4-sector
-optimum; the naive mismatched pairings do not.
+warp's loads still coalesce.  :func:`warp_load_sectors` quantifies it:
+it counts the 32-byte sectors one warp's 32 tile-loads touch per tile
+element under each layout/mapping combination — 4 for CHWN with the
+batch mapping, 16 (two per patch row) for NCHW with the patch mapping,
+and 32, one per lane, for either mismatched pairing.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from ..common.errors import LayoutError
 from ..common.problem import ConvProblem
-from .fused import PAPER_CONFIG, BlockConfig, FusedWinogradConv
+from .fused import FusedWinogradConv
 
 TILE_PATCH_W = 4  # tiles per block along width  → 8-pixel window
 TILE_PATCH_H = 8  # tiles per block along height → 16-pixel window
@@ -39,91 +41,19 @@ class FusedWinogradConvNCHW(FusedWinogradConv):
     """The fused pipeline reading NCHW activations directly."""
 
     def run_nchw(self, x_nchw: np.ndarray, f_transformed: np.ndarray,
-                 prob: ConvProblem | None = None):
+                 prob: ConvProblem | None = None) -> np.ndarray:
         """Like :meth:`run`, but the activations stay in NCHW.
 
-        Internally the gather indexes the NCHW tensor with the §8.4
-        spatial-patch mapping; the output is returned as NKHW (the
-        layout NCHW frameworks expect back).
+        The gather indexes the NCHW tensor in place and the stores write
+        an NKHW output (the layout NCHW frameworks expect back), which is
+        returned.
         """
         if x_nchw.ndim != 4:
             raise LayoutError(f"expected NCHW input, got {x_nchw.shape}")
-        n, c, h, w = x_nchw.shape
-        k = f_transformed.shape[3]
-        prob = prob or ConvProblem(n=n, c=c, h=h, w=w, k=k)
-        t = self.transform
-        alpha, m, pad = t.alpha, t.m, prob.pad
-        cfg = self.config
-        th, tw = prob.tiles_h(m), prob.tiles_w(m)
-
-        # §8.4 block mapping: one image, an 8×4 patch of tile positions.
-        patches_h = math.ceil(th / TILE_PATCH_H)
-        patches_w = math.ceil(tw / TILE_PATCH_W)
-        n_blocks_k = math.ceil(k / cfg.bk)
-        y = np.zeros((n, k, prob.out_h, prob.out_w), dtype=np.float32)
-        arange_a = np.arange(alpha)
-
-        for img in range(n):
-            for ph in range(patches_h):
-                for pw in range(patches_w):
-                    tiles_r = np.repeat(
-                        ph * TILE_PATCH_H + np.arange(TILE_PATCH_H), TILE_PATCH_W
-                    )
-                    tiles_c = np.tile(
-                        pw * TILE_PATCH_W + np.arange(TILE_PATCH_W), TILE_PATCH_H
-                    )
-                    valid = (tiles_r < th) & (tiles_c < tw)
-                    rows = tiles_r[:, None] * m - pad + arange_a[None, :]
-                    cols = tiles_c[:, None] * m - pad + arange_a[None, :]
-                    mask = (
-                        ((rows >= 0) & (rows < h))[:, :, None]
-                        & ((cols >= 0) & (cols < w))[:, None, :]
-                        & valid[:, None, None]
-                    )
-                    rows_cl = np.clip(rows, 0, h - 1)
-                    cols_cl = np.clip(cols, 0, w - 1)
-                    for kb in range(n_blocks_k):
-                        k0, k_hi = kb * cfg.bk, min((kb + 1) * cfg.bk, k)
-                        acc = np.zeros(
-                            (alpha * alpha, k_hi - k0, 32), dtype=np.float32
-                        )
-                        for c0 in range(0, c, cfg.bc):
-                            c_hi = min(c0 + cfg.bc, c)
-                            chan = np.arange(c0, c_hi)[:, None, None, None]
-                            tiles = x_nchw[
-                                img, chan,
-                                rows_cl[None, :, :, None],
-                                cols_cl[None, :, None, :],
-                            ]  # (bc, 32, a, a)
-                            tiles = np.where(
-                                mask[None], tiles, np.float32(0)
-                            )
-                            i_t = t.transform_input(tiles)
-                            i_smem = i_t.transpose(2, 3, 0, 1).reshape(
-                                alpha * alpha, c_hi - c0, 32
-                            )
-                            f_smem = f_transformed[
-                                c0:c_hi, :, :, k0:k_hi
-                            ].transpose(1, 2, 0, 3).reshape(
-                                alpha * alpha, c_hi - c0, k_hi - k0
-                            )
-                            acc += np.einsum(
-                                "pck,pcn->pkn", f_smem, i_smem, optimize=True
-                            ).astype(np.float32)
-                        o_hat = acc.reshape(
-                            alpha, alpha, k_hi - k0, 32
-                        ).transpose(2, 3, 0, 1)
-                        o = t.transform_output(o_hat)
-                        for j in range(32):
-                            if not valid[j]:
-                                continue
-                            r0 = tiles_r[j] * m
-                            c0w = tiles_c[j] * m
-                            rmax = min(m, prob.out_h - r0)
-                            cmax = min(m, prob.out_w - c0w)
-                            y[img, k0:k_hi, r0 : r0 + rmax, c0w : c0w + cmax] = o[
-                                :, j, :rmax, :cmax
-                            ]
+        x_chwn = x_nchw.transpose(1, 2, 3, 0)
+        prob = self._checked_problem(x_chwn, f_transformed, prob)
+        y = np.zeros((prob.n, prob.k, prob.out_h, prob.out_w), dtype=np.float32)
+        self._run_into(x_chwn, f_transformed, prob, y.transpose(1, 2, 3, 0))
         return y
 
 
@@ -134,8 +64,8 @@ def warp_load_sectors(
 
     ``layout`` ∈ {"CHWN", "NCHW"}; ``mapping`` ∈ {"batch", "patch"} — the
     CHWN kernel's batch-fastest tile assignment vs. §8.4's 8×4 spatial
-    patch.  The matched pairs (CHWN+batch, NCHW+patch) coalesce to 4
-    sectors; the mismatched pairs scatter.
+    patch.  The matched pairs coalesce (CHWN+batch to 4 sectors,
+    NCHW+patch to two per patch row); the mismatched pairs scatter.
     """
     x, y = element
     n, h, w = prob.n, prob.h, prob.w

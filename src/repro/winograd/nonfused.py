@@ -14,13 +14,13 @@ the break-even bench can be generated from real allocation numbers.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from ..common.errors import ConvConfigError, LayoutError
 from ..common.problem import ConvProblem
-from .tiling import problem_for_tensors, tile_index_grid
+from .fused import ftf, gather_itf, otf_store
+from .tiling import problem_for_tensors, tile_index_grid, tile_windows
 from .transforms import WinogradTransform, get_transform
 
 
@@ -64,64 +64,26 @@ class NonFusedWinogradConv:
         k = f_crsk.shape[3]
         prob = problem_for_tensors(x_chwn, k, prob)
         t = self.transform
-        alpha, m, pad = t.alpha, t.m, prob.pad
+        elements = t.alpha * t.alpha
+        tile_r, tile_c, batch = tile_index_grid(prob.tiles_h(t.m), prob.tiles_w(t.m), n)
+        rows, cols, mask = tile_windows(tile_r, tile_c, h, w, t.alpha, t.m, prob.pad)
 
-        th, tw = prob.tiles_h(m), prob.tiles_w(m)
-        tile_r, tile_c, tile_n = tile_index_grid(th, tw, n)
-        total = tile_r.size
-        stats = NonFusedRunStats()
-
-        # ---- scatter step 1: transformed filters, (alpha², C, K) ----------
-        f = np.transpose(f_crsk, (0, 3, 1, 2))  # (C, K, 3, 3)
-        u = t.transform_filter(f)  # (C, K, a, a)
-        u = u.transpose(2, 3, 0, 1).reshape(alpha * alpha, c, k)
-        stats.transformed_filter_bytes = u.nbytes
-
-        # ---- scatter step 2: transformed input, (alpha², C, total) --------
-        arange_a = np.arange(alpha)
-        rows = tile_r[:, None] * m - pad + arange_a[None, :]
-        cols = tile_c[:, None] * m - pad + arange_a[None, :]
-        mask = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[
-            :, None, :
-        ]
-        rows_cl = np.clip(rows, 0, h - 1)
-        cols_cl = np.clip(cols, 0, w - 1)
-        tiles = x_chwn[
-            :, rows_cl[:, :, None], cols_cl[:, None, :], tile_n[:, None, None]
-        ]  # (C, total, a, a)
-        tiles = np.where(mask[None], tiles, np.float32(0))
-        v = t.transform_input(tiles)  # (C, total, a, a)
-        v = v.transpose(2, 3, 0, 1).reshape(alpha * alpha, c, total)
-        stats.transformed_input_bytes = v.nbytes
-
-        # ---- batched GEMM over the alpha² points ---------------------------
-        # (a², K, total) = (a², K, C) @ (a², C, total)
+        # ---- scatter: transformed filters (alpha², C, K) and input
+        # (alpha², C, tiles), the fused executor's FTF and gather + ITF ----
+        u = ftf(t, f_crsk).transpose(1, 2, 0, 3).reshape(elements, c, k)
+        v = gather_itf(t, x_chwn, rows, cols, batch, mask)
+        # ---- one batched GEMM over all C: (a², K, tiles) = (a², K, C) @ (a², C, tiles)
         o_hat = np.einsum("pck,pcn->pkn", u, v, optimize=True)
-        stats.gemm_flops = 2 * alpha * alpha * k * c * total
-        stats.transformed_output_bytes = o_hat.nbytes
-
-        # ---- gather: output transform + assemble ---------------------------
-        o = t.transform_output(
-            o_hat.reshape(alpha, alpha, k, total).transpose(2, 3, 0, 1)
-        )  # (K, total, m, m)
+        # ---- gather: the fused executor's OTF + store, all tile rows at once
         y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
-        # Vectorized scatter: tiles are disjoint in (row, col, batch).
-        out_r = tile_r[:, None] * m + np.arange(m)[None, :]  # (total, m)
-        out_c = tile_c[:, None] * m + np.arange(m)[None, :]
-        ok = (out_r[:, :, None] < prob.out_h) & (out_c[:, None, :] < prob.out_w)
-        rr = np.clip(out_r, 0, prob.out_h - 1)
-        cc = np.clip(out_c, 0, prob.out_w - 1)
-        flat_t, flat_r, flat_c = np.nonzero(ok)
-        y[:, rr[flat_t, flat_r], cc[flat_t, flat_c], tile_n[flat_t]] = o[
-            :, flat_t, flat_r, flat_c
-        ]
-
-        stats.workspace_bytes = (
-            stats.transformed_input_bytes
-            + stats.transformed_filter_bytes
-            + stats.transformed_output_bytes
+        otf_store(t, o_hat, y, 0)
+        return y, NonFusedRunStats(
+            workspace_bytes=v.nbytes + u.nbytes + o_hat.nbytes,
+            transformed_input_bytes=v.nbytes,
+            transformed_filter_bytes=u.nbytes,
+            transformed_output_bytes=o_hat.nbytes,
+            gemm_flops=2 * elements * k * c * batch.size,
         )
-        return y, stats
 
     def __call__(self, x_chwn: np.ndarray, f_crsk: np.ndarray) -> np.ndarray:
         y, _ = self.run(x_chwn, f_crsk)

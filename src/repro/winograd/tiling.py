@@ -13,11 +13,14 @@ windows whose 36-bit masks no longer fit one register — ``pack_mask``
 returns one 32-bit word per 32 predicates, exactly the register words
 the SASS prologue materializes (one P2R word for f22, two for f44).
 
-This module provides that mask computation and the gather/scatter
-helpers shared by the reference and fused implementations.  The gathers
-are written against the CHWN layout with flat indices + masks rather
-than ``np.pad`` so they compute the *same addresses* the SASS kernel
-generators emit.
+This module provides those windows and masks and the masked gather
+that every NumPy Winograd executor runs (the fused executor, its §8.4
+NCHW port and the non-fused executor; see ``fused.py``).  The gather
+indexes a CHWN-ordered array with clamped indices and masks rather than
+``np.pad``, so it computes the *same addresses* the SASS kernel
+generators emit; an NCHW tensor is gathered through its CHWN-ordered
+view.  The reference oracle (``reference.py``) pads explicitly and uses
+none of these helpers.
 """
 
 from __future__ import annotations
@@ -31,25 +34,52 @@ from ..common.problem import ConvProblem
 MASK_WORD_BITS = 32
 
 
-def tile_origin(tile_idx: int, m: int, pad: int) -> int:
-    """First input row/col (possibly negative) covered by a tile index."""
-    return tile_idx * m - pad
+def tile_windows(
+    tile_r, tile_c, h: int, w: int, alpha: int, m: int, pad: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The alpha×alpha input window of each tile and its in-bounds mask.
+
+    Tile t covers input rows ``tile_r[t]·m − pad + [0, alpha)`` and the
+    matching columns.  Returns the (T, alpha) row and column indices
+    clamped into the input and the (T, alpha, alpha) bool mask: ``True``
+    where the element is inside the real input and must be loaded,
+    ``False`` where it is implicit zero.
+    """
+    span = np.arange(alpha)
+    rows = np.asarray(tile_r)[:, None] * m - pad + span
+    cols = np.asarray(tile_c)[:, None] * m - pad + span
+    mask = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+    return np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1), mask
 
 
 def zero_pad_mask(
     h_tile: int, w_tile: int, h: int, w: int, alpha: int, m: int, pad: int
 ) -> np.ndarray:
-    """The (alpha, alpha) bool mask of in-bounds elements for one tile.
+    """The (alpha, alpha) :func:`tile_windows` mask of one tile.
 
-    ``True`` means the element is inside the real input and must be
-    loaded; ``False`` means implicit zero.  For F(2×2, 3×3) this is the
-    16-bool mask of §3.5 — more than the 7 hardware predicate registers,
-    hence the P2R/R2P packing trick; F(4×4, 3×3) has 36 bools spanning
-    two mask words.
+    For F(2×2, 3×3) this is the 16-bool mask of §3.5 — more than the 7
+    hardware predicate registers, hence the P2R/R2P packing trick;
+    F(4×4, 3×3) has 36 bools spanning two mask words.
     """
-    rows = tile_origin(h_tile, m, pad) + np.arange(alpha)
-    cols = tile_origin(w_tile, m, pad) + np.arange(alpha)
-    return ((rows >= 0) & (rows < h))[:, None] & ((cols >= 0) & (cols < w))[None, :]
+    return tile_windows([h_tile], [w_tile], h, w, alpha, m, pad)[2][0]
+
+
+def gather_tiles(
+    x_chwn: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    batch: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """The (C, T, alpha, alpha) input tiles, zero outside the input.
+
+    *rows*, *cols* and *mask* are :func:`tile_windows`' results and
+    *batch* the (T,) image of each tile.  *x_chwn* is indexed (C, H, W,
+    N); any strides will do, so an NCHW tensor is gathered through
+    ``x.transpose(1, 2, 3, 0)`` without a copy.
+    """
+    tiles = x_chwn[:, rows[:, :, None], cols[:, None, :], batch[:, None, None]]
+    return np.where(mask[None], tiles, np.float32(0))
 
 
 def mask_words(num_bits: int) -> int:
@@ -97,75 +127,6 @@ def unpack_mask(words, shape: tuple[int, ...]) -> np.ndarray:
         (words[i // MASK_WORD_BITS] >> (i % MASK_WORD_BITS)) & 1 for i in range(size)
     ]
     return np.array(bits, dtype=bool).reshape(shape)
-
-
-def gather_input_tiles_chwn(
-    x_chwn: np.ndarray,
-    tile_rows: np.ndarray,
-    tile_cols: np.ndarray,
-    alpha: int,
-    m: int,
-    pad: int,
-) -> np.ndarray:
-    """Gather input tiles from a CHWN tensor with implicit zero padding.
-
-    Parameters
-    ----------
-    x_chwn: input activations, layout (C, H, W, N).
-    tile_rows, tile_cols: 1-D integer arrays of tile indices (same length
-        T); element t selects the tile at (tile_rows[t], tile_cols[t]).
-    alpha, m, pad: the tile geometry (explicit — no hidden f22 default).
-
-    Returns
-    -------
-    Array of shape (C, T, alpha, alpha, N): for every channel and tile,
-    the alpha×alpha window with out-of-bounds elements set to zero.
-    """
-    if x_chwn.ndim != 4:
-        raise LayoutError(f"expected CHWN input, got shape {x_chwn.shape}")
-    c, h, w, n = x_chwn.shape
-    tile_rows = np.asarray(tile_rows)
-    tile_cols = np.asarray(tile_cols)
-    rows = tile_rows[:, None] * m - pad + np.arange(alpha)[None, :]  # (T, alpha)
-    cols = tile_cols[:, None] * m - pad + np.arange(alpha)[None, :]  # (T, alpha)
-    row_ok = (rows >= 0) & (rows < h)
-    col_ok = (cols >= 0) & (cols < w)
-    mask = row_ok[:, :, None] & col_ok[:, None, :]  # (T, alpha, alpha)
-    rows_c = np.clip(rows, 0, h - 1)
-    cols_c = np.clip(cols, 0, w - 1)
-    # Fancy-gather: (C, T, alpha, alpha, N).
-    tiles = x_chwn[:, rows_c[:, :, None], cols_c[:, None, :], :]
-    tiles = np.where(mask[None, :, :, :, None], tiles, np.zeros((), x_chwn.dtype))
-    return tiles
-
-
-def scatter_output_tiles_khwn(
-    y_khwn: np.ndarray,
-    tiles: np.ndarray,
-    tile_rows: np.ndarray,
-    tile_cols: np.ndarray,
-    m: int,
-) -> None:
-    """Scatter m×m output tiles into a KHWN tensor, cropping overhang.
-
-    ``tiles`` has shape (K_local..., T, m, m, N) matching the gather's
-    (T, m, m, N) trailing layout; rows/cols landing past the output edge
-    (the "one more pixel" of a 7×7 Conv5 output, §7.3 observation 2) are
-    discarded, exactly as the kernel's predicated stores do.
-    """
-    k, h, w, n = y_khwn.shape
-    tile_rows = np.asarray(tile_rows)
-    tile_cols = np.asarray(tile_cols)
-    for t in range(tile_rows.size):
-        r0 = tile_rows[t] * m
-        c0 = tile_cols[t] * m
-        rmax = min(m, h - r0)
-        cmax = min(m, w - c0)
-        if rmax <= 0 or cmax <= 0:
-            continue
-        y_khwn[:, r0 : r0 + rmax, c0 : c0 + cmax, :] = tiles[
-            ..., t, :rmax, :cmax, :
-        ]
 
 
 def tile_index_grid(tiles_h: int, tiles_w: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

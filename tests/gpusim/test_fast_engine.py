@@ -161,3 +161,26 @@ def test_engines_agree_on_more_table1_layers(monkeypatch, layer_idx):
     _assert_engines_agree(
         monkeypatch, prob, DEVICES["V100"], PAPER_SCHEDULE.to_tunables()
     )
+
+
+def test_s2r_and_mufu_latencies_come_from_the_device(monkeypatch):
+    """S2R and MUFU wait ``DeviceSpec.lat_s2r`` and ``lat_mufu`` cycles,
+    on both engines: a barrier chain through both moves by the deltas."""
+    kernel = assemble(
+        "[B------:R-:W-:-:S01] MOV R2, 0x3f800000;\n"
+        "[B------:R-:W0:-:S01] S2R R0, SR_TID.X;\n"
+        "[B0-----:R-:W1:-:S01] MUFU.RCP R1, R2;\n"
+        "[B-1----:R-:W-:-:S01] EXIT;\n"
+    )
+    slow = dataclasses.replace(V100, lat_s2r=V100.lat_s2r + 8, lat_mufu=V100.lat_mufu + 13)
+    cycles = {}
+    for engine in ("reference", "fast"):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        for device in (V100, slow):
+            cycles[engine, device.lat_s2r] = simulate_resident_blocks(
+                kernel, device, params={}, gmem=GlobalMemory(1 << 12),
+                threads_per_block=32, num_blocks=1,
+            ).counters.cycles
+    assert cycles["fast", V100.lat_s2r] == cycles["reference", V100.lat_s2r]
+    assert cycles["fast", slow.lat_s2r] == cycles["reference", slow.lat_s2r]
+    assert cycles["fast", slow.lat_s2r] - cycles["fast", V100.lat_s2r] == 8 + 13

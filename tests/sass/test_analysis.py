@@ -375,6 +375,31 @@ def test_predicated_write_does_not_kill():
     assert live_in[1] & (1 << 1)  # R1 live into the predicated write
 
 
+def test_liveness_flows_past_a_predicated_exit():
+    # @P0 EXIT may not retire either: R1 stays live across it, along the
+    # shared CFG's fall-through edge.
+    from repro.sass.analysis.liveness import compute_live_in
+
+    live_in = compute_live_in(_prog("MOV R1, 0x1;\n@P0 EXIT;\nSTS [R2], R1;\nEXIT;\n"))
+    assert live_in[1] & (1 << 1)
+
+
+def test_liveness_is_solved_once_per_context(monkeypatch):
+    from repro.sass.analysis import AnalysisContext, liveness
+    from repro.sass.analysis.occupancy import static_report
+
+    calls = []
+    solve = liveness.solve_backward
+    monkeypatch.setattr(
+        liveness, "solve_backward", lambda *args: calls.append(args) or solve(*args)
+    )
+    ctx = AnalysisContext(instructions=_prog("MOV R0, 0x1;\nIADD3 R1, R0, R2, R3;\nEXIT;\n"))
+    (lv001,) = LivenessPass().run(ctx)
+    assert static_report(ctx).peak_live_regs == 3
+    assert "3 live registers" in lv001.message
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Control-code pass (CTRL001-CTRL003) and the validate_control wrapper
 # ---------------------------------------------------------------------------

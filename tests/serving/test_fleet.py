@@ -153,3 +153,26 @@ def test_real_cost_model_is_occupancy_and_device_aware(monkeypatch):
     router = FleetRouter(("V100", "RTX2070"), ServingConfig(max_batch=32))
     decision = router.place("t", _model("conv3", resnet_layer("Conv3", n=1)))
     assert decision.costs["V100"] < decision.costs["RTX2070"]
+
+
+def test_forced_mode_is_costed_with_its_algorithm_alone(monkeypatch):
+    """A model served in GEMM mode bids the GEMM time model and runs no
+    schedule search, on every device; AUTO still bids the fused path."""
+    from repro.models.resnet import resnet_layer
+    from repro.perfmodel.selection import predicted_time
+
+    searched = []
+    monkeypatch.setattr(
+        FleetRouter, "_fused_layer_cost",
+        lambda self, dev, prob, family: searched.append((dev.key, family)) or 1e-9,
+    )
+    prob = resnet_layer("Conv3", n=1)
+    router = FleetRouter(("V100", "RTX2070"), ServingConfig(max_batch=4, mode="GEMM"))
+    decision = router.place("t", _model("conv3", prob))
+    assert searched == []
+    for key, spec in (("V100", V100), ("RTX2070", RTX2070)):
+        assert decision.costs[key] == predicted_time(prob.with_batch(4), spec, "GEMM")
+
+    auto = FleetRouter(("V100",), ServingConfig(max_batch=4))
+    assert auto.place("t", _model("conv3", prob)).costs["V100"] == 1e-9
+    assert ("V100", "f22") in searched

@@ -1,6 +1,7 @@
 """ServingFrontend: batching, deadlines, backpressure, tenant isolation."""
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -145,6 +146,21 @@ def test_unknown_mode_rejected_at_registration():
     # Every accepted algorithm has a workspace formula for the batch cap.
     assert set(DISPATCH_CANDIDATES) <= set(DISPATCH_WORKSPACE)
     frontend.register_model("a", _model(mode="winograd_nonfused"))
+
+
+def test_forced_algorithm_that_cannot_run_a_layer_rejected_at_registration():
+    # WINOGRAD runs 3x3/pad-1 layers only: a 1x1 pad-0 layer would fail
+    # every request with ConvConfigError, so registration refuses it.
+    pointwise = ConvProblem(n=1, c=4, h=8, w=8, k=4, r=1, s=1, pad=0, name="Pw")
+    model = _model(mode="winograd", problems=(PROB, pointwise),
+                   filters=(WEIGHTS, np.ones((4, 4, 1, 1), np.float32)))
+    frontend = ServingFrontend()
+    with pytest.raises(ServingError, match="layer Pw: WINOGRAD cannot run a 1x1"):
+        frontend.register_model("a", model)
+    assert "a" not in frontend.stats()["tenants"]
+    # The AUTO modes and a shape-general algorithm still serve it.
+    frontend.register_model("a", dataclasses.replace(model, mode=None))
+    frontend.register_model("a", dataclasses.replace(model, name="g", mode="GEMM"))
 
 
 def test_workspace_limit_surfaces_as_typed_backpressure():

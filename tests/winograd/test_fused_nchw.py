@@ -48,18 +48,27 @@ def test_matches_direct_multi_kblock():
 
 
 def test_same_results_as_chwn_pipeline():
-    from repro.common import chwn_to_nchw, khwn_to_nkhw, nchw_to_chwn
+    """§8.4: only the offsets change, so the NCHW port's output is the CHWN
+    pipeline's byte for byte, float64 included (a channel remainder and
+    two K blocks)."""
+    from repro.common import khwn_to_nkhw, nchw_to_chwn
     from repro.winograd import FusedWinogradConv
 
-    prob = ConvProblem(n=2, c=8, h=16, w=8, k=32)
-    rng = make_rng(5)
-    x = random_activation(prob, rng)
-    f_crsk = kcrs_to_crsk(random_filter(prob, rng))
-    nchw_conv = FusedWinogradConvNCHW()
-    f_t = nchw_conv.transform_filters(f_crsk)
-    y_nchw = nchw_conv.run_nchw(x, f_t, prob)
-    y_chwn = khwn_to_nkhw(FusedWinogradConv()(nchw_to_chwn(x), f_crsk))
-    np.testing.assert_allclose(y_nchw, y_chwn, atol=1e-5)
+    for prob in (
+        ConvProblem(n=2, c=8, h=16, w=8, k=32),
+        ConvProblem(n=4, c=19, h=13, w=6, k=70),
+    ):
+        for tile in ("f22", "f44"):
+            for dtype in (np.float32, np.float64):
+                rng = np.random.default_rng(5)
+                x = rng.standard_normal((prob.n, prob.c, prob.h, prob.w)).astype(dtype)
+                f_crsk = rng.standard_normal((prob.c, 3, 3, prob.k)).astype(dtype)
+                nchw_conv = FusedWinogradConvNCHW(tile=tile)
+                f_t = nchw_conv.transform_filters(f_crsk)
+                y_nchw = nchw_conv.run_nchw(x, f_t, prob)
+                y_chwn, _ = FusedWinogradConv(tile=tile).run(nchw_to_chwn(x), f_t, prob)
+                assert y_nchw.flags.c_contiguous
+                np.testing.assert_array_equal(y_nchw, khwn_to_nkhw(y_chwn))
 
 
 # ---------------------------------------------------------------------------

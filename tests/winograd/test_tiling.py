@@ -1,4 +1,5 @@
-"""Tile gather/scatter and implicit zero-padding masks (§3.5)."""
+"""Tile windows, the masked gather, the cropped store and implicit
+zero-padding masks (§3.5)."""
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from repro.common import LayoutError
 from repro.winograd import (
     TILE_F22,
     TILE_F44,
-    gather_input_tiles_chwn,
+    FusedWinogradConv,
+    FusedWinogradConvNCHW,
+    gather_tiles,
+    get_transform,
     mask_words,
     pack_mask,
-    scatter_output_tiles_khwn,
     tile_index_grid,
+    tile_windows,
     unpack_mask,
     zero_pad_mask,
 )
+from repro.winograd.fused import otf_store
 
 F22 = dict(alpha=TILE_F22.alpha, m=TILE_F22.m, pad=1)
 F44 = dict(alpha=TILE_F44.alpha, m=TILE_F44.m, pad=1)
@@ -126,6 +131,16 @@ def test_unpack_rejects_short_word_list():
         unpack_mask((0, 1 << 32), (6, 6))  # not a 32-bit register word
 
 
+def _gather(x_chwn, rows, cols, alpha, m, pad):
+    """The masked gather of the tiles at (rows[t], cols[t]) of image 0..N-1."""
+    c, h, w, n = x_chwn.shape
+    tr, tc = np.repeat(rows, n), np.repeat(cols, n)
+    batch = np.tile(np.arange(n), rows.size)
+    r, cl, mask = tile_windows(tr, tc, h, w, alpha, m, pad)
+    tiles = gather_tiles(x_chwn, r, cl, batch, mask)  # (C, T·N, a, a)
+    return tiles.reshape(c, rows.size, n, alpha, alpha)
+
+
 def test_gather_matches_padded_slices():
     rng = np.random.default_rng(3)
     c, h, w, n = 3, 6, 5, 2
@@ -133,11 +148,11 @@ def test_gather_matches_padded_slices():
     xp = np.pad(x, ((0, 0), (1, 2), (1, 2), (0, 0)))
     rows = np.array([0, 1, 2, 0])
     cols = np.array([0, 1, 2, 2])
-    tiles = gather_input_tiles_chwn(x, rows, cols, **F22)
-    assert tiles.shape == (c, 4, 4, 4, n)
+    tiles = _gather(x, rows, cols, **F22)
+    assert tiles.shape == (c, 4, n, 4, 4)
     for t in range(4):
         expect = xp[:, rows[t] * 2 : rows[t] * 2 + 4, cols[t] * 2 : cols[t] * 2 + 4]
-        np.testing.assert_array_equal(tiles[:, t], expect)
+        np.testing.assert_array_equal(tiles[:, t], expect.transpose(0, 3, 1, 2))
 
 
 def test_gather_f44_matches_padded_slices():
@@ -147,36 +162,58 @@ def test_gather_f44_matches_padded_slices():
     xp = np.pad(x, ((0, 0), (1, 4), (1, 4), (0, 0)))
     rows = np.array([0, 1, 2])
     cols = np.array([0, 1, 1])
-    tiles = gather_input_tiles_chwn(x, rows, cols, **F44)
-    assert tiles.shape == (c, 3, 6, 6, n)
+    tiles = _gather(x, rows, cols, **F44)
+    assert tiles.shape == (c, 3, n, 6, 6)
     for t in range(3):
         expect = xp[:, rows[t] * 4 : rows[t] * 4 + 6, cols[t] * 4 : cols[t] * 4 + 6]
-        np.testing.assert_array_equal(tiles[:, t], expect)
+        np.testing.assert_array_equal(tiles[:, t], expect.transpose(0, 3, 1, 2))
 
 
 def test_gather_checks_layout():
+    x = np.zeros((3, 6, 5), dtype=np.float32)
     with pytest.raises(LayoutError):
-        gather_input_tiles_chwn(
-            np.zeros((3, 6, 5)), np.array([0]), np.array([0]), **F22
-        )
+        FusedWinogradConv().run(x, np.zeros((3, 4, 4, 2), dtype=np.float32))
+    with pytest.raises(LayoutError):
+        FusedWinogradConvNCHW().run_nchw(x, np.zeros((3, 4, 4, 2), dtype=np.float32))
+
+
+def _store_ones(k, h, w, n, m):
+    """otf_store of all-ones tiles over the whole (h, w) output: Aᵀ's
+    column 1 is all ones for F(2, 3) and F(4, 3), so the OTF of a tile
+    that is 1 at element (1, 1) alone is all ones."""
+    t = get_transform(m, 3)
+    th, tw = -(-h // m), -(-w // m)
+    o_hat = np.zeros((t.alpha, t.alpha, k, th * tw * n), dtype=np.float32)
+    o_hat[1, 1] = 1.0
+    y = np.zeros((k, h, w, n), dtype=np.float32)
+    otf_store(t, o_hat.reshape(t.alpha**2, k, -1), y, 0)
+    return y
 
 
 def test_scatter_crops_overhang():
-    k, h, w, n = 2, 5, 5, 1  # odd output: tile (2,2) covers row/col 5 (cropped)
-    y = np.zeros((k, h, w, n), dtype=np.float32)
-    tiles = np.ones((k, 9, 2, 2, n), dtype=np.float32)
-    rows, cols, _ = tile_index_grid(3, 3, 1)
-    scatter_output_tiles_khwn(y, tiles, rows, cols, m=2)
-    assert (y == 1).all()  # every in-bounds pixel written exactly once
+    # odd output: tile (2,2) covers row/col 5 (cropped)
+    assert (_store_ones(k=2, h=5, w=5, n=1, m=2) == 1).all()
 
 
 def test_scatter_crops_overhang_f44():
-    k, h, w, n = 2, 7, 7, 1  # 7 = 4 + 3: second tile row/col is cropped
+    # 7 = 4 + 3: second tile row/col is cropped
+    assert (_store_ones(k=2, h=7, w=7, n=3, m=4) == 1).all()
+
+
+def test_store_writes_tile_rows_in_grid_order():
+    t = get_transform(2, 3)
+    k, h, w, n = 2, 6, 5, 3
+    th, tw = 3, 3
     y = np.zeros((k, h, w, n), dtype=np.float32)
-    tiles = np.ones((k, 4, 4, 4, n), dtype=np.float32)
-    rows, cols, _ = tile_index_grid(2, 2, 1)
-    scatter_output_tiles_khwn(y, tiles, rows, cols, m=4)
-    assert (y == 1).all()
+    for r0 in range(th):  # one slab per tile row, as the fused executor may run them
+        tile_r, tile_c, batch = tile_index_grid(1, tw, n)
+        o_hat = np.zeros((t.alpha, t.alpha, k, tile_r.size), dtype=np.float32)
+        # tile value = 100·row + 10·col + batch, in every filter
+        o_hat[1, 1] = (100 * (tile_r + r0) + 10 * tile_c + batch).astype(np.float32)
+        otf_store(t, o_hat.reshape(t.alpha**2, k, -1), y, r0)
+    rr, cc, bb = np.meshgrid(np.arange(h), np.arange(w), np.arange(n), indexing="ij")
+    expect = (100 * (rr // 2) + 10 * (cc // 2) + bb).astype(np.float32)
+    np.testing.assert_array_equal(y, np.broadcast_to(expect, y.shape))
 
 
 def test_tile_index_grid_batch_fastest():
