@@ -2,13 +2,11 @@
 
 from .api import ALGORITHMS, META_ALGORITHMS, conv2d, get_algorithm
 from .autotune import (
-    AUTO_MODES,
     ConvPlan,
     PlanKey,
     autotune_conv2d,
     clear_plan_cache,
     get_plan_cache,
-    set_plan_cache_limit,
 )
 from .direct import direct_conv2d, direct_conv2d_naive
 from .dwm import DWMPart, DWMPlan, dwm_conv2d, dwm_conv2d_with_plan, dwm_plan
@@ -24,7 +22,6 @@ from .metrics import (
 
 __all__ = [
     "ALGORITHMS",
-    "AUTO_MODES",
     "ConvPlan",
     "DispatchStats",
     "DWMPart",
@@ -52,5 +49,4 @@ __all__ = [
     "im2col",
     "implicit_gemm_conv2d",
     "reset_dispatch_stats",
-    "set_plan_cache_limit",
 ]

@@ -54,8 +54,8 @@ class DispatchStats:
     calls: dispatched ``conv2d`` invocations, keyed further by mode in
         :attr:`calls_by_mode`.
     cache_hits / cache_misses: plan-cache outcomes; a hit executes the
-        memoized plan and runs **zero** new trials.
-    plan_evictions: plans dropped by the plan cache's size bound.
+        memoized plan and runs **zero** new trials.  The plan cache
+        counts its own evictions (``ctx.plans.stats().evictions``).
     trials_run: timed candidate executions performed by ``AUTO`` misses.
     fallbacks: times a selected algorithm raised at execution and the
         dispatcher fell through to the next candidate.
@@ -75,7 +75,6 @@ class DispatchStats:
     calls_by_mode: dict[str, int] = dataclasses.field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    plan_evictions: int = 0
     trials_run: int = 0
     fallbacks: int = 0
     trial_times: dict[str, list[float]] = dataclasses.field(default_factory=dict)
@@ -127,21 +126,11 @@ class DispatchStats:
         return copy.deepcopy(self)
 
 
-def live_dispatch_stats() -> DispatchStats:
-    """The current context's mutable instance (for the dispatcher itself).
-
-    Ownership moved to :class:`repro.runtime.ExecutionContext`; this
-    accessor (and the two below) read whichever context is active, which
-    is the process-wide default unless one was explicitly activated.
-    """
+def get_dispatch_stats() -> DispatchStats:
+    """An independent snapshot of the current context's dispatch counters."""
     from ..runtime import current_context
 
-    return current_context().dispatch_stats
-
-
-def get_dispatch_stats() -> DispatchStats:
-    """An independent snapshot of the dispatch counters."""
-    return live_dispatch_stats().snapshot()
+    return current_context().dispatch_stats.snapshot()
 
 
 def reset_dispatch_stats() -> None:

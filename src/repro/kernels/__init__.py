@@ -2,18 +2,11 @@
 
 from .cache import (
     BuildKey,
-    KernelBuildCache,
-    KernelCacheStats,
     SimCacheStats,
     build_fused_kernel,
-    clear_kernel_cache,
-    clear_simulation_cache,
     code_fingerprint,
     get_kernel_cache_stats,
     get_sim_cache_stats,
-    reset_kernel_cache_stats,
-    reset_sim_cache_stats,
-    set_kernel_cache_limit,
 )
 from .ftf import TILES_PER_BLOCK, FilterTransformKernel
 from .gemm import BM, BN_GEMM, E_PER_BLOCK, BatchedGemmKernel
@@ -39,8 +32,6 @@ __all__ = [
     "BuildKey",
     "E_PER_BLOCK",
     "FilterTransformKernel",
-    "KernelBuildCache",
-    "KernelCacheStats",
     "MainLoopMeasurement",
     "SimCacheStats",
     "THREADS",
@@ -51,16 +42,11 @@ __all__ = [
     "YIELD_STRATEGIES",
     "apply_yield_strategy",
     "build_fused_kernel",
-    "clear_kernel_cache",
-    "clear_simulation_cache",
     "code_fingerprint",
     "get_kernel_cache_stats",
     "get_sim_cache_stats",
     "is_float_line",
     "measure_main_loop",
-    "reset_kernel_cache_stats",
-    "reset_sim_cache_stats",
     "run_fused_sass_conv",
-    "set_kernel_cache_limit",
     "weave",
 ]

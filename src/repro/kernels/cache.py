@@ -6,9 +6,9 @@ once for the short one, and again for every repeated sweep.  This module
 gives the hot path the same build-once/run-many structure that maxDNN
 and the Volta tensor-core generators use for their compiled kernels:
 
-* :class:`KernelBuildCache` — a thread-safe LRU of assembled kernels
-  keyed by ``(ConvProblem, Tunables, main_loop_only, iters, tile)``.
-  A hit returns the exact
+* the kernel-build cache — the context's ``kernel_cache``, an LRU of
+  assembled kernels keyed by :class:`BuildKey` ``(ConvProblem,
+  Tunables, main_loop_only, iters, tile)``.  A hit returns the exact
   :class:`~repro.sass.assembler.AssembledKernel` object that the first
   build produced (the simulator never mutates instructions, so sharing
   is safe), which means the long/short differential runs and repeated
@@ -25,11 +25,10 @@ and the Volta tensor-core generators use for their compiled kernels:
 
 Both caches are owned by an :class:`repro.runtime.ExecutionContext`
 (one pair per context; the module-level helpers operate on the active
-context, which is the process-wide default unless one is activated).
-They expose hit/miss/eviction counters next to the PR-1 dispatch
-metrics (``get_kernel_cache_stats`` / ``get_sim_cache_stats``) and obey
-kill switches (``REPRO_KERNEL_CACHE=0`` / ``REPRO_SIM_CACHE=0``) so the
-uncached serial path stays one environment variable away.
+context, which is the process-wide default unless one is activated),
+and both keep their entries in a :class:`repro.common.cache.LRUCache`.
+``get_kernel_cache_stats`` / ``get_sim_cache_stats`` read their
+counters; ``REPRO_SIM_CACHE=0`` switches the simulation cache off.
 
 See ``docs/simulation_performance.md`` for keys, invalidation and the
 determinism guarantees.
@@ -37,7 +36,6 @@ determinism guarantees.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
 import json
@@ -45,6 +43,7 @@ import os
 import tempfile
 import threading
 
+from ..common.cache import CacheStats, LRUCache
 from ..common.problem import ConvProblem
 from ..sass.assembler import AssembledKernel
 from ..sass.encoder import INSTRUCTION_BYTES, encode_instruction
@@ -119,99 +118,21 @@ class BuildKey:
     tile: str = "f22"
 
 
-@dataclasses.dataclass
-class KernelCacheStats:
-    """Counters for :class:`KernelBuildCache` (queryable at runtime)."""
+def _family_member(cache: LRUCache, key: BuildKey):
+    """A cached ``(iters, kernel)`` differing from *key* only in ``iters``.
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    builds: int = 0  # assembler passes actually performed via the cache
-    size: int = 0
-    max_entries: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class KernelBuildCache:
-    """Thread-safe LRU of assembled kernels, keyed by :class:`BuildKey`."""
-
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._lock = threading.RLock()
-        self._entries: collections.OrderedDict = collections.OrderedDict()
-        self._max_entries = max_entries
-        self._stats = KernelCacheStats(max_entries=max_entries)
-
-    def get_or_build(self, key: BuildKey, builder):
-        """Return the cached kernel for *key*, building (once) on a miss."""
-        with self._lock:
-            kernel = self._entries.get(key)
-            if kernel is not None:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return kernel
-            self._stats.misses += 1
-        # Build outside the lock: assembly is the expensive part and must
-        # not serialize concurrent builders of *different* kernels.
-        kernel = builder()
-        with self._lock:
-            self._stats.builds += 1
-            if key not in self._entries:
-                self._entries[key] = kernel
-                while len(self._entries) > self._max_entries:
-                    self._entries.popitem(last=False)
-                    self._stats.evictions += 1
-            return self._entries[key]
-
-    def find_family_member(self, key: BuildKey):
-        """A cached ``(iters, kernel)`` differing from *key* only in ``iters``.
-
-        Used to derive trip-count variants without a full assembler pass
-        (see :func:`_reiterate_kernel`); returns ``None`` when no sibling
-        with a concrete ``iters`` is cached.
-        """
-        with self._lock:
-            for k in reversed(self._entries):
-                if (
-                    isinstance(k, BuildKey)
-                    and k.iters is not None
-                    and k.iters != key.iters
-                    and k.prob == key.prob
-                    and k.tunables == key.tunables
-                    and k.main_loop_only == key.main_loop_only
-                    and k.tile == key.tile
-                ):
-                    return k.iters, self._entries[k]
-        return None
-
-    def set_limit(self, max_entries: int) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        with self._lock:
-            self._max_entries = max_entries
-            self._stats.max_entries = max_entries
-            while len(self._entries) > max_entries:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> KernelCacheStats:
-        with self._lock:
-            snap = dataclasses.replace(self._stats)
-            snap.size = len(self._entries)
-            return snap
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats = KernelCacheStats(max_entries=self._max_entries)
+    The most recently used such sibling with a concrete ``iters``, from
+    which :func:`_reiterate_kernel` derives *key*'s build; ``None`` when
+    none is cached.
+    """
+    for k, kernel in reversed(cache.items()):
+        if (
+            k.iters is not None
+            and k.iters != key.iters
+            and dataclasses.replace(k, iters=key.iters) == key
+        ):
+            return k.iters, kernel
+    return None
 
 
 def _ctx(context=None):
@@ -294,12 +215,11 @@ def build_fused_kernel(
     *tile* selects the kernel family (``"f22"`` default, ``"f44"`` for
     the F(4x4,3x3) generator); tunables default per family via
     :func:`~repro.kernels.winograd_fused.default_tunables`.  The build
-    cache lives on the :class:`~repro.runtime.ExecutionContext`
-    (*context*, default: the current one); ``REPRO_KERNEL_CACHE=0``
-    bypasses it and rebuilds every call (the uncached baseline path).
-    Every actual assembler pass records a ``"build"`` trace span, which
-    *device_name* only labels: the generated kernel is the same for
-    every device, so the cache key leaves it out.  When a
+    cache is the ``kernel_cache`` of the
+    :class:`~repro.runtime.ExecutionContext` (*context*, default: the
+    current one).  Every actual assembler pass records a ``"build"``
+    trace span, which *device_name* only labels: the generated kernel is
+    the same for every device, so the cache key leaves it out.  When a
     sibling differing only in ``iters`` is already cached, the kernel is
     derived from it by patching the trip-count immediate instead of
     assembling from scratch (see :func:`_reiterate_kernel`).
@@ -308,7 +228,17 @@ def build_fused_kernel(
     spec = get_tile(tile)
     tunables = tunables or default_tunables(spec)
 
-    def _full_build():
+    key = BuildKey(prob, tunables, main_loop_only, iters, spec.name)
+
+    def _build():
+        if iters is not None:
+            found = _family_member(ctx.kernel_cache, key)
+            if found is not None:
+                sib_iters, sib = found
+                iter_reg = kernel_for_tile(prob, spec, tunables).ITER
+                derived = _reiterate_kernel(sib, iter_reg, sib_iters, iters)
+                if derived is not None:
+                    return derived
         with ctx.span(
             "build", prob.label(), device=device_name,
             main_loop_only=main_loop_only, tile=spec.name,
@@ -317,39 +247,12 @@ def build_fused_kernel(
                 main_loop_only, iters
             )
 
-    if not _env_enabled("REPRO_KERNEL_CACHE"):
-        return _full_build()
-    key = BuildKey(prob, tunables, main_loop_only, iters, spec.name)
-
-    def _build():
-        if iters is not None:
-            found = ctx.kernel_cache.find_family_member(key)
-            if found is not None:
-                sib_iters, sib = found
-                iter_reg = kernel_for_tile(prob, spec, tunables).ITER
-                derived = _reiterate_kernel(sib, iter_reg, sib_iters, iters)
-                if derived is not None:
-                    return derived
-        return _full_build()
-
     return ctx.kernel_cache.get_or_build(key, _build)
 
 
-def get_kernel_cache_stats(context=None) -> KernelCacheStats:
+def get_kernel_cache_stats(context=None) -> CacheStats:
     """Snapshot of the build-cache counters (independent of the live object)."""
     return _ctx(context).kernel_cache.stats()
-
-
-def reset_kernel_cache_stats(context=None) -> None:
-    _ctx(context).kernel_cache.reset_stats()
-
-
-def clear_kernel_cache(context=None) -> None:
-    _ctx(context).kernel_cache.clear()
-
-
-def set_kernel_cache_limit(max_entries: int, context=None) -> None:
-    _ctx(context).kernel_cache.set_limit(max_entries)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +285,17 @@ class SimulationCache:
     Values are plain JSON dicts; keys are produced by
     :func:`sim_cache_key`, which folds in :func:`code_fingerprint` so a
     change to any generator/simulator source file invalidates every
-    previously persisted result.
+    previously persisted result.  The memory tier is an
+    :class:`~repro.common.cache.LRUCache` (:attr:`memory`); this class
+    adds the disk tier and counts its hits and the stores.
     """
 
-    def __init__(self, max_entries: int = 512):
-        self._lock = threading.RLock()
-        self._entries: collections.OrderedDict = collections.OrderedDict()
-        self._max_entries = max_entries
-        self._stats = SimCacheStats()
+    def __init__(self, max_entries: int):
+        self.memory: LRUCache[dict] = LRUCache(max_entries)
+        self._lock = threading.Lock()
+        self._disk_hits = 0
+        self._misses = 0
+        self._stores = 0
 
     # -- disk tier -----------------------------------------------------
     @staticmethod
@@ -431,49 +337,43 @@ class SimulationCache:
     def get(self, key: str):
         if not _env_enabled("REPRO_SIM_CACHE"):
             return None
-        with self._lock:
-            value = self._entries.get(key)
+        value = self.memory.get(key)
+        if value is None:
+            value = self._disk_read(key)
+            with self._lock:
+                if value is None:
+                    self._misses += 1
+                else:
+                    self._disk_hits += 1
             if value is not None:
-                self._entries.move_to_end(key)
-                self._stats.memory_hits += 1
-                return value
-        value = self._disk_read(key)
-        with self._lock:
-            if value is not None:
-                self._stats.disk_hits += 1
-                self._remember(key, value)
-            else:
-                self._stats.misses += 1
+                self.memory.put(key, value)
         return value
 
     def put(self, key: str, value: dict) -> None:
         if not _env_enabled("REPRO_SIM_CACHE"):
             return
         with self._lock:
-            self._stats.stores += 1
-            self._remember(key, value)
+            self._stores += 1
+        self.memory.put(key, value)
         self._disk_write(key, value)
 
-    def _remember(self, key: str, value: dict) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-            self._stats.evictions += 1
-
     def clear(self) -> None:
+        """Drop the memory tier and zero every counter (the disk stays)."""
+        self.memory.clear()
         with self._lock:
-            self._entries.clear()
+            self._disk_hits = self._misses = self._stores = 0
 
     def stats(self) -> SimCacheStats:
+        memory = self.memory.stats()
         with self._lock:
-            snap = dataclasses.replace(self._stats)
-            snap.size = len(self._entries)
-            return snap
-
-    def reset_stats(self) -> None:
-        with self._lock:
-            self._stats = SimCacheStats()
+            return SimCacheStats(
+                memory_hits=memory.hits,
+                disk_hits=self._disk_hits,
+                misses=self._misses,
+                stores=self._stores,
+                evictions=memory.evictions,
+                size=memory.size,
+            )
 
 
 def sim_cache_key(site: str, **params) -> str:
@@ -501,18 +401,5 @@ def sim_cache_key(site: str, **params) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def simulation_cache(context=None) -> SimulationCache:
-    """The current context's simulation-result cache."""
-    return _ctx(context).sim_cache
-
-
 def get_sim_cache_stats(context=None) -> SimCacheStats:
     return _ctx(context).sim_cache.stats()
-
-
-def reset_sim_cache_stats(context=None) -> None:
-    _ctx(context).sim_cache.reset_stats()
-
-
-def clear_simulation_cache(context=None) -> None:
-    _ctx(context).sim_cache.clear()

@@ -12,8 +12,8 @@ main-loop TFLOPS extrapolated to the whole device.
 
 ``_simulate_fused_kernel`` is the one place a fused kernel, main-loop
 or full, becomes a simulated ``LaunchResult``: build, lint gate, the
-shared per-problem arena, ``simulate_resident_blocks``, then the
-simulation cache.  ``measure_main_loop`` (and through it the schedule
+context's per-problem memory image, ``simulate_resident_blocks``, then
+the simulation cache.  ``measure_main_loop`` (and through it the schedule
 search) and the layer model's overhead measurement both go through it.
 """
 
@@ -35,59 +35,8 @@ from ..sass.analysis import lint_kernel
 from ..sass.assembler import AssembledKernel
 from ..winograd.fused import FusedWinogradConv
 from ..winograd.tilespec import get_tile
-from .cache import build_fused_kernel, sim_cache_key, simulation_cache
+from .cache import build_fused_kernel, sim_cache_key
 from .winograd_fused import BC, Tunables, default_tunables, kernel_for_tile
-
-class LintGate:
-    """Launch gate: refuse kernels with error-severity lint findings.
-
-    Remembers kernels (by name + text-section hash) already proven
-    error-free, so repeated launches of a cached build skip the ~0.4 s
-    analysis.  One instance per
-    :class:`~repro.runtime.ExecutionContext`.
-    """
-
-    def __init__(self) -> None:
-        self._clean: set = set()
-
-    def ensure(self, kernel: AssembledKernel, family=None) -> None:
-        """Lint *kernel* (once); raise :class:`LintError` on any error.
-
-        Warnings (bank conflicts, wasted ``.reuse`` flags) are allowed
-        through — ablation kernels produce them on purpose — but a
-        kernel with a data hazard, a misaligned/out-of-bounds shared
-        access or a blown register budget would silently compute garbage
-        on hardware, so it must not run here either.
-
-        *family* (hashable, optional) names a group of kernels known to
-        share one lint verdict: same problem/tile/tunables/build mode,
-        differing only in the main-loop trip count.  The generator emits
-        the same per-iteration instruction stream regardless of
-        ``iters``, so once one member lints clean the whole family does
-        — e.g. the differential ``iters``/``iters − 2`` measurement pair
-        pays for a single analysis.
-        """
-        key = (kernel.meta.name, hash(kernel.text))
-        if key in self._clean:
-            return
-        fam_key = ("family", family) if family is not None else None
-        if fam_key is not None and fam_key in self._clean:
-            self._clean.add(key)
-            return
-        found = lint_errors(lint_kernel(kernel))
-        if found:
-            report = "\n".join(d.text() for d in found)
-            raise LintError(
-                f"kernel {kernel.meta.name!r} failed static analysis with "
-                f"{len(found)} error(s):\n{report}",
-                diagnostics=found,
-            )
-        self._clean.add(key)
-        if fam_key is not None:
-            self._clean.add(fam_key)
-
-    def clear(self) -> None:
-        self._clean.clear()
 
 
 def _ctx(context=None):
@@ -99,12 +48,44 @@ def _ctx(context=None):
 
 
 def ensure_lint_clean(kernel: AssembledKernel, context=None, family=None) -> None:
-    """Run the current context's :class:`LintGate` over *kernel*."""
-    _ctx(context).lint_gate.ensure(kernel, family=family)
+    """Launch gate: raise :class:`LintError` if *kernel* has lint errors.
+
+    Warnings (bank conflicts, wasted ``.reuse`` flags) are allowed
+    through — ablation kernels produce them on purpose — but a kernel
+    with a data hazard, a misaligned/out-of-bounds shared access or a
+    blown register budget would silently compute garbage on hardware,
+    so it must not run here either.  The context's ``lint_gate`` keeps
+    the kernels (by name + text-section hash) already proven clean, so
+    repeated launches of a cached build skip the ~0.4 s analysis.
+
+    *family* (hashable, optional) names a group of kernels known to
+    share one lint verdict (see :func:`lint_family_key`): once one
+    member lints clean the whole family does — e.g. the differential
+    ``iters``/``iters − 2`` measurement pair pays for a single analysis.
+    """
+    gate = _ctx(context).lint_gate
+    fam_key = ("family", family) if family is not None else None
+
+    def lint() -> bool:
+        if fam_key is not None and gate.get(fam_key):
+            return True
+        found = lint_errors(lint_kernel(kernel))
+        if found:
+            report = "\n".join(d.text() for d in found)
+            raise LintError(
+                f"kernel {kernel.meta.name!r} failed static analysis with "
+                f"{len(found)} error(s):\n{report}",
+                diagnostics=found,
+            )
+        if fam_key is not None:
+            gate.put(fam_key, True)
+        return True
+
+    gate.get_or_build((kernel.meta.name, hash(kernel.text)), lint)
 
 
 def lint_family_key(prob, tunables, main_loop_only=True, tile=None):
-    """Family key for :meth:`LintGate.ensure`: everything but ``iters``.
+    """Family key for :func:`ensure_lint_clean`: everything but ``iters``.
 
     Builds of the same (problem, tile family, tunables, build mode)
     differ only in how many times the identical bc-iteration body runs,
@@ -204,37 +185,30 @@ class MainLoopMeasurement:
     sol: float  # steady-state FP32 pipe utilization (the Fig. 10-11 metric)
 
 
-_ARENAS: dict = {}  # (tile, problem) -> (GlobalMemory, params)
-_MAX_ARENAS = 8
-
-
-def _problem_arena(prob, tile=None) -> tuple[GlobalMemory, dict[str, int]]:
-    """The shared synthetic buffer image for resident-blocks sims of *prob*.
+def _problem_image(prob, tile=None, context=None) -> tuple[GlobalMemory, dict[str, int]]:
+    """The synthetic memory image for resident-blocks sims of *prob*.
 
     Buffer contents never affect timing — only layout, size and L2
     residency do, and those are a pure function of the problem and the
-    tile family — so one :class:`GlobalMemory` image serves every
-    candidate schedule, iteration count and build variant.  The buffers
-    are the ones ``alloc_buffers`` lays out for a real launch, in the
-    same order and at the same sizes: the input, the L2-resident
-    transformed filter (each padded by one ``bc`` block), then the
-    output.
+    tile family — so one :class:`GlobalMemory` image per context (its
+    ``memory_images``) serves every candidate schedule, iteration count
+    and build variant.  The buffers are the ones ``alloc_buffers`` lays
+    out for a real launch, in the same order and at the same sizes: the
+    input, the L2-resident transformed filter (each padded by one ``bc``
+    block), then the output.
     """
     spec = get_tile(tile)
-    key = (spec.name, prob)
-    arena = _ARENAS.get(key)
-    if arena is None:
+
+    def build() -> tuple[GlobalMemory, dict[str, int]]:
         gmem = GlobalMemory(size=128 << 20)
         in_elems = (prob.c + BC) * prob.h * prob.w * prob.n
         fil_elems = (prob.c + BC) * spec.elements * prob.k
         in_ptr = gmem.alloc(4 * in_elems)
         fil_ptr = gmem.alloc(4 * fil_elems, l2_resident=True)
         out_ptr = gmem.alloc(4 * prob.k * prob.out_h * prob.out_w * prob.n)
-        arena = (gmem, {"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr})
-        while len(_ARENAS) >= _MAX_ARENAS:
-            _ARENAS.pop(next(iter(_ARENAS)))
-        _ARENAS[key] = arena
-    return arena
+        return gmem, {"in_ptr": in_ptr, "fil_ptr": fil_ptr, "out_ptr": out_ptr}
+
+    return _ctx(context).memory_images.get_or_build((spec.name, prob), build)
 
 
 def _simulate_fused_kernel(
@@ -247,7 +221,7 @@ def _simulate_fused_kernel(
     microbenchmark of Figs. 7-9, or the full kernel with its prologue
     and OTF epilogue, which the layer model differences against it.
     Either way the kernel comes from the context's build cache and
-    passes its :class:`LintGate` before it runs.  The result is a pure
+    passes its lint gate before it runs.  The result is a pure
     function of the signature (buffer *contents* never affect timing,
     only layout, which the signature determines), so it is served from
     the context's (or disk) simulation cache when available and is
@@ -255,7 +229,7 @@ def _simulate_fused_kernel(
     """
     spec = get_tile(tile)
     ctx = _ctx(context)
-    cache = simulation_cache(ctx)
+    cache = ctx.sim_cache
     key = sim_cache_key(
         "resident_blocks",
         prob=prob,
@@ -277,7 +251,7 @@ def _simulate_fused_kernel(
         kernel, context=ctx,
         family=lint_family_key(prob, tunables, main_loop_only, spec),
     )
-    gmem, params = _problem_arena(prob, spec)
+    gmem, params = _problem_image(prob, spec, ctx)
     result = simulate_resident_blocks(
         kernel, device, params=params, gmem=gmem, threads_per_block=256,
         num_blocks=num_blocks,

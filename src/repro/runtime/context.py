@@ -3,12 +3,14 @@
 Before this layer existed, execution state was scattered as module
 globals: the plan cache and dispatch stats in ``repro.convolution``, the
 kernel-build and simulation caches in ``repro.kernels.cache``, the lint
-gate in ``repro.kernels.runner``.  Tests had to call three different
-``reset_*``/``clear_*`` helpers to get a clean slate, and two workloads
-in one process could not be isolated from each other at all.
+gate and the simulator's memory images in ``repro.kernels.runner``.
+Tests had to call three different ``reset_*``/``clear_*`` helpers to get
+a clean slate, and two workloads in one process could not be isolated
+from each other at all.
 
 :class:`ExecutionContext` inverts that ownership: *it* holds the device,
-the caches, the stats, the lint gate, the workspace arena, the prepared
+the caches (each a :class:`~repro.common.cache.LRUCache` with the same
+counters), the dispatch stats, the workspace arena, the prepared
 fused-Winograd filters of :class:`InferenceSession` runs and the trace
 hooks, and the legacy module-level helpers now delegate to the **default
 context** (so every existing public API — ``conv2d``,
@@ -39,7 +41,6 @@ import collections
 import contextlib
 import dataclasses
 import json
-import os
 import threading
 import time
 import weakref
@@ -47,11 +48,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ..convolution.autotune import PlanCache
+from ..common.cache import LRUCache
 from ..convolution.metrics import DispatchStats
 from ..gpusim.arch import DeviceSpec, resolve_device
-from ..kernels.cache import KernelBuildCache, SimulationCache
-from ..kernels.runner import LintGate
+from ..kernels.cache import SimulationCache
 from .arena import WorkspaceArena
 
 #: Trace buffer bound: old spans are dropped (and counted) rather than
@@ -243,9 +243,8 @@ class ExecutionContext:
         ("V100", "rtx2070", "turing", ...).  ``None`` resolves through
         the registry too: the ``REPRO_DEVICE`` environment variable if
         set, else V100 (the historical default).
-    kernel_cache_entries / sim_cache_entries / plan_cache_entries:
-        cache bounds; the kernel/sim defaults honour the existing
-        ``REPRO_KERNEL_CACHE_SIZE`` / ``REPRO_SIM_CACHE_SIZE`` variables.
+    kernel_cache_entries: bound of the kernel-build cache (``None``:
+        the default of 64).
     workspace_limit_bytes: arena-level workspace budget (``None`` =
         unlimited); see :class:`~repro.runtime.arena.WorkspaceArena`.
     trace_spans: trace-buffer bound.
@@ -253,6 +252,13 @@ class ExecutionContext:
         opts AUTO dispatch into the SASS schedule search (``None`` =
         off; a per-call ``tune_schedule=True`` still searches with the
         default config).  Winners are memoized on :attr:`schedules`.
+
+    Every cache is an :class:`~repro.common.cache.LRUCache` (for
+    :attr:`sim_cache`, its memory tier; see ``docs/runtime.md``):
+    :attr:`kernel_cache`, :attr:`sim_cache`, :attr:`plans`,
+    :attr:`schedules` and :attr:`lint_gate` (both unbounded), and
+    :attr:`memory_images`, the simulator's per-problem global-memory
+    images (not the workspace :attr:`arena`).
     """
 
     def __init__(
@@ -260,40 +266,24 @@ class ExecutionContext:
         device: DeviceSpec | str | None = None,
         *,
         kernel_cache_entries: int | None = None,
-        sim_cache_entries: int | None = None,
-        plan_cache_entries: int = 256,
         workspace_limit_bytes: int | None = None,
         trace_spans: int = DEFAULT_TRACE_SPANS,
         schedule_search=None,
     ):
-        # Late import: repro.sched builds on the kernels/gpusim layers,
-        # which must be importable before this module finishes loading.
-        from ..sched.search import ScheduleBook
-
         self.device = resolve_device(device)
         self.schedule_search = schedule_search
-        self.schedules = ScheduleBook()
-        self.kernel_cache = KernelBuildCache(
-            max_entries=kernel_cache_entries
-            or int(os.environ.get("REPRO_KERNEL_CACHE_SIZE", "64"))
+        self.kernel_cache: LRUCache = LRUCache(
+            64 if kernel_cache_entries is None else kernel_cache_entries
         )
-        self.sim_cache = SimulationCache(
-            max_entries=sim_cache_entries
-            or int(os.environ.get("REPRO_SIM_CACHE_SIZE", "512"))
-        )
+        self.sim_cache = SimulationCache(512)
+        self.plans: LRUCache = LRUCache(256)
+        self.schedules: LRUCache = LRUCache(None)
+        self.lint_gate: LRUCache = LRUCache(None)
+        self.memory_images: LRUCache = LRUCache(8)
         self.dispatch_stats = DispatchStats()
-        self.plans = PlanCache(
-            max_entries=plan_cache_entries, on_evict=self._count_plan_eviction
-        )
-        self.lint_gate = LintGate()
         self.arena = WorkspaceArena(limit_bytes=workspace_limit_bytes)
         self.prepared_filters = PreparedFilterCache()
         self.tracer = Tracer(max_spans=trace_spans)
-
-    def _count_plan_eviction(self) -> None:
-        # Dereferenced at eviction time: reset() replaces dispatch_stats
-        # and the counter must land on the *current* object.
-        self.dispatch_stats.plan_evictions += 1
 
     # ------------------------------------------------------------------
     # Tracing
@@ -323,23 +313,17 @@ class ExecutionContext:
     def reset(self) -> None:
         """Clear *every* piece of state this context owns, together.
 
-        Replaces the three separate ``reset_*``/``clear_*`` call sites
-        tests used to need (and the state they could forget): plan cache,
-        kernel-build cache (+stats), simulation cache (+stats), dispatch
-        stats, lint gate, arena, prepared-filter cache (+stats), trace
-        buffer and schedule book.
+        Each cache drops its entries and zeroes its counters; the
+        dispatch stats, arena and trace buffer start over too.
         """
-        self.plans.clear()
-        self.kernel_cache.clear()
-        self.kernel_cache.reset_stats()
-        self.sim_cache.clear()
-        self.sim_cache.reset_stats()
+        for cache in (
+            self.kernel_cache, self.sim_cache, self.plans, self.schedules,
+            self.lint_gate, self.memory_images, self.prepared_filters,
+            self.tracer,
+        ):
+            cache.clear()
         self.dispatch_stats = DispatchStats()
-        self.lint_gate.clear()
         self.arena.reset()
-        self.prepared_filters.clear()
-        self.tracer.clear()
-        self.schedules.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,15 @@ import numpy as np
 
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
-from ..convolution.api import FUSED_TILE_FOR_ALGO, TILE_FOR_ALGO, _run_planned
+from ..convolution.api import (
+    FUSED_TILE_FOR_ALGO,
+    META_ALGORITHMS,
+    TILE_FOR_ALGO,
+    _run_planned,
+)
 from ..convolution.autotune import _select_candidates
 from .arena import ArenaStats
 from .context import ExecutionContext, activate, current_context
-
-#: Selection modes accepted by :class:`InferenceSession` on top of any
-#: algorithm the dispatcher can plan
-#: (``repro.perfmodel.selection.DISPATCH_CANDIDATES``).
-SESSION_MODES = ("AUTO", "AUTO_HEURISTIC")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,10 +187,10 @@ class InferenceSession:
         from ..perfmodel.selection import DISPATCH_CANDIDATES
 
         mode = mode.upper()
-        if mode not in SESSION_MODES + DISPATCH_CANDIDATES:
+        if mode not in META_ALGORITHMS + DISPATCH_CANDIDATES:
             raise ConvConfigError(
                 f"unknown session mode {mode!r}; choose from "
-                f"{SESSION_MODES + DISPATCH_CANDIDATES}"
+                f"{META_ALGORITHMS + DISPATCH_CANDIDATES}"
             )
         self.problems = problems
         self.mode = mode
@@ -270,7 +270,7 @@ class InferenceSession:
                 prob, np.result_type(x, f), self.workspace_limit_bytes,
                 self.device.name, "AUTO",
             )
-            plan = self.context.plans.lookup(key)
+            plan = self.context.plans.get(key)
             assert plan is not None, "AUTO dispatch must have cached a plan"
             return LayerPlan(
                 prob=prob,

@@ -7,7 +7,6 @@ successive-halving tuner (:mod:`repro.sched.search`) and the
 from .crossdev import CrossDeviceReport, cross_validate, validate_plan_on
 from .search import (
     CandidateScore,
-    ScheduleBook,
     ScheduleSearchConfig,
     SearchBudget,
     SearchResult,
@@ -40,7 +39,6 @@ __all__ = [
     "QUICK_SPACE",
     "SCHEDULE_FIELDS",
     "Schedule",
-    "ScheduleBook",
     "ScheduleSearchConfig",
     "ScheduleSpace",
     "SearchBudget",

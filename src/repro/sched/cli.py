@@ -94,10 +94,10 @@ def _plan_layers(
         rows.append(prob)
     from ..convolution.api import FUSED_TILE_FOR_ALGO
 
-    plans = ctx.plans.snapshot()
+    plans = ctx.plans.items()
     report = []
     for prob in rows:
-        for key, plan in plans.items():
+        for key, plan in plans:
             if (key.n, key.c, key.h, key.w, key.k) == (
                     prob.n, prob.c, prob.h, prob.w, prob.k):
                 report.append({

@@ -129,7 +129,7 @@ def validate_plan_on(
     config: the search configuration used to find the target device's
         own optimum (defaults to the context's ``schedule_search``
         config, else the family's full grid).  The target search is
-        memoized on the context's :class:`~repro.sched.ScheduleBook`,
+        memoized in the context's ``schedules`` cache,
         so validating many plans against one device pays for one
         search.
     """

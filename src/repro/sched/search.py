@@ -17,9 +17,9 @@ successive-halving schedule instead of an exhaustive sweep:
 Each candidate is scored one at a time through
 :func:`~repro.kernels.runner.measure_main_loop`, the runner's one
 build → lint → simulate → cache path.  Repeated points are (nearly)
-free: kernel builds come from the
-:class:`~repro.kernels.cache.KernelBuildCache` and simulations from the
-two-tier :class:`~repro.kernels.cache.SimulationCache` — and because a
+free: kernel builds come from the context's build cache and
+simulations from the two-tier
+:class:`~repro.kernels.cache.SimulationCache` — and because a
 rung-``r+1`` measurement at ``iters`` reuses the rung-``r`` simulation
 at ``iters - 2`` as its differential baseline, promotion never repays
 for cycles already simulated.
@@ -32,8 +32,8 @@ observable in the session JSON trace.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-import threading
 from typing import TYPE_CHECKING, Any
 
 from ..common.errors import ConvConfigError
@@ -135,7 +135,7 @@ class ScheduleSearchConfig:
     """What a context-level opt-in to schedule search runs.
 
     ``tile`` names the kernel family the search targets ("f22" default);
-    each family gets its own :class:`~repro.sched.ScheduleBook` entry,
+    each family gets its own entry in the context's ``schedules`` cache,
     so a session dispatching both f22 and f44 layers pays for (at most)
     one search per family per device.
     """
@@ -268,7 +268,7 @@ def evaluate_schedule(
     tunables — for the *tile* family, f22 by default — and measures
     steady-state cycles per bc-iteration; records a ``"sched"`` trace
     span carrying the result.  Lint gating happens on build via the
-    context's :class:`~repro.kernels.runner.LintGate`.
+    context's lint gate (:func:`~repro.kernels.runner.ensure_lint_clean`).
     """
     ctx = _ctx(context)
     spec = get_tile(tile)
@@ -494,60 +494,17 @@ def successive_halving(
     )
 
 
-class ScheduleBook:
-    """Per-context memo of search winners, keyed by (device, space, budget).
+def schedule_key(device_name: str, config: ScheduleSearchConfig) -> tuple[Any, ...]:
+    """The key of one search's result in a context's ``schedules`` cache.
 
-    One :class:`~repro.runtime.ExecutionContext` owns one book; the
-    AUTO dispatch path and :class:`~repro.runtime.InferenceSession`
-    consult it so a whole layer stack pays for at most one search per
-    device.
+    The AUTO dispatch path and :class:`~repro.runtime.InferenceSession`
+    look winners up under it, so a whole layer stack pays for at most
+    one search per (device, tile family, space, budget, base tunables).
     """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: dict[tuple, SearchResult] = {}
-
-    @staticmethod
-    def _key(device_name: str, config: ScheduleSearchConfig) -> tuple:
-        return (
-            device_name, config.tile, config.space.signature(),
-            config.budget, config.base_tunables,
-        )
-
-    def get_or_search(self, device: DeviceSpec, config: ScheduleSearchConfig,
-                      context: ExecutionContext | None = None) -> SearchResult:
-        key = self._key(device.name, config)
-        with self._lock:
-            result = self._entries.get(key)
-        if result is not None:
-            return result
-        # Search outside the lock (it is long); a concurrent duplicate
-        # search is wasteful but harmless — last writer wins with an
-        # identical (deterministic) result.
-        result = successive_halving(
-            config.space, device, budget=config.budget,
-            base_tunables=config.base_tunables, context=context,
-            tile=config.tile,
-        )
-        with self._lock:
-            self._entries.setdefault(key, result)
-            return self._entries[key]
-
-    def lookup(self, device_name: str, config: ScheduleSearchConfig) -> SearchResult | None:
-        with self._lock:
-            return self._entries.get(self._key(device_name, config))
-
-    def results(self) -> list[SearchResult]:
-        with self._lock:
-            return list(self._entries.values())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+    return (
+        device_name, config.tile, config.space.signature(),
+        config.budget, config.base_tunables,
+    )
 
 
 def ensure_schedule(
@@ -569,7 +526,14 @@ def ensure_schedule(
     config = config or getattr(ctx, "schedule_search", None) or ScheduleSearchConfig()
     if tile is not None:
         config = config.with_tile(tile)
-    return ctx.schedules.get_or_search(device, config, context=ctx)
+    search = functools.partial(
+        successive_halving, config.space, device, budget=config.budget,
+        base_tunables=config.base_tunables, context=ctx, tile=config.tile,
+    )
+    # Searched outside the cache's lock (it is long); a concurrent
+    # duplicate search is wasteful but harmless: the result is
+    # deterministic and the first one stored wins.
+    return ctx.schedules.get_or_build(schedule_key(device.name, config), search)
 
 
 def paper_ordering(result: SearchResult) -> dict:

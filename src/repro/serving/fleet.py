@@ -11,10 +11,9 @@ generators' launch metadata, and :meth:`DeviceSpec.occupancy`.
 
 :class:`FleetRouter` owns one :class:`~repro.serving.frontend.ServingFrontend`
 per device plus a per-device *planning*
-:class:`~repro.runtime.ExecutionContext` whose
-:class:`~repro.sched.ScheduleBook` memoizes each device's searched
-schedule.  ``register_model`` estimates the model's steady-state cost on
-every device:
+:class:`~repro.runtime.ExecutionContext` whose ``schedules`` cache
+memoizes each device's searched schedule.  ``register_model`` estimates
+the model's steady-state cost on every device:
 
 * fused-eligible layers (3×3 / pad-1 / stride-1) are costed with the
   wave model — ``waves × iters × winner_cycles / clock`` — using the
@@ -46,10 +45,9 @@ import dataclasses
 import math
 
 from ..common.errors import ReproError, ServingError
-from ..convolution.api import FUSED_TILE_FOR_ALGO
+from ..convolution.api import FUSED_TILE_FOR_ALGO, META_ALGORITHMS
 from ..gpusim.arch import DeviceSpec, canonical_device_key, resolve_device
 from ..runtime.context import ExecutionContext
-from ..runtime.session import SESSION_MODES
 from .config import ServingConfig
 from .frontend import ModelSpec, ServingFrontend
 
@@ -229,7 +227,7 @@ class FleetRouter:
         limit = self.config.workspace_limit_bytes
         for prob in model.problems:
             batched = prob.with_batch(self.config.max_batch)
-            if mode not in SESSION_MODES:
+            if mode not in META_ALGORITHMS:
                 ranked = [mode]
             else:
                 ranked, excluded = rank_algorithms(batched, dev.spec, limit)
@@ -260,6 +258,12 @@ class FleetRouter:
         Pure costing + bookkeeping — does not register the model (see
         :meth:`register_model` for the one-call path).
         """
+        decision = self._bid(tenant, model)
+        self._book(decision)
+        return decision
+
+    def _bid(self, tenant: str, model: ModelSpec) -> RoutingDecision:
+        """Every device's bid for *model* and the winner; books nothing."""
         costs: dict[str, float] = {}
         notes: dict[str, list[str]] = {}
         for key, dev in self._devices.items():
@@ -270,7 +274,7 @@ class FleetRouter:
                 costs[key], notes[key] = self._model_cost(model, dev)
         loads = {key: dev.load_s for key, dev in self._devices.items()}
         chosen = min(costs, key=lambda k: (loads[k] + costs[k], k))
-        decision = RoutingDecision(
+        return RoutingDecision(
             tenant=tenant,
             model=model.name,
             device=chosen,
@@ -278,27 +282,35 @@ class FleetRouter:
             loads=loads,
             notes=notes,
         )
+
+    def _book(self, decision: RoutingDecision) -> None:
+        """Charge the winner its cost and record the decision."""
+        chosen, costs, loads = decision.device, decision.costs, decision.loads
         dev = self._devices[chosen]
         dev.load_s += costs[chosen]
         with dev.planning.span(
-            "route", f"{tenant}/{model.name}", device=chosen,
+            "route", f"{decision.tenant}/{decision.model}", device=chosen,
             cost_s=costs[chosen],
         ) as span:
             span["alternatives"] = {
                 k: loads[k] + costs[k] for k in costs if k != chosen
             }
         self._decisions.append(decision)
-        return decision
 
     def register_model(self, tenant: str, model: ModelSpec) -> RoutingDecision:
-        """Place *model* and register it with the winning device's frontend."""
+        """Place *model* and register it with the winning device's frontend.
+
+        The placement is booked only once that frontend accepts the
+        model, so a refused model leaves no load and no routing entry.
+        """
         key = (tenant, model.name)
         if key in self._placements:
             raise ServingError(
                 f"tenant {tenant!r} already has a model named {model.name!r}"
             )
-        decision = self.place(tenant, model)
+        decision = self._bid(tenant, model)
         self._devices[decision.device].frontend.register_model(tenant, model)
+        self._book(decision)
         self._placements[key] = decision.device
         return decision
 

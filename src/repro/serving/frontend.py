@@ -53,9 +53,10 @@ from ..common.errors import (
     WorkspaceLimitError,
 )
 from ..common.problem import ConvProblem
+from ..convolution.api import META_ALGORITHMS
 from ..runtime.arena import _align
 from ..runtime.context import ExecutionContext
-from ..runtime.session import SESSION_MODES, InferenceSession
+from ..runtime.session import InferenceSession
 from .config import ServingConfig
 from .metrics import ServingMetrics
 
@@ -301,13 +302,13 @@ class ServingFrontend:
         if not tenant:
             raise ServingError("tenant name must be non-empty")
         mode = (model.mode or self.config.mode).upper()
-        if mode not in SESSION_MODES + DISPATCH_CANDIDATES:
+        if mode not in META_ALGORITHMS + DISPATCH_CANDIDATES:
             raise ServingError(
                 f"model {model.name!r}: unknown session mode {mode!r}; "
-                f"choose from {SESSION_MODES + DISPATCH_CANDIDATES}"
+                f"choose from {META_ALGORITHMS + DISPATCH_CANDIDATES}"
             )
         for prob in model.problems:
-            if mode not in SESSION_MODES and not algorithm_supports(mode, prob):
+            if mode not in META_ALGORITHMS and not algorithm_supports(mode, prob):
                 raise ServingError(
                     f"model {model.name!r} layer {prob.label()}: {mode} cannot run "
                     f"a {prob.r}x{prob.s} filter at pad {prob.pad}, stride "
@@ -343,7 +344,7 @@ class ServingFrontend:
         """
         limit = self.config.workspace_limit_bytes
         mode = (model.mode or self.config.mode).upper()
-        if limit is None or mode in SESSION_MODES:
+        if limit is None or mode in META_ALGORITHMS:
             return self.config.max_batch
         from ..perfmodel.workspace import DISPATCH_WORKSPACE
 

@@ -77,11 +77,13 @@ class NonFusedWinogradConv:
         # ---- gather: the fused executor's OTF + store, all tile rows at once
         y = np.zeros((k, prob.out_h, prob.out_w, n), dtype=np.float32)
         otf_store(t, o_hat, y, 0)
+        # Sized at 4 bytes an element, as workspace_bytes() and the GPU
+        # workspace model count them, whatever dtype the host runs in.
         return y, NonFusedRunStats(
-            workspace_bytes=v.nbytes + u.nbytes + o_hat.nbytes,
-            transformed_input_bytes=v.nbytes,
-            transformed_filter_bytes=u.nbytes,
-            transformed_output_bytes=o_hat.nbytes,
+            workspace_bytes=4 * (v.size + u.size + o_hat.size),
+            transformed_input_bytes=4 * v.size,
+            transformed_filter_bytes=4 * u.size,
+            transformed_output_bytes=4 * o_hat.size,
             gemm_flops=2 * elements * k * c * batch.size,
         )
 

@@ -21,10 +21,11 @@ from repro.convolution import (
     get_dispatch_stats,
     get_plan_cache,
     reset_dispatch_stats,
-    set_plan_cache_limit,
 )
 from repro.convolution import autotune
 from repro.convolution.metrics import DispatchStats
+from repro.common.cache import LRUCache
+from repro.runtime import ExecutionContext, activate, current_context
 
 
 @pytest.fixture(autouse=True)
@@ -34,7 +35,6 @@ def _fresh_dispatcher():
     yield
     reset_dispatch_stats()
     clear_plan_cache()
-    set_plan_cache_limit(256)
 
 
 def _data(prob, seed=0):
@@ -139,20 +139,27 @@ def test_exhausted_fallbacks_raise_and_record(monkeypatch):
 # Size bound
 # ---------------------------------------------------------------------------
 def test_plan_cache_size_bound_evicts_oldest():
-    set_plan_cache_limit(2)
+    ctx = ExecutionContext()
+    ctx.plans = LRUCache(2)
     shapes = [ConvProblem(n=n, c=4, h=8, w=8, k=4) for n in (1, 2, 3)]
-    for prob in shapes:
-        x, f = _data(prob)
-        conv2d(x, f, algo="AUTO_HEURISTIC")
-    cache = get_plan_cache()
+    with activate(ctx):
+        for prob in shapes:
+            x, f = _data(prob)
+            conv2d(x, f, algo="AUTO_HEURISTIC")
+        cache = get_plan_cache()
     assert len(cache) == 2
     assert {key.n for key in cache} == {2, 3}  # oldest (n=1) evicted
-    assert get_dispatch_stats().plan_evictions == 1
+    assert ctx.plans.stats().evictions == 1
 
 
 def test_plan_cache_limit_validation():
-    with pytest.raises(ConvConfigError):
-        set_plan_cache_limit(0)
+    # The plan cache is the one LRU type: its bound is 256, and a bound
+    # below 1 raises the ValueError every cache raises.
+    plans = current_context().plans
+    assert isinstance(plans, LRUCache)
+    assert plans.stats().max_entries == 256
+    with pytest.raises(ValueError):
+        LRUCache(0)
 
 
 # ---------------------------------------------------------------------------

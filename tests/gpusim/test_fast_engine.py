@@ -27,10 +27,10 @@ import pytest
 
 from repro.common import SimulatorError
 from repro.gpusim import DEVICES, V100, GlobalMemory, simulate_resident_blocks
-from repro.kernels import clear_kernel_cache, clear_simulation_cache
 from repro.kernels.runner import _simulate_fused_kernel
 from repro.kernels.winograd_fused import default_tunables
 from repro.models import paper_layers
+from repro.runtime import ExecutionContext, activate
 from repro.sass import assemble
 from repro.sched.space import PAPER_SCHEDULE, QUICK_SPACE
 
@@ -43,11 +43,8 @@ def _isolated(monkeypatch):
     # a sim-cache hit (memory or disk) would compare a payload against
     # itself and prove nothing.
     monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-    clear_simulation_cache()
-    clear_kernel_cache()
-    yield
-    clear_simulation_cache()
-    clear_kernel_cache()
+    with activate(ExecutionContext()):
+        yield
 
 
 def _counters(monkeypatch, engine, prob, device, tunables, iters, **kind):
@@ -156,7 +153,7 @@ def test_engines_agree_across_quick_space(monkeypatch, dev_key, schedule):
 @pytest.mark.parametrize("layer_idx", range(4))
 def test_engines_agree_on_more_table1_layers(monkeypatch, layer_idx):
     # All four Table-1 layers at N=32 (larger batches overflow the
-    # 128 MB synthetic per-problem arena, see _problem_arena).
+    # 128 MB synthetic per-problem memory image, see _problem_image).
     prob = paper_layers(batch_sizes=(32,))[layer_idx]
     _assert_engines_agree(
         monkeypatch, prob, DEVICES["V100"], PAPER_SCHEDULE.to_tunables()

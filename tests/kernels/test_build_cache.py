@@ -6,20 +6,16 @@ import pytest
 
 from repro.common import ConvProblem
 from repro.gpusim import RTX2070
+from repro.common.cache import LRUCache
 from repro.kernels import (
     Tunables,
     build_fused_kernel,
-    clear_kernel_cache,
-    clear_simulation_cache,
     get_kernel_cache_stats,
     get_sim_cache_stats,
     measure_main_loop,
-    reset_kernel_cache_stats,
-    reset_sim_cache_stats,
-    set_kernel_cache_limit,
 )
-from repro.kernels.cache import KernelBuildCache, sim_cache_key
-from repro.kernels.runner import _problem_arena, lint_family_key
+from repro.kernels.cache import sim_cache_key
+from repro.kernels.runner import _problem_image, lint_family_key
 from repro.kernels.winograd_fused import WinogradF22Kernel
 from repro.runtime import ExecutionContext, activate
 
@@ -27,20 +23,13 @@ PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64, name="cache-test")
 
 
 @pytest.fixture(autouse=True)
-def _fresh_caches(monkeypatch):
+def ctx(monkeypatch):
+    """A fresh context, active for the test: empty caches, zero counters."""
     # Disable the simulation-result memo so the build cache is actually
     # exercised (a sim-cache hit would skip the build path entirely).
     monkeypatch.setenv("REPRO_SIM_CACHE", "0")
-    clear_kernel_cache()
-    reset_kernel_cache_stats()
-    clear_simulation_cache()
-    reset_sim_cache_stats()
-    yield
-    clear_kernel_cache()
-    reset_kernel_cache_stats()
-    clear_simulation_cache()
-    reset_sim_cache_stats()
-    set_kernel_cache_limit(64)
+    with activate(ExecutionContext()) as fresh:
+        yield fresh
 
 
 @pytest.fixture
@@ -79,7 +68,7 @@ def test_second_measurement_performs_zero_new_builds(_count_builds):
     assert stats.hit_rate == 0.5
 
 
-def test_derived_build_is_bit_identical_to_fresh_assembly():
+def test_derived_build_is_bit_identical_to_fresh_assembly(ctx):
     """An iters-sibling derived by patching the trip-count immediate
     (plus its decode, seeded via ``derive_decode``) must match a from-
     scratch assembly byte for byte."""
@@ -89,7 +78,7 @@ def test_derived_build_is_bit_identical_to_fresh_assembly():
     derived = build_fused_kernel(
         PROB, Tunables(), RTX2070.name, main_loop_only=True, iters=3
     )
-    clear_kernel_cache()
+    ctx.kernel_cache.clear()
     fresh = build_fused_kernel(
         PROB, Tunables(), RTX2070.name, main_loop_only=True, iters=3
     )
@@ -151,20 +140,20 @@ def test_device_names_share_one_build():
     assert get_kernel_cache_stats().builds == 1
 
 
-def test_problem_label_is_no_part_of_any_identity(monkeypatch):
+def test_problem_label_is_no_part_of_any_identity(monkeypatch, ctx):
     # A problem's name only labels spans and reports.  The same shape,
-    # named and unnamed, shares one build, one lint verdict, one arena
-    # and one set of simulation results.
+    # named and unnamed, shares one build, one lint verdict, one memory
+    # image and one set of simulation results.
     unnamed = dataclasses.replace(PROB, name="")
     built = build_fused_kernel(PROB, Tunables(), RTX2070.name)
     assert build_fused_kernel(unnamed, Tunables(), RTX2070.name) is built
     assert get_kernel_cache_stats().builds == 1
     assert lint_family_key(unnamed, Tunables()) == lint_family_key(PROB, Tunables())
-    assert _problem_arena(unnamed) is _problem_arena(PROB)
+    assert _problem_image(unnamed) is _problem_image(PROB)
 
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
     monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
-    reset_kernel_cache_stats()
+    ctx.kernel_cache.clear()
     named_run = measure_main_loop(PROB, device=RTX2070, num_blocks=1)
     assert measure_main_loop(unnamed, device=RTX2070, num_blocks=1) == named_run
     sim = get_sim_cache_stats()
@@ -182,31 +171,24 @@ def test_measure_main_loop_defaults_to_the_context_device():
 
 
 def test_eviction_under_size_limit():
-    set_kernel_cache_limit(1)
-    build_fused_kernel(PROB, Tunables(), RTX2070.name)
-    build_fused_kernel(PROB, Tunables(sts_interleave=2), RTX2070.name)
-    stats = get_kernel_cache_stats()
-    assert stats.size == 1
-    assert stats.evictions == 1
-    # The first kernel was evicted: asking again rebuilds.
-    build_fused_kernel(PROB, Tunables(), RTX2070.name)
-    assert get_kernel_cache_stats().misses == 3
-
-
-def test_kill_switch_bypasses_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_CACHE", "0")
-    a = build_fused_kernel(PROB, Tunables(), RTX2070.name)
-    b = build_fused_kernel(PROB, Tunables(), RTX2070.name)
-    assert a is not b
-    stats = get_kernel_cache_stats()
-    assert stats.hits == 0 and stats.misses == 0 and stats.builds == 0
+    with activate(ExecutionContext(kernel_cache_entries=1)):
+        build_fused_kernel(PROB, Tunables(), RTX2070.name)
+        build_fused_kernel(PROB, Tunables(sts_interleave=2), RTX2070.name)
+        stats = get_kernel_cache_stats()
+        assert stats.size == 1
+        assert stats.evictions == 1
+        # The first kernel was evicted: asking again rebuilds.
+        build_fused_kernel(PROB, Tunables(), RTX2070.name)
+        assert get_kernel_cache_stats().misses == 3
 
 
 def test_limit_validation():
     with pytest.raises(ValueError):
-        set_kernel_cache_limit(0)
+        LRUCache(0)
     with pytest.raises(ValueError):
-        KernelBuildCache(max_entries=0)
+        ExecutionContext(kernel_cache_entries=0)
+    # None is the default bound, not an unbounded cache.
+    assert ExecutionContext(kernel_cache_entries=None).kernel_cache.stats().max_entries == 64
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +206,7 @@ def test_sim_cache_key_covers_every_field():
     assert base != sim_cache_key("site", prob=other_prob, tunables=Tunables(), iters=3)
 
 
-def test_sim_cache_memory_and_disk_tiers(monkeypatch, tmp_path):
+def test_sim_cache_memory_and_disk_tiers(monkeypatch, tmp_path, ctx):
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
 
@@ -236,19 +218,35 @@ def test_sim_cache_memory_and_disk_tiers(monkeypatch, tmp_path):
     assert warm == cold
 
     # Drop the memory tier: the next run replays from disk, bit-identical.
-    clear_simulation_cache()
+    ctx.sim_cache.clear()
     replayed = measure_main_loop(PROB, device=RTX2070, num_blocks=1)
     assert get_sim_cache_stats().disk_hits == 2
     assert replayed == cold
     assert any(tmp_path.rglob("*.json"))
 
 
-def test_sim_cache_corrupt_disk_entry_is_a_miss(monkeypatch, tmp_path):
+def test_sim_cache_corrupt_disk_entry_is_a_miss(monkeypatch, tmp_path, ctx):
     monkeypatch.setenv("REPRO_SIM_CACHE", "1")
     monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
     cold = measure_main_loop(PROB, device=RTX2070, num_blocks=1)
     for path in tmp_path.rglob("*.json"):
         path.write_text("not json{")
-    clear_simulation_cache()
+    ctx.sim_cache.clear()
     recomputed = measure_main_loop(PROB, device=RTX2070, num_blocks=1)
     assert recomputed == cold
+
+
+def test_sim_cache_clear_between_miss_and_disk_hit(monkeypatch, ctx):
+    # A clear() that lands after a lookup's memory miss and before its
+    # disk read leaves the counters consistent: one disk hit, no miss.
+    monkeypatch.setenv("REPRO_SIM_CACHE", "1")
+    cache = ctx.sim_cache
+
+    def disk_read(key):
+        cache.clear()
+        return {"cycles": 1}
+
+    monkeypatch.setattr(cache, "_disk_read", disk_read)
+    assert cache.get("k") == {"cycles": 1}
+    stats = cache.stats()
+    assert (stats.memory_hits, stats.disk_hits, stats.misses) == (0, 1, 0)

@@ -130,5 +130,5 @@ def test_launch_gate_passes_and_memoizes_clean_kernel():
     from repro.runtime import current_context
 
     gate = current_context().lint_gate
-    assert (kernel.meta.name, hash(kernel.text)) in gate._clean
+    assert gate.get((kernel.meta.name, hash(kernel.text)))
     ensure_lint_clean(kernel)  # second call is the memoized no-op

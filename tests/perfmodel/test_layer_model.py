@@ -85,21 +85,24 @@ def test_full_kernel_passes_the_lint_gate(monkeypatch):
     """The overhead run's full kernel (the one whose OTF epilogue stores
     with ``STG.E``) goes through the context's lint gate, like the
     main-loop kernels do."""
+    from repro.kernels import runner
     from repro.runtime import ExecutionContext, activate
 
     monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
     monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)  # no disk hits
     ctx = ExecutionContext(device=V100)
     gated = []
-    real_ensure = ctx.lint_gate.ensure
+    real_ensure = runner.ensure_lint_clean
 
-    def recording_ensure(kernel, family=None):
+    def recording_ensure(kernel, context=None, family=None):
         gated.append(kernel)
-        real_ensure(kernel, family=family)
+        real_ensure(kernel, context=context, family=family)
 
-    monkeypatch.setattr(ctx.lint_gate, "ensure", recording_ensure)
+    monkeypatch.setattr(runner, "ensure_lint_clean", recording_ensure)
     with activate(ctx):
         our_layer_performance(resnet_layer("Conv2", 32), V100)
+    # Every gated kernel is proven clean in the context's gate.
+    assert all(ctx.lint_gate.get((k.meta.name, hash(k.text))) for k in gated)
 
     def stores_output(kernel):
         return any(i.name == "STG" and "E" in i.flags for i in kernel.instructions)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.common import ConvProblem
+from repro.common.cache import CacheStats, LRUCache
 from repro.convolution import conv2d
+from repro.kernels import SimCacheStats, measure_main_loop
 from repro.runtime import (
     ExecutionContext,
     InferenceSession,
@@ -77,6 +79,66 @@ def test_reset_clears_everything(tiny):
     assert ctx.export_trace() == []
 
 
+#: The context's attributes that are not caches; every other attribute
+#: must be an LRUCache (the simulation cache: its memory tier).
+NOT_CACHES = {
+    "device", "schedule_search", "dispatch_stats", "arena",
+    "prepared_filters", "tracer",
+}
+SIM_PROB = ConvProblem(n=32, c=16, h=8, w=8, k=64)
+
+
+def _caches(ctx):
+    return {
+        name: value.memory if name == "sim_cache" else value
+        for name, value in vars(ctx).items()
+        if name not in NOT_CACHES
+    }
+
+
+def test_every_cache_is_an_lru_that_reset_empties(tiny, monkeypatch):
+    from repro.sched import (
+        ScheduleSearchConfig, ScheduleSpace, SearchBudget, ensure_schedule,
+    )
+
+    monkeypatch.delenv("REPRO_SIM_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_SIM_CACHE_DIR", raising=False)
+    x, f = tiny
+    ctx = ExecutionContext(device="V100")
+    caches = _caches(ctx)
+    assert all(isinstance(cache, LRUCache) for cache in caches.values()), caches
+    assert "memory_images" in caches and "lint_gate" in caches
+
+    one = ScheduleSpace(yield_strategies=("natural",), ldg_interleaves=(8,),
+                        sts_interleaves=(6,), double_buffers=(2,))
+    with activate(ctx):
+        conv2d(x, f, algo="AUTO_HEURISTIC")
+        measure_main_loop(SIM_PROB, num_blocks=1)
+        measure_main_loop(SIM_PROB, num_blocks=1)
+        ensure_schedule(config=ScheduleSearchConfig(
+            space=one, budget=SearchBudget(max_rungs=1, num_blocks=1),
+        ))
+    for name, cache in caches.items():
+        assert cache.stats().size > 0, name
+
+    ctx.reset()
+    for name, cache in caches.items():
+        bound = cache.stats().max_entries
+        assert cache.stats() == CacheStats(max_entries=bound), name
+    assert ctx.sim_cache.stats() == SimCacheStats()
+
+
+def test_contexts_simulate_on_their_own_memory_images(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_CACHE", "0")  # simulate in both contexts
+    a, b = ExecutionContext(), ExecutionContext()
+    for ctx in (a, b):
+        measure_main_loop(SIM_PROB, num_blocks=1, context=ctx)
+    [(key_a, (gmem_a, params_a))] = a.memory_images.items()
+    [(key_b, (gmem_b, params_b))] = b.memory_images.items()
+    assert key_a == key_b and params_a == params_b
+    assert gmem_a is not gmem_b
+
+
 def test_plan_span_recorded_with_algo(tiny):
     x, f = tiny
     ctx = ExecutionContext()
@@ -134,13 +196,17 @@ def test_legacy_helpers_follow_active_context(tiny):
     assert ctx.dispatch_stats.calls == 1
 
 
-def test_plan_eviction_counts_on_current_stats_object(tiny):
+def test_plan_eviction_counts_on_the_plan_cache(tiny):
     x, f = tiny
-    ctx = ExecutionContext(plan_cache_entries=1)
+    ctx = ExecutionContext()
+    ctx.plans = LRUCache(1)
     with activate(ctx):
         conv2d(x, f, algo="AUTO_HEURISTIC")
+        ctx.reset()  # keeps the bound, zeroes the counters
+        conv2d(x, f, algo="AUTO_HEURISTIC")
         conv2d(x[:, :, :6, :6], f, algo="AUTO_HEURISTIC")  # evicts the first
-    assert ctx.dispatch_stats.plan_evictions == 1
+    stats = ctx.plans.stats()
+    assert (stats.evictions, stats.size, stats.max_entries) == (1, 1, 1)
 
 
 def test_device_default_used_by_auto_heuristic(tiny):

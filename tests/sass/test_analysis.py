@@ -288,7 +288,7 @@ def test_static_addresses_match_the_fast_replay(monkeypatch, tile):
     block 0.
     """
     from repro.gpusim import V100, fastsim, simulate_resident_blocks
-    from repro.kernels.runner import _problem_arena
+    from repro.kernels.runner import _problem_image
     from repro.kernels.winograd_fused import default_tunables, kernel_for_tile
     from repro.perfmodel.layer_model import _SURROGATE
     from repro.sass.analysis import AnalysisContext, shared_access_table
@@ -313,7 +313,7 @@ def test_static_addresses_match_the_fast_replay(monkeypatch, tile):
 
     monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
     monkeypatch.setattr(fastsim._Replay, "_exec_smem", recording_exec_smem)
-    gmem, params = _problem_arena(prob, tile)
+    gmem, params = _problem_image(prob, tile)
     simulate_resident_blocks(
         kernel, V100, params=params, gmem=gmem, threads_per_block=256,
         num_blocks=1,

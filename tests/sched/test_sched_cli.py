@@ -122,10 +122,10 @@ def test_conv2d_attaches_schedule_to_cached_plan(fake_simulator):
     prob, x, f = _layer_data()
     conv2d(x, f, pad=prob.pad, algo="AUTO_HEURISTIC", device=RTX2070,
            context=ctx, tune_schedule=True)
-    [plan] = ctx.plans.snapshot().values()
+    [(_, plan)] = ctx.plans.items()
     assert plan.algo == "WINOGRAD_F44"
     assert plan.schedule == PAPER_SCHEDULE
-    # the second call hits the plan cache and the ScheduleBook memo:
+    # the second call hits the plan cache and the schedules memo:
     # no fresh simulator measurements.
     count = len(calls)
     conv2d(x, f, pad=prob.pad, algo="AUTO_HEURISTIC", device=RTX2070,
@@ -142,7 +142,7 @@ def test_conv2d_tune_schedule_defaults_to_context_config(fake_simulator):
     # no tune_schedule kwarg: the context's schedule_search opts in
     conv2d(x, f, pad=prob.pad, algo="AUTO_HEURISTIC", device=RTX2070,
            context=ctx)
-    [plan] = ctx.plans.snapshot().values()
+    [(_, plan)] = ctx.plans.items()
     assert plan.schedule == PAPER_SCHEDULE
 
 
@@ -153,7 +153,7 @@ def test_conv2d_without_tuning_leaves_schedule_unset(fake_simulator):
     prob, x, f = _layer_data()
     conv2d(x, f, pad=prob.pad, algo="AUTO_HEURISTIC", device=RTX2070,
            context=ctx)
-    [plan] = ctx.plans.snapshot().values()
+    [(_, plan)] = ctx.plans.items()
     assert plan.schedule is None
     assert not fake_simulator  # the simulator was never invoked
 

@@ -25,6 +25,7 @@ from repro.sched import (
     paper_ordering,
     successive_halving,
 )
+from repro.sched.search import schedule_key
 
 SMALL_SPACE = ScheduleSpace(
     yield_strategies=("natural", "nvcc8"),
@@ -187,7 +188,7 @@ def test_ensure_schedule_defaults_to_context_config(fake_simulator):
     ctx = ExecutionContext(device=RTX2070, schedule_search=config)
     result = ensure_schedule(context=ctx)
     assert result.space_signature == SMALL_SPACE.signature()
-    assert ctx.schedules.lookup(RTX2070.name, config) is result
+    assert ctx.schedules.get(schedule_key(RTX2070.name, config)) is result
 
 
 def test_budget_validation():

@@ -84,6 +84,25 @@ def test_duplicate_registration_rejected():
         router.register_model("t", _model("m0"))
 
 
+def test_refused_registration_books_no_load():
+    """A model the device's frontend refuses leaves no load, routing
+    entry or route span behind to steer later placements."""
+    router = FleetRouter(("V100",), cost_fn=lambda *a: 1.0)
+    pointwise = ConvProblem(n=1, c=8, h=8, w=8, k=8, r=1, s=1, pad=0, name="pw")
+    model = ModelSpec(
+        name="pw", problems=(pointwise,),
+        filters=(np.ones((8, 8, 1, 1), dtype=np.float32),), mode="WINOGRAD",
+    )
+    with pytest.raises(ServingError, match="cannot run"):
+        router.register_model("t", model)
+    stats = router.stats()
+    assert stats["devices"]["V100"]["load_s"] == 0.0
+    assert stats["devices"]["V100"]["models"] == 0
+    assert stats["routing"] == []
+    spans = router.planning_context("V100").tracer.spans()
+    assert not [s for s in spans if s.kind == "route"]
+
+
 def test_submit_routes_to_placed_device_and_runs():
     async def go():
         router = _router({"V100": 5.0, "RTX2070": 1.0})

@@ -54,6 +54,23 @@ def test_workspace_formula_matches_run():
     )
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_run_reports_the_modelled_workspace_in_any_dtype(dtype):
+    # The run reports 4-byte elements, as workspace_bytes(), Fig. 14 and
+    # the dispatcher's workspace model do, however wide the host arrays.
+    from repro.perfmodel.workspace import DISPATCH_WORKSPACE
+
+    prob = ConvProblem(n=2, c=4, h=8, w=8, k=6)
+    rng = make_rng(0)
+    x = random_activation(prob, rng).astype(dtype)
+    f = random_filter(prob, rng).astype(dtype)
+    conv = NonFusedWinogradConv()
+    _, stats = conv.run(nchw_to_chwn(x), kcrs_to_crsk(f), prob)
+    assert stats.workspace_bytes == conv.workspace_bytes(prob) == 14_976
+    assert stats.workspace_bytes == DISPATCH_WORKSPACE["WINOGRAD_NONFUSED"](prob)
+    assert stats.transformed_filter_bytes == 36 * 4 * 6 * 4
+
+
 def test_workspace_components():
     prob = ConvProblem(n=2, c=4, h=8, w=8, k=6)
     _, stats = _run(prob)
