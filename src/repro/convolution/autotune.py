@@ -1,25 +1,29 @@
-"""Autotuning dispatch for ``conv2d``: AUTO and AUTO_HEURISTIC.
+"""The one per-layer planner, behind ``conv2d``'s AUTO modes and sessions.
 
 The paper's evaluation (Figs. 12-14, Table 7) is a study in *algorithm
 selection*: which of cuDNN's convolution algorithms wins per layer,
 under what workspace budget, and where the fused kernel's break-even
 points lie.  This module turns that study into a runtime component,
-mirroring cuDNN's own two selectors:
+mirroring cuDNN's own two selectors, plus a forced choice:
 
 * ``AUTO_HEURISTIC`` — ``cudnnGetConvolutionForwardAlgorithm``: rank the
   candidates with the calibrated ``repro.perfmodel`` time models,
   filtered by the caller's ``workspace_limit_bytes`` budget (Fig. 14's
-  workspace-limited selection), and run the predicted winner.  No data
+  workspace-limited selection), and take the predicted winner.  No data
   is touched during selection.
 * ``AUTO`` — ``cudnnFindConvolutionForwardAlgorithm``: run timed trials
   of every surviving candidate on the actual tensors and keep the
   measured winner.
+* a concrete algorithm (an :class:`~repro.runtime.InferenceSession`
+  mode), kept unless the problem or the budget excludes it.
 
-Either way the decision is memoized in a **plan cache** keyed by the
-problem signature (N, C, H, W, K, R, S, pad, dtype, workspace limit,
-device, mode), so repeated calls on the same shape execute the chosen
-algorithm directly — a cache hit runs **zero** new trials.  The plan
-cache is the context's ``plans``, an LRU of 256 plans; plans are
+:func:`plan_layer` is the only place that choice is made: ``conv2d``'s
+AUTO modes and ``InferenceSession.compile`` both call it.  Every
+decision is a :class:`ConvPlan` memoized in a **plan cache** keyed by
+the problem's shape (a :class:`ConvProblem` compares by shape, not by
+name), dtype, workspace limit, device and mode, so repeated plans of
+the same shape are lookups — a cache hit runs **zero** new trials.  The
+plan cache is the context's ``plans``, an LRU of 256 plans; plans are
 published whole, so a self-heal replaces an entry instead of mutating
 it.
 
@@ -36,75 +40,94 @@ from __future__ import annotations
 import copy
 import dataclasses
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..common.errors import ConvConfigError, ReproError
 from ..common.problem import ConvProblem
 from ..common.cache import LRUCache
-from .api import FUSED_TILE_FOR_ALGO, META_ALGORITHMS, _run_concrete
+from .api import FUSED_TILE_FOR_ALGO, META_ALGORITHMS, TILE_FOR_ALGO, _run_concrete
+
+if TYPE_CHECKING:
+    from ..sched import Schedule
 
 
 @dataclasses.dataclass(frozen=True)
 class PlanKey:
-    """The problem signature that identifies one plan-cache entry."""
+    """The signature that identifies one plan-cache entry.
 
-    n: int
-    c: int
-    h: int
-    w: int
-    k: int
-    r: int
-    s: int
-    pad: int
-    stride: int
+    *prob* compares and hashes by shape alone (its ``name`` is no part
+    of its identity), so a named session layer and an anonymous
+    ``conv2d`` call of the same shape share an entry.
+    """
+
+    prob: ConvProblem
     dtype: str
     workspace_limit: int | None
     device: str
     mode: str
 
-    @classmethod
-    def from_problem(
-        cls,
-        prob: ConvProblem,
-        dtype: np.dtype,
-        workspace_limit: int | None,
-        device_name: str,
-        mode: str,
-    ) -> "PlanKey":
-        return cls(
-            n=prob.n, c=prob.c, h=prob.h, w=prob.w, k=prob.k,
-            r=prob.r, s=prob.s, pad=prob.pad, stride=prob.stride,
-            dtype=np.dtype(dtype).name,
-            workspace_limit=workspace_limit,
-            device=device_name,
-            mode=mode,
-        )
-
 
 @dataclasses.dataclass
 class ConvPlan:
-    """A memoized selection decision for one problem signature.
+    """A memoized selection decision for one plan key.
 
-    ``fallbacks`` is the remaining try-order *after* ``algo``: if the
-    chosen algorithm ever raises on a later call, the plan heals itself
-    by promoting the next entry instead of re-running selection.
+    ``source`` is ``"measured"`` (AUTO), ``"heuristic"``
+    (AUTO_HEURISTIC) or ``"forced"`` (one algorithm named by the
+    caller).  ``fallbacks`` is the remaining try-order *after* ``algo``:
+    if the chosen algorithm ever raises on a later call, the plan heals
+    itself by promoting the next entry instead of re-running selection.
 
-    ``schedule`` is the SASS instruction schedule
-    (:class:`repro.sched.Schedule`) chosen by the schedule-space search
-    when dispatch ran with ``tune_schedule`` and the winning algorithm
-    is the fused Winograd kernel; ``None`` otherwise.
+    ``schedule`` is the SASS instruction schedule chosen by the
+    schedule-space search when planning ran with ``tune_schedule`` and
+    the winning algorithm is a fused Winograd kernel; ``None`` otherwise.
     """
 
     key: PlanKey
     algo: str
     fallbacks: tuple[str, ...]
-    source: str  # "measured" (AUTO) | "heuristic" (AUTO_HEURISTIC)
+    source: str
     trial_times: dict[str, float] = dataclasses.field(default_factory=dict)
     predicted_times: dict[str, float] = dataclasses.field(default_factory=dict)
     excluded: dict[str, str] = dataclasses.field(default_factory=dict)
     hits: int = 0
-    schedule: object | None = None  # repro.sched.Schedule when tuned
+    schedule: Schedule | None = None
+
+    @property
+    def prob(self) -> ConvProblem:
+        return self.key.prob
+
+    @property
+    def tile(self) -> str | None:
+        """The Winograd tile family ``algo`` runs on (``None``: not Winograd)."""
+        return TILE_FOR_ALGO.get(self.algo)
+
+    @property
+    def workspace_bytes(self) -> int:
+        """``algo``'s closed-form global workspace (what a session reserves)."""
+        from ..perfmodel.workspace import dispatch_workspace_bytes
+
+        return dispatch_workspace_bytes(self.prob, self.algo)
+
+    @property
+    def predicted_seconds(self) -> float:
+        """The winner's trial time under AUTO, else its modelled time."""
+        if self.source == "measured":
+            return self.trial_times.get(self.algo, 0.0)
+        return self.predicted_times[self.algo]
+
+    def to_dict(self) -> dict:
+        return {
+            "layer": self.prob.label(),
+            "algo": self.algo,
+            "tile": self.tile,
+            "workspace_bytes": self.workspace_bytes,
+            "predicted_seconds": self.predicted_seconds,
+            "fallbacks": list(self.fallbacks),
+            "excluded": dict(self.excluded),
+            "schedule": self.schedule.to_dict() if self.schedule else None,
+        }
 
 
 def _current_plans() -> LRUCache:
@@ -155,12 +178,84 @@ def _tune_plan_schedule(plan: ConvPlan, device, ctx) -> None:
     lookup.  Runs strictly behind the plan cache: cached plans that
     already carry a schedule never re-enter here.
     """
-    from ..sched import ScheduleSearchConfig, ensure_schedule
+    from ..sched import ensure_schedule
 
-    config = ctx.schedule_search or ScheduleSearchConfig()
-    config = config.with_tile(FUSED_TILE_FOR_ALGO[plan.algo])
-    result = ensure_schedule(device=device, config=config, context=ctx)
-    plan.schedule = result.best.schedule
+    tile = FUSED_TILE_FOR_ALGO[plan.algo]
+    plan.schedule = ensure_schedule(device=device, context=ctx, tile=tile).best.schedule
+
+
+def plan_layer(
+    prob: ConvProblem,
+    mode: str,
+    ctx,
+    *,
+    device,
+    workspace_limit: int | None,
+    tune_schedule: bool,
+    dtype,
+    data: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[ConvPlan, np.ndarray | None]:
+    """Plan one layer on *ctx*; returns ``(plan, y)``.
+
+    *mode* is ``"AUTO"``, ``"AUTO_HEURISTIC"`` or a concrete algorithm
+    to force.  The call is counted in ``ctx.dispatch_stats``; a cached
+    plan for the same key is returned as is (with the schedule attached
+    if tuning is on now and was not when it was planned).  On a miss the
+    candidates are ranked once; AUTO then runs timed trials on *data*
+    ``(x, f)`` and *y* is the winner's output, otherwise *y* is ``None``
+    and nothing runs.  A fused winner gets the schedule-search winner
+    when *tune_schedule* is set.  Call it with *ctx* active.
+    """
+    stats = ctx.dispatch_stats
+    stats.record_call(mode)
+    key = PlanKey(prob, np.dtype(dtype).name, workspace_limit, device.name, mode)
+    plan = ctx.plans.get(key)
+    if plan is not None:
+        stats.cache_hits += 1
+        plan.hits += 1
+        if tune_schedule and plan.schedule is None and plan.algo in FUSED_TILE_FOR_ALGO:
+            # A plan cached before tuning was enabled: attach the
+            # (memoized) winner so later snapshots see it too.
+            _tune_plan_schedule(plan, device, ctx)
+        return plan, None
+
+    stats.cache_misses += 1
+    y = None
+    with ctx.span("plan", prob.label(), mode=mode, device=device.name) as span:
+        ranked, excluded, predictions = _select_candidates(prob, device, workspace_limit)
+        for algo in excluded:
+            stats.record_exclusion(algo)
+        if not ranked:  # cannot happen while DIRECT is a candidate; be loud
+            raise ConvConfigError(
+                f"no convolution algorithm eligible for {prob} "
+                f"under workspace limit {workspace_limit}; excluded: {excluded}"
+            )
+
+        if mode == "AUTO":
+            plan, y = _measure_plan(key, ranked, excluded, predictions, *data, stats)
+        elif mode == "AUTO_HEURISTIC":
+            plan = ConvPlan(
+                key=key, algo=ranked[0], fallbacks=tuple(ranked[1:]),
+                source="heuristic", predicted_times=predictions, excluded=excluded,
+            )
+        elif mode in ranked:
+            plan = ConvPlan(
+                key=key, algo=mode, fallbacks=(), source="forced",
+                predicted_times=predictions, excluded=excluded,
+            )
+        else:
+            raise ConvConfigError(
+                f"forced algorithm {mode} cannot run {prob}: "
+                f"{excluded.get(mode, 'not a dispatch candidate')}"
+            )
+        span["algo"] = plan.algo
+        if tune_schedule and plan.algo in FUSED_TILE_FOR_ALGO:
+            _tune_plan_schedule(plan, device, ctx)
+            span["schedule"] = plan.schedule.label()
+            span["tile"] = FUSED_TILE_FOR_ALGO[plan.algo]
+    ctx.plans.put(key, plan)
+    stats.record_choice(plan.algo)
+    return plan, y
 
 
 def autotune_conv2d(
@@ -205,64 +300,21 @@ def autotune_conv2d(
             device = resolve_device(device)
         if tune_schedule is None:
             tune_schedule = ctx.schedule_search is not None
-        stats = ctx.dispatch_stats
-        stats.record_call(mode)
-
         n, c, h, w = x.shape
         k, _, r, s = f.shape
         prob = ConvProblem(n=n, c=c, h=h, w=w, k=k, r=r, s=s, pad=pad, stride=stride)
-        key = PlanKey.from_problem(
-            prob, np.result_type(x, f), workspace_limit_bytes, device.name, mode
+        plan, y = plan_layer(
+            prob, mode, ctx, device=device, workspace_limit=workspace_limit_bytes,
+            tune_schedule=tune_schedule, dtype=np.result_type(x, f), data=(x, f),
         )
-
-        plan = ctx.plans.get(key)
-        if plan is not None:
-            stats.cache_hits += 1
-            plan.hits += 1
-            if (
-                tune_schedule
-                and plan.schedule is None
-                and plan.algo in FUSED_TILE_FOR_ALGO
-            ):
-                # A plan cached before tuning was enabled: attach the
-                # (memoized) winner so later snapshots see it too.
-                _tune_plan_schedule(plan, device, ctx)
-            return _run_plan(plan, x, f, pad, stride, stats, ctx.plans)
-
-        stats.cache_misses += 1
-        with ctx.span("plan", prob.label(), mode=mode, device=device.name) as span:
-            ranked, excluded, predictions = _select_candidates(
-                prob, device, workspace_limit_bytes
-            )
-            for algo in excluded:
-                stats.record_exclusion(algo)
-            if not ranked:  # cannot happen while DIRECT is a candidate; be loud
-                raise ConvConfigError(
-                    f"no convolution algorithm eligible for {prob} "
-                    f"under workspace limit {workspace_limit_bytes}; "
-                    f"excluded: {excluded}"
-                )
-
-            if mode == "AUTO":
-                plan, y = _measure_plan(
-                    key, ranked, excluded, predictions, x, f, pad, stride, stats
-                )
-            else:
-                plan, y = _heuristic_plan(
-                    key, ranked, excluded, predictions, x, f, pad, stride, stats
-                )
-            span["algo"] = plan.algo
-            if tune_schedule and plan.algo in FUSED_TILE_FOR_ALGO:
-                _tune_plan_schedule(plan, device, ctx)
-                span["schedule"] = plan.schedule.label()
-                span["tile"] = FUSED_TILE_FOR_ALGO[plan.algo]
-        ctx.plans.put(key, plan)
-        stats.record_choice(plan.algo)
+        if y is None:
+            y = _run_plan(plan, x, f, pad, stride, ctx.dispatch_stats, ctx.plans)
         return y
 
 
-def _measure_plan(key, ranked, excluded, predictions, x, f, pad, stride, stats):
+def _measure_plan(key, ranked, excluded, predictions, x, f, stats):
     """AUTO: timed trials of every surviving candidate; keep the winner."""
+    pad, stride = key.prob.pad, key.prob.stride
     trial_times: dict[str, float] = {}
     best_algo = None
     best_y = None
@@ -296,31 +348,6 @@ def _measure_plan(key, ranked, excluded, predictions, x, f, pad, stride, stats):
         excluded=excluded,
     )
     return plan, best_y
-
-
-def _heuristic_plan(key, ranked, excluded, predictions, x, f, pad, stride, stats):
-    """AUTO_HEURISTIC: run the model's pick, falling through on failure."""
-    for i, algo in enumerate(ranked):
-        try:
-            y = _execute(algo, x, f, pad, stride)
-        except ReproError as exc:
-            excluded[algo] = f"raised during dispatch: {exc}"
-            stats.record_error(algo)
-            stats.fallbacks += 1
-            continue
-        plan = ConvPlan(
-            key=key,
-            algo=algo,
-            fallbacks=tuple(ranked[i + 1:]),
-            source="heuristic",
-            predicted_times=predictions,
-            excluded=excluded,
-        )
-        return plan, y
-    raise ConvConfigError(
-        f"every candidate algorithm failed for signature {key}; "
-        f"reasons: {excluded}"
-    )
 
 
 def _run_plan(

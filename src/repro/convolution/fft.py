@@ -55,8 +55,9 @@ def fft_conv2d(
     yf = np.einsum("nchw,kchw->nkhw", xf, ff, optimize=True)
     y = np.fft.irfft2(yf, s=(fh, fw))[:, :, :out_h, :out_w]
 
-    # Workspace: frequency-domain copies of input, filters and output.
-    ws = xf.nbytes + ff.nbytes + yf.nbytes
+    # Workspace: frequency-domain copies of input, filters and output, at
+    # 8 bytes a complex64 value whatever dtype the host runs in.
+    ws = 8 * (xf.size + ff.size + yf.size)
     return (
         np.ascontiguousarray(y.astype(x.dtype, copy=False)),
         FftRunStats(workspace_bytes=ws, fft_size=(fh, fw)),
@@ -98,8 +99,8 @@ def fft_tiling_conv2d(
             yt = np.fft.irfft2(yf, s=(fh, fw))[:, :, :th, :tw]
             y[:, :, t0 : t0 + th, t1 : t1 + tw] = yt
             tiles += 1
-            ws_tile = max(ws_tile, xf.nbytes + yf.nbytes)
+            ws_tile = max(ws_tile, 8 * (xf.size + yf.size))  # complex64, as in fft_conv2d
     return (
         np.ascontiguousarray(y),
-        FftRunStats(workspace_bytes=ws_tile + ff.nbytes, fft_size=(fh, fw), tiles=tiles),
+        FftRunStats(workspace_bytes=ws_tile + 8 * ff.size, fft_size=(fh, fw), tiles=tiles),
     )

@@ -71,7 +71,9 @@ def gemm_conv2d(
     y = cols @ fmat.T  # (N·H'·W', K)
     y = y.reshape(n, out_h, out_w, k).transpose(0, 3, 1, 2)
     stats = GemmRunStats(
-        workspace_bytes=cols.nbytes,
+        # 4 bytes an element, as the GPU workspace model counts them,
+        # whatever dtype the host runs in.
+        workspace_bytes=4 * cols.size,
         gemm_m=n * out_h * out_w,
         gemm_n=k,
         gemm_k=c * r * s,

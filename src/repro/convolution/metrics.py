@@ -2,8 +2,10 @@
 
 One :class:`DispatchStats` per :class:`repro.runtime.ExecutionContext`
 (the process-wide default context unless one is activated) accumulates
-per-call counters for every ``conv2d(algo="AUTO"/"AUTO_HEURISTIC")``
-dispatch: plan-cache
+per-plan counters for every plan the one planner
+(``repro.convolution.autotune.plan_layer``) is asked for — by
+``conv2d(algo="AUTO"/"AUTO_HEURISTIC")`` and by every
+``InferenceSession`` layer compiled on the context: plan-cache
 hits and misses, timed trials run (with per-algorithm wall times),
 algorithms chosen, candidates excluded by the workspace budget or shape
 restrictions, and runtime fallbacks taken when an algorithm raised.
@@ -47,13 +49,15 @@ class TrialAggregate:
 
 @dataclasses.dataclass
 class DispatchStats:
-    """Counters for the AUTO / AUTO_HEURISTIC dispatch paths.
+    """Counters for the planner behind ``conv2d``'s AUTO modes and sessions.
 
     Attributes
     ----------
-    calls: dispatched ``conv2d`` invocations, keyed further by mode in
-        :attr:`calls_by_mode`.
-    cache_hits / cache_misses: plan-cache outcomes; a hit executes the
+    calls: plans requested, by ``conv2d`` in an AUTO mode and by each
+        ``InferenceSession`` layer at compile, keyed further by mode
+        (``AUTO``, ``AUTO_HEURISTIC`` or a session's forced algorithm)
+        in :attr:`calls_by_mode`.
+    cache_hits / cache_misses: plan-cache outcomes; a hit reuses the
         memoized plan and runs **zero** new trials.  The plan cache
         counts its own evictions (``ctx.plans.stats().evictions``).
     trials_run: timed candidate executions performed by ``AUTO`` misses.
@@ -65,7 +69,8 @@ class DispatchStats:
         aggregates so long-lived processes don't leak).
     trial_stats: per-algorithm running count/sum/min/max over **all**
         trials ever run, regardless of the history cap.
-    chosen: how often each algorithm ended up serving a call.
+    chosen: the algorithm of each new plan (one per plan-cache miss),
+        plus each algorithm a self-heal promoted.
     excluded: candidates rejected *before* execution (workspace budget
         or unsupported shape), counted per algorithm.
     errors: candidates that raised during execution, per algorithm.

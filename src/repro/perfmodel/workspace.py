@@ -1,12 +1,15 @@
 """Workspace requirements per convolution algorithm (paper Fig. 14).
 
-Formulas mirror this library's implementations exactly (each is the
-closed form of the corresponding ``*RunStats.workspace_bytes``), so the
-bench regenerates Fig. 14 from the same accounting the functional code
-reports.  cuDNN's absolute numbers differ somewhat (its FFT pads and
-tiles differently), but the figure's structure — FFT enormous, explicit
-GEMM large, implicit GEMM zero, non-fused Winograd mid, our fused kernel
-only the 16·K·C transformed filter — is reproduced.
+The GEMM, IMPLICIT_GEMM, IMPLICIT_PRECOMP_GEMM and WINOGRAD_NONFUSED
+formulas are the closed forms of the matching executor's
+``*RunStats.workspace_bytes`` (4-byte elements in any host dtype).  The
+FFT and FFT_TILING formulas model cuDNN's allocations (full complex
+planes; fixed 32-point tiles), not the NumPy executors, whose packed
+spectra sized from the output hold less on small images and more on
+multi-tile ones.  cuDNN's absolute numbers differ somewhat, but the
+figure's structure — FFT enormous, explicit GEMM large, implicit GEMM
+zero, non-fused Winograd mid, our fused kernel only the 16·K·C
+transformed filter — is reproduced.
 """
 
 from __future__ import annotations

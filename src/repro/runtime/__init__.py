@@ -10,7 +10,8 @@ Three layers, each owning what used to be module-global state:
   high-water-mark workspace that multi-layer runs share (it counts
   bytes; it holds none).
 - :class:`InferenceSession` — compiles a layer stack into per-layer
-  plans and executes it end to end, one layer after another.
+  plans (the dispatcher's ``ConvPlan``, from the context's plan cache)
+  and executes it end to end, one layer after another.
 
 ``default_context()`` provides the process-wide context that keeps the
 legacy module-level APIs (``repro.convolution.conv2d``, the cache
@@ -30,19 +31,13 @@ from .context import (
     default_context,
 )
 from .parallel import default_workers, parallel_map
-from .session import (
-    InferenceSession,
-    LayerPlan,
-    LayerRun,
-    SessionResult,
-)
+from .session import InferenceSession, LayerRun, SessionResult
 
 __all__ = [
     "ALIGNMENT",
     "ArenaStats",
     "ExecutionContext",
     "InferenceSession",
-    "LayerPlan",
     "LayerRun",
     "PreparedFilterCache",
     "PreparedFilterStats",

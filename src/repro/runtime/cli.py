@@ -45,12 +45,7 @@ def cmd_session(args: argparse.Namespace) -> int:
     inputs = [random_activation(p, rng) for p in problems]
     filters = [random_filter(p, rng) for p in problems]
     try:
-        session = InferenceSession(
-            problems,
-            mode=args.mode,
-            workspace_limit_bytes=ctx.arena.stats().limit_bytes,
-            context=ctx,
-        )
+        session = InferenceSession(problems, mode=args.mode, context=ctx)
         result = session.run(inputs, filters)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,13 @@ runnable inference path, the way cuDNN callers and TVM's graph runtime
 do it:
 
 1. **compile** — every layer's :class:`ConvProblem` goes through the
-   perfmodel-driven selector (or timed trials, or a forced algorithm)
-   exactly once, producing a :class:`LayerPlan` with the chosen
-   algorithm, its fallback order and its closed-form workspace size
-   (``repro.perfmodel.workspace``).  The context's
+   dispatcher's one planner, :func:`repro.convolution.autotune.plan_layer`
+   (perfmodel ranking, timed trials, or a forced algorithm), exactly
+   once, producing a :class:`~repro.convolution.ConvPlan` with the
+   chosen algorithm, its fallback order and its closed-form workspace
+   size (``repro.perfmodel.workspace``).  Plans live in the context's
+   plan cache, so a second session of the same stack on the same
+   context compiles from lookups.  The context's
    :class:`~repro.runtime.arena.WorkspaceArena` is pre-sized to the
    plan's high-water mark.
 2. **run** — the layers execute in order, each through
@@ -35,48 +38,10 @@ import numpy as np
 
 from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
-from ..convolution.api import (
-    FUSED_TILE_FOR_ALGO,
-    META_ALGORITHMS,
-    TILE_FOR_ALGO,
-    _run_planned,
-)
-from ..convolution.autotune import _select_candidates
+from ..convolution.api import META_ALGORITHMS, _run_planned
+from ..convolution.autotune import ConvPlan, plan_layer
 from .arena import ArenaStats
 from .context import ExecutionContext, activate, current_context
-
-
-@dataclasses.dataclass(frozen=True)
-class LayerPlan:
-    """One layer's compiled execution decision.
-
-    ``tile`` is the Winograd tile family the chosen algorithm executes
-    on ("f22" / "f44"; ``None`` for non-Winograd algorithms).
-    ``schedule`` is the SASS schedule the ``repro.sched`` search chose
-    for a fused-kernel layer compiled with ``tune_schedule``; ``None``
-    when tuning was off or another algorithm won.
-    """
-
-    prob: ConvProblem
-    algo: str
-    workspace_bytes: int
-    predicted_seconds: float
-    fallbacks: tuple[str, ...] = ()
-    excluded: dict = dataclasses.field(default_factory=dict)
-    schedule: object | None = None  # repro.sched.Schedule when tuned
-    tile: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "layer": self.prob.label(),
-            "algo": self.algo,
-            "tile": self.tile,
-            "workspace_bytes": self.workspace_bytes,
-            "predicted_seconds": self.predicted_seconds,
-            "fallbacks": list(self.fallbacks),
-            "excluded": dict(self.excluded),
-            "schedule": self.schedule.to_dict() if self.schedule else None,
-        }
 
 
 @dataclasses.dataclass
@@ -155,15 +120,10 @@ class InferenceSession:
         touched at compile time), ``"AUTO"`` (timed trials on the first
         run's tensors), or any algorithm in ``DISPATCH_CANDIDATES`` to
         force it for every layer.
-    workspace_limit_bytes: excluded candidates whose closed-form
-        workspace exceeds this budget; also installed as the arena's
-        enforced limit.
     context: the owning :class:`ExecutionContext` (default: current).
-    device: ranking device (default: the context's device).
-    tune_schedule: run the ``repro.sched`` schedule-space search for
-        WINOGRAD layers at compile time and record the winner on each
-        :class:`LayerPlan`; ``None`` (default) defers to whether the
-        context carries a ``schedule_search`` config.
+        Planning reads its device, its arena's workspace limit (the
+        budget over which candidates are excluded) and whether it
+        carries a ``schedule_search`` config (:attr:`tune_schedule`).
     """
 
     def __init__(
@@ -171,10 +131,7 @@ class InferenceSession:
         problems,
         *,
         mode: str = "AUTO_HEURISTIC",
-        workspace_limit_bytes: int | None = None,
         context: ExecutionContext | None = None,
-        device=None,
-        tune_schedule: bool | None = None,
     ):
         problems = list(problems)
         if not problems:
@@ -194,136 +151,81 @@ class InferenceSession:
             )
         self.problems = problems
         self.mode = mode
-        self.workspace_limit_bytes = workspace_limit_bytes
         self.context = context or current_context()
-        if device is None:
-            self.device = self.context.device
-        else:
-            from ..gpusim.arch import resolve_device
+        self._plans: list[ConvPlan] | None = None
 
-            self.device = resolve_device(device)
-        if tune_schedule is None:
-            tune_schedule = self.context.schedule_search is not None
-        self.tune_schedule = tune_schedule
-        self._plans: list[LayerPlan] | None = None
-        if workspace_limit_bytes is not None:
-            self.context.arena.set_limit(workspace_limit_bytes)
+    @property
+    def tune_schedule(self) -> bool:
+        """Whether compiling runs the ``repro.sched`` schedule search for
+        fused-kernel layers: the context carries a ``schedule_search``
+        config."""
+        return self.context.schedule_search is not None
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def compile(self, calibration=None) -> list[LayerPlan]:
+    def compile(self, calibration=None) -> list[ConvPlan]:
         """Select an algorithm and workspace size for every layer (once).
 
         ``mode="AUTO"`` needs *calibration* — ``(inputs, filters)``
-        sample tensors, one pair per layer — because its selection runs
-        timed trials on real data (``run()`` passes its own tensors
-        automatically).  The other modes compile without touching data.
+        sample tensors, one pair per layer, of the layers' shapes —
+        because its selection runs timed trials on real data (``run()``
+        passes its own tensors automatically).  The other modes compile
+        without touching data.
         """
         if self._plans is not None:
             return self._plans
-        plans: list[LayerPlan] = []
-        with activate(self.context):
-            for i, prob in enumerate(self.problems):
-                with self.context.span(
-                    "plan", prob.label(), mode=self.mode
-                ) as span:
-                    plan = self._plan_layer(
-                        prob,
-                        calibration[0][i] if calibration else None,
-                        calibration[1][i] if calibration else None,
-                    )
-                    span["algo"] = plan.algo
-                    if plan.tile is not None:
-                        span["tile"] = plan.tile
-                    if plan.schedule is not None:
-                        span["schedule"] = plan.schedule.label()
+        layer_data = [None] * len(self.problems)
+        if calibration is not None:
+            layer_data = list(zip(*self._checked(*calibration)))
+        elif self.mode == "AUTO":
+            raise ConvConfigError(
+                'mode="AUTO" compiles from timed trials: pass '
+                "calibration=(inputs, filters) to compile(), or let "
+                "run() compile with its own tensors"
+            )
+        ctx = self.context
+        plans: list[ConvPlan] = []
+        with activate(ctx):
+            for prob, data in zip(self.problems, layer_data):
+                plan, _ = plan_layer(
+                    prob, self.mode, ctx, device=ctx.device,
+                    workspace_limit=ctx.arena.limit_bytes,
+                    tune_schedule=self.tune_schedule,
+                    dtype=np.result_type(*data) if data else np.float32,
+                    data=data,
+                )
                 plans.append(plan)
             # One workspace sized at the network's high-water mark: the core
             # of the arena story (not counted as a runtime "grow").
-            self.context.arena.reserve_capacity(
-                max(plan.workspace_bytes for plan in plans)
-            )
+            ctx.arena.reserve_capacity(max(plan.workspace_bytes for plan in plans))
         self._plans = plans
         return plans
 
-    def _plan_layer(self, prob, x, f) -> LayerPlan:
-        from ..perfmodel.workspace import dispatch_workspace_bytes
-
-        if self.mode == "AUTO":
-            if x is None or f is None:
-                raise ConvConfigError(
-                    'mode="AUTO" compiles from timed trials: pass '
-                    "calibration=(inputs, filters) to compile(), or let "
-                    "run() compile with its own tensors"
-                )
-            from ..convolution import conv2d
-            from ..convolution.autotune import PlanKey
-
-            conv2d(
-                x, f, pad=prob.pad, stride=prob.stride, algo="AUTO",
-                workspace_limit_bytes=self.workspace_limit_bytes,
-                device=self.device, context=self.context,
-                tune_schedule=self.tune_schedule,
-            )
-            key = PlanKey.from_problem(
-                prob, np.result_type(x, f), self.workspace_limit_bytes,
-                self.device.name, "AUTO",
-            )
-            plan = self.context.plans.get(key)
-            assert plan is not None, "AUTO dispatch must have cached a plan"
-            return LayerPlan(
-                prob=prob,
-                algo=plan.algo,
-                workspace_bytes=dispatch_workspace_bytes(prob, plan.algo),
-                predicted_seconds=plan.trial_times.get(plan.algo, 0.0),
-                fallbacks=plan.fallbacks,
-                excluded=dict(plan.excluded),
-                schedule=plan.schedule,
-                tile=TILE_FOR_ALGO.get(plan.algo),
-            )
-
-        ranked, excluded, predictions = _select_candidates(
-            prob, self.device, self.workspace_limit_bytes
-        )
-        if self.mode == "AUTO_HEURISTIC":
-            if not ranked:
-                raise ConvConfigError(
-                    f"no algorithm eligible for {prob} under workspace "
-                    f"limit {self.workspace_limit_bytes}; excluded: {excluded}"
-                )
-            algo, fallbacks = ranked[0], tuple(ranked[1:])
-        else:  # a forced concrete algorithm
-            algo, fallbacks = self.mode, ()
-            if algo in excluded:
-                raise ConvConfigError(
-                    f"forced algorithm {algo} cannot run {prob}: "
-                    f"{excluded[algo]}"
-                )
-        schedule = None
-        if self.tune_schedule and algo in FUSED_TILE_FOR_ALGO:
-            from ..sched import ScheduleSearchConfig, ensure_schedule
-
-            config = self.context.schedule_search or ScheduleSearchConfig()
-            schedule = ensure_schedule(
-                device=self.device, config=config, context=self.context,
-                tile=FUSED_TILE_FOR_ALGO[algo],
-            ).best.schedule
-        return LayerPlan(
-            prob=prob,
-            algo=algo,
-            workspace_bytes=dispatch_workspace_bytes(prob, algo),
-            predicted_seconds=predictions[algo],
-            fallbacks=fallbacks,
-            excluded=excluded,
-            schedule=schedule,
-            tile=TILE_FOR_ALGO.get(algo),
-        )
-
     @property
-    def plans(self) -> list[LayerPlan] | None:
+    def plans(self) -> list[ConvPlan] | None:
         """The compiled per-layer plans (``None`` before compilation)."""
         return self._plans
+
+    def _checked(self, inputs, filters) -> tuple[list, list]:
+        """*inputs* and *filters* as lists, one per layer, of its shapes."""
+        inputs, filters = list(inputs), list(filters)
+        if len(inputs) != len(self.problems) or len(filters) != len(self.problems):
+            raise ConvConfigError(
+                f"session has {len(self.problems)} layers but got "
+                f"{len(inputs)} inputs / {len(filters)} filters"
+            )
+        for prob, x, f in zip(self.problems, inputs, filters):
+            for what, array, expect in (
+                ("input", x, (prob.n, prob.c, prob.h, prob.w)),
+                ("filter", f, (prob.k, prob.c, prob.r, prob.s)),
+            ):
+                shape = getattr(array, "shape", None)
+                if shape != expect:
+                    raise ConvConfigError(
+                        f"layer {prob.label()}: {what} shape {shape} != {expect}"
+                    )
+        return inputs, filters
 
     # ------------------------------------------------------------------
     # Execution
@@ -338,41 +240,23 @@ class InferenceSession:
         run (of any session on this context) while the same filter
         arrays hold the same bits.
         """
-        inputs, filters = list(inputs), list(filters)
-        if len(inputs) != len(self.problems) or len(filters) != len(self.problems):
-            raise ConvConfigError(
-                f"session has {len(self.problems)} layers but got "
-                f"{len(inputs)} inputs / {len(filters)} filters"
-            )
-        for prob, x, f in zip(self.problems, inputs, filters):
-            expect_x = (prob.n, prob.c, prob.h, prob.w)
-            expect_f = (prob.k, prob.c, prob.r, prob.s)
-            if getattr(x, "shape", None) != expect_x:
-                raise ConvConfigError(
-                    f"layer {prob.label()}: input shape "
-                    f"{getattr(x, 'shape', None)} != {expect_x}"
-                )
-            if getattr(f, "shape", None) != expect_f:
-                raise ConvConfigError(
-                    f"layer {prob.label()}: filter shape "
-                    f"{getattr(f, 'shape', None)} != {expect_f}"
-                )
+        inputs, filters = self._checked(inputs, filters)
         plans = self.compile(calibration=(inputs, filters))
         runs: list[LayerRun] = []
         outputs: list[np.ndarray] = []
         with activate(self.context):
             t0 = time.perf_counter()
-            for plan, x, f in zip(plans, inputs, filters):
-                label = plan.prob.label()
+            for prob, plan, x, f in zip(self.problems, plans, inputs, filters):
+                label, workspace = prob.label(), plan.workspace_bytes
                 with self.context.span("layer", label, algo=plan.algo):
-                    with self.context.arena.reserve(plan.workspace_bytes, tag=label):
+                    with self.context.arena.reserve(workspace, tag=label):
                         start = time.perf_counter()
                         y = _run_planned(
-                            plan.algo, x, f, plan.prob.pad, plan.prob.stride,
+                            plan.algo, x, f, prob.pad, prob.stride,
                             self.context.prepared_filters,
                         )
                         dt = time.perf_counter() - start
-                runs.append(LayerRun(label, plan.algo, dt, plan.workspace_bytes, y.shape))
+                runs.append(LayerRun(label, plan.algo, dt, workspace, y.shape))
                 outputs.append(y)
             total = time.perf_counter() - t0
         return SessionResult(

@@ -8,9 +8,11 @@ Examples::
     python -m repro sched space --quick               # list the candidates
 
 ``search`` runs the successive-halving tuner, reports the winning
-schedule plus the Fig. 7-9 orderings, then plans the requested Table-1
-layers with ``tune_schedule`` so the winner lands in the plan cache and
-the session trace.
+schedule plus the Fig. 7-9 orderings, then compiles the requested
+Table-1 layers as an ``InferenceSession`` on the search's context, so
+every fused winner's plan carries the tuned schedule and lands in the
+plan cache and the trace.  Only ``--mode AUTO`` runs convolutions (its
+timed trials, on seeded tensors).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 from ..common.errors import ReproError
-from ..gpusim.arch import DEVICES, DeviceSpec
+from ..gpusim.arch import DEVICES
 from .search import (
     ScheduleSearchConfig,
     SearchBudget,
@@ -71,48 +73,32 @@ def _print_result(result: SearchResult, ordering: dict) -> None:
             print(f"  {name:22s} {ratio:.4f}x")
 
 
-def _plan_layers(
-    args: argparse.Namespace, ctx: ExecutionContext, device: DeviceSpec
-) -> list[dict]:
+def _plan_layers(args: argparse.Namespace, ctx: ExecutionContext) -> list[dict]:
     from ..common.rng import make_rng, random_activation, random_filter
-    from ..convolution import conv2d
+    from ..convolution.api import FUSED_TILE_FOR_ALGO
     from ..models import resnet_layer
+    from ..runtime import InferenceSession
 
     names = [s.strip() for s in args.layers.split(",") if s.strip()]
     if not names:
         raise SystemExit("--layers needs at least one layer name")
-    rng = make_rng(args.seed)
-    rows = []
-    for name in names:
-        prob = resnet_layer(name, args.batch)
-        x = random_activation(prob, rng)
-        f = random_filter(prob, rng)
-        conv2d(
-            x, f, pad=prob.pad, algo=args.mode, device=device,
-            context=ctx, tune_schedule=True,
-        )
-        rows.append(prob)
-    from ..convolution.api import FUSED_TILE_FOR_ALGO
-
-    plans = ctx.plans.items()
-    report = []
-    for prob in rows:
-        for key, plan in plans:
-            if (key.n, key.c, key.h, key.w, key.k) == (
-                    prob.n, prob.c, prob.h, prob.w, prob.k):
-                report.append({
-                    "layer": prob.label(),
-                    "algo": plan.algo,
-                    "tile": FUSED_TILE_FOR_ALGO.get(plan.algo),
-                    "schedule": (
-                        plan.schedule.to_dict() if plan.schedule else None
-                    ),
-                    "schedule_label": (
-                        plan.schedule.label() if plan.schedule else "-"
-                    ),
-                })
-                break
-    return report
+    problems = [resnet_layer(name, args.batch) for name in names]
+    calibration: tuple[list[Any], list[Any]] | None = None
+    if args.mode == "AUTO":
+        rng = make_rng(args.seed)
+        pairs = [(random_activation(p, rng), random_filter(p, rng)) for p in problems]
+        calibration = ([x for x, _ in pairs], [f for _, f in pairs])
+    plans = InferenceSession(problems, mode=args.mode, context=ctx).compile(calibration)
+    return [
+        {
+            "layer": plan.prob.label(),
+            "algo": plan.algo,
+            "tile": FUSED_TILE_FOR_ALGO.get(plan.algo),
+            "schedule": plan.schedule.to_dict() if plan.schedule else None,
+            "schedule_label": plan.schedule.label() if plan.schedule else "-",
+        }
+        for plan in plans
+    ]
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -143,7 +129,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     layers: list[dict] = []
     if not args.no_layers:
         try:
-            layers = _plan_layers(args, ctx, device)
+            layers = _plan_layers(args, ctx)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -88,7 +88,7 @@ def _plan_schedule(plan) -> tuple[Schedule, str | None, str | None]:
     """(schedule, tile, tuned_on device name) extracted from *plan*.
 
     Accepts a :class:`~repro.sched.search.SearchResult`, a
-    :class:`~repro.runtime.session.LayerPlan` (or anything carrying
+    :class:`~repro.convolution.ConvPlan` (or anything carrying
     ``schedule``/``tile`` attributes), or a bare :class:`Schedule`.
     """
     if isinstance(plan, SearchResult):
@@ -99,7 +99,7 @@ def _plan_schedule(plan) -> tuple[Schedule, str | None, str | None]:
     if isinstance(schedule, Schedule):
         return schedule, getattr(plan, "tile", None), None
     raise ConvConfigError(
-        "validate_plan_on needs a SearchResult, a LayerPlan with a tuned "
+        "validate_plan_on needs a SearchResult, a ConvPlan with a tuned "
         f"schedule, or a Schedule; got {plan!r}"
     )
 
@@ -119,7 +119,7 @@ def validate_plan_on(
     ----------
     plan: a :class:`~repro.sched.search.SearchResult` (carries its own
         schedule, tile and home device), a
-        :class:`~repro.runtime.session.LayerPlan` with a tuned
+        :class:`~repro.convolution.ConvPlan` with a tuned
         schedule, or a bare :class:`Schedule`.
     device: the target device to validate against (spec or any
         registry name).

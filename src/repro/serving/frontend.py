@@ -30,8 +30,9 @@ does it (adaptive batch formation under a latency deadline; PAPERS.md):
 
 Everything observable lands in :class:`~repro.serving.metrics.ServingMetrics`
 (:meth:`ServingFrontend.stats` exports it alongside each tenant's
-dispatch stats, arena counters and prepared-filter cache counters, and
-every batch records a ``batch`` trace span in the tenant's context).
+dispatch stats — which count every session layer compiled — arena
+counters and prepared-filter cache counters, and every batch records a
+``batch`` trace span in the tenant's context).
 The per-batch-size sessions of one tenant share its context, so a
 model's fused Winograd filters are transformed once for all batch sizes.
 """
@@ -462,9 +463,7 @@ class ServingFrontend:
                 session = InferenceSession(
                     [p.with_batch(batch) for p in model.problems],
                     mode=(model.mode or self.config.mode),
-                    workspace_limit_bytes=self.config.workspace_limit_bytes,
                     context=tenant.context,
-                    device=self.device,
                 )
                 tenant.sessions[key] = session
         return session

@@ -81,6 +81,8 @@ def test_gemm_matches_direct():
     assert stats.gemm_n == prob.k
     assert stats.gemm_k == prob.c * 9
     assert stats.gemm_flops == 2 * stats.gemm_m * stats.gemm_n * stats.gemm_k
+    # Counted in 4-byte elements, as the workspace model does, in any dtype.
+    assert gemm_conv2d(x.astype(np.float64), f.astype(np.float64))[1] == stats
 
 
 @pytest.mark.parametrize("precomp", [True, False])

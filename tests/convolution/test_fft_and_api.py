@@ -25,6 +25,8 @@ def test_fft_matches_direct():
     y, stats = fft_conv2d(x, f)
     np.testing.assert_allclose(y, direct_conv2d(x, f), atol=1e-4)
     assert stats.workspace_bytes > 0
+    # Counted in 8-byte complex values in any dtype.
+    assert fft_conv2d(x.astype(np.float64), f.astype(np.float64))[1] == stats
 
 
 def test_fft_is_correlation_not_convolution():
@@ -47,6 +49,7 @@ def test_fft_tiling_matches_direct_multiple_tiles():
     np.testing.assert_allclose(y, direct_conv2d(x, f), atol=1e-4)
     assert stats.tiles == 9  # ceil(40/16)·ceil(36/16)
     assert stats.fft_size == (32, 32)  # next pow2 of 16+2
+    assert fft_tiling_conv2d(x.astype(np.float64), f.astype(np.float64), tile=16)[1] == stats
 
 
 def test_fft_tiling_sizes_each_axis_from_the_output_extent():

@@ -24,6 +24,7 @@ from repro.convolution import (
 )
 from repro.convolution import autotune
 from repro.convolution.metrics import DispatchStats
+from repro.perfmodel import rank_algorithms
 from repro.common.cache import LRUCache
 from repro.runtime import ExecutionContext, activate, current_context
 
@@ -119,6 +120,25 @@ def test_two_snapshots_are_independent():
     assert "x" not in pb.excluded
 
 
+def test_heuristic_plan_heals_when_the_top_ranked_algorithm_raises(monkeypatch):
+    # AUTO_HEURISTIC plans without running anything, so a top-ranked
+    # algorithm that raises is healed on the first run like any cached
+    # plan: the promoted algorithm's output is returned.
+    prob = ConvProblem(n=1, c=4, h=8, w=8, k=4)
+    x, f = _data(prob)
+    ranked, _ = rank_algorithms(prob, current_context().device)
+    _fail_algos(monkeypatch, {ranked[0]})
+    y = conv2d(x, f, algo="AUTO_HEURISTIC")
+    assert y.tobytes() == conv2d(x, f, algo=ranked[1]).tobytes()
+
+    (healed,) = get_plan_cache().values()
+    assert (healed.algo, healed.fallbacks) == (ranked[1], tuple(ranked[2:]))
+    assert "raised on cached dispatch" in healed.excluded[ranked[0]]
+    stats = get_dispatch_stats()
+    assert (stats.fallbacks, stats.errors) == (1, {ranked[0]: 1})
+    assert stats.chosen == {ranked[0]: 1, ranked[1]: 1}
+
+
 def test_exhausted_fallbacks_raise_and_record(monkeypatch):
     prob = ConvProblem(n=1, c=4, h=8, w=8, k=4)
     x, f = _data(prob)
@@ -148,7 +168,7 @@ def test_plan_cache_size_bound_evicts_oldest():
             conv2d(x, f, algo="AUTO_HEURISTIC")
         cache = get_plan_cache()
     assert len(cache) == 2
-    assert {key.n for key in cache} == {2, 3}  # oldest (n=1) evicted
+    assert {key.prob.n for key in cache} == {2, 3}  # oldest (n=1) evicted
     assert ctx.plans.stats().evictions == 1
 
 

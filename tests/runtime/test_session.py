@@ -91,6 +91,17 @@ def test_shape_mismatch_rejected():
         session.run(inputs[::-1], filters)
 
 
+def test_mismatched_calibration_rejected_naming_the_layer():
+    # compile() checks its calibration like run() checks its tensors,
+    # before any trial runs on the wrong shapes.
+    session = InferenceSession(TINY, mode="AUTO", context=ExecutionContext())
+    inputs, filters = _tensors(TINY)
+    with pytest.raises(ConvConfigError, match=f"layer {TINY[0].label()}: input shape"):
+        session.compile(calibration=(inputs[::-1], filters[::-1]))
+    assert session.plans is None
+    assert session.context.dispatch_stats.calls == 0
+
+
 def test_layer_count_mismatch_rejected():
     session = InferenceSession(TINY, context=ExecutionContext())
     inputs, filters = _tensors(TINY)
@@ -121,7 +132,7 @@ def test_plans_take_predictions_from_the_dispatcher_selection(mode):
     session = InferenceSession(TINY, mode=mode, context=ExecutionContext())
     for plan in session.compile():
         ranked, excluded, predictions = _select_candidates(
-            plan.prob, session.device, None
+            plan.prob, session.context.device, None
         )
         assert plan.predicted_seconds == predictions[plan.algo]
         assert plan.excluded == excluded
@@ -137,14 +148,50 @@ def test_empty_layer_list_rejected():
 def test_workspace_limit_excludes_algorithms():
     # A zero workspace budget forbids WINOGRAD's 16KC bytes; the session
     # must fall back to a workspace-free algorithm, not blow the arena.
-    ctx = ExecutionContext()
-    session = InferenceSession(
-        TINY, workspace_limit_bytes=0, context=ctx
-    )
+    ctx = ExecutionContext(workspace_limit_bytes=0)
+    session = InferenceSession(TINY, context=ctx)
     inputs, filters = _tensors(TINY)
     result = session.run(inputs, filters)
     assert all(run.workspace_bytes == 0 for run in result.layers)
     assert result.arena.peak_bytes == 0
+
+
+def test_session_plans_under_its_context_workspace_budget():
+    # The budget is the context's: at 1 KiB the first layer keeps
+    # WINOGRAD (1,024 B) and the second (4,096 B) falls back, so every
+    # reservation fits the arena's limit.
+    ctx = ExecutionContext(workspace_limit_bytes=1024)
+    session = InferenceSession(TINY, context=ctx)
+    inputs, filters = _tensors(TINY)
+    result = session.run(inputs, filters)
+    assert [plan.algo for plan in session.plans] == ["WINOGRAD", "IMPLICIT_GEMM"]
+    assert [plan.key.workspace_limit for plan in session.plans] == [1024, 1024]
+    assert result.arena.capacity_bytes <= 1024
+
+
+def test_forced_algorithm_over_the_context_budget_rejected_at_compile():
+    ctx = ExecutionContext(workspace_limit_bytes=0)
+    session = InferenceSession(TINY, mode="GEMM", context=ctx)
+    with pytest.raises(ConvConfigError, match="forced algorithm GEMM cannot run .* limit 0 B"):
+        session.compile()
+    assert ctx.dispatch_stats.calls_by_mode == {"GEMM": 1}
+    assert len(ctx.plans) == 0
+
+
+def test_second_session_on_a_context_compiles_from_its_plan_cache():
+    ctx = ExecutionContext()
+    first = InferenceSession(TINY, context=ctx).compile()
+    second = InferenceSession(TINY, context=ctx).compile()
+    assert all(a is b for a, b in zip(first, second))
+    assert all(plan.source == "heuristic" for plan in second)
+    stats = ctx.dispatch_stats
+    assert (stats.calls, stats.cache_hits, stats.cache_misses) == (4, 2, 2)
+    assert stats.chosen == {"WINOGRAD": 2}
+    assert len(ctx.plans) == 2
+    # One plan span per plan-cache miss: the second compile adds none.
+    assert [s["label"] for s in ctx.export_trace() if s["kind"] == "plan"] == [
+        p.label() for p in TINY
+    ]
 
 
 def test_result_to_dict_is_json_ready():

@@ -74,7 +74,12 @@ def test_cli_search_no_layers(fake_simulator, capsys):
     assert "ldg8_over_ldg2" in out
 
 
-def test_cli_search_plans_layers_and_writes_json(fake_simulator, tmp_path, capsys):
+def test_cli_search_plans_layers_and_writes_json(fake_simulator, tmp_path, capsys,
+                                                monkeypatch):
+    def no_convolution(*args, **kwargs):
+        raise AssertionError("AUTO_HEURISTIC planning ran a convolution")
+
+    monkeypatch.setattr("repro.convolution.autotune._execute", no_convolution)
     json_path = tmp_path / "search.json"
     trace_path = tmp_path / "trace.json"
     rc = sched_main([
