@@ -28,6 +28,7 @@ predecessor applies (one int per warp) and whether the cache survived
 
 from __future__ import annotations
 
+from ..common.cache import LRUCache
 from ..common.errors import SimulatorError
 from ..sass.control import NO_BARRIER
 from ..sass.instruction import Instruction
@@ -339,22 +340,16 @@ def static_instances(dp: DecodedProgram, device: DeviceSpec) -> list[tuple]:
 
 # ---------------------------------------------------------------------------
 # Decode cache: programs are immutable once assembled, so decoding is
-# keyed by object identity.  Strong references keep ids stable.
+# keyed by object identity.  Each entry holds its program, so no id is
+# reused while it is cached.
 # ---------------------------------------------------------------------------
-_DECODE_CACHE: dict[int, tuple[list, DecodedProgram]] = {}
-_DECODE_CACHE_MAX = 64
+_DECODE_CACHE: LRUCache[tuple[list, DecodedProgram]] = LRUCache(64)
 
 
 def decode_program(program: list[Instruction]) -> DecodedProgram:
-    key = id(program)
-    hit = _DECODE_CACHE.get(key)
-    if hit is not None and hit[0] is program:
-        return hit[1]
-    decoded = DecodedProgram(program)
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-        _DECODE_CACHE.pop(next(iter(_DECODE_CACHE)))
-    _DECODE_CACHE[key] = (program, decoded)
-    return decoded
+    return _DECODE_CACHE.get_or_build(
+        id(program), lambda: (program, DecodedProgram(program))
+    )[1]
 
 
 _COPIED_FIELDS = (
@@ -389,7 +384,5 @@ def derive_decode(
     dp.instrs = sib.instrs[:idx]
     dp._decode_one(idx, new_program[idx])  # appends at position idx
     dp.instrs.extend(sib.instrs[idx + 1:])
-    if len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-        _DECODE_CACHE.pop(next(iter(_DECODE_CACHE)))
-    _DECODE_CACHE[id(new_program)] = (new_program, dp)
+    _DECODE_CACHE.put(id(new_program), (new_program, dp))
     return dp

@@ -27,7 +27,7 @@ from ..common.errors import SimulatorError
 from ..sass.instruction import Instruction
 from ..sass.isa import RZ, SETP_BOOL, SETP_CMP, SPECIAL_REGISTERS, width_of
 from ..sass.operands import Const, Imm, Reg
-from .memory import SmemAccessReport
+from .memory import SmemAccessReport, check_constant_lanes
 from .warp import WarpState
 
 _U32 = np.uint32
@@ -209,6 +209,7 @@ def execute(instr: Instruction, warp: WarpState, ctx: ExecutionContext) -> ExecR
         if spec.mem_space == "constant":
             vals = np.zeros((32, width // 4), dtype=_U32)
             active = np.nonzero(mask)[0]
+            check_constant_lanes(addrs[active], width, ctx.const_bank.size)
             for lane in active:
                 off = int(addrs[lane])
                 vals[lane] = ctx.const_bank[off : off + width].view(_U32)

@@ -9,7 +9,9 @@ This module takes execution out of the cycle loop.
 :class:`_Replay` runs all resident warps over the pre-decoded program
 (:mod:`repro.gpusim.decode`) in lockstep *groups* over a
 ``(256, nwarps, 32)`` register file, so one NumPy op covers every warp
-at the same pc.  Groups split on per-warp-uniform divergence
+at the same pc; a group of contiguous warps reads and writes its rows
+through views, and each lane's memory access moves as one element.
+Groups split on per-warp-uniform divergence
 (predicated ``EXIT``/``BRA``) and synchronize at ``BAR.SYNC`` in
 barrier-phase order — valid for the data-race-free kernels this
 simulator targets (the §5.1.4 control-code contract the assembler's
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..common.cache import LRUCache
 from ..common.errors import SimDeadlock, SimMemoryFault, SimulatorError
 from ..sass import hw
 from .arch import DeviceSpec
@@ -52,7 +55,7 @@ from .decode import (
     DecodedProgram,
     static_instances,
 )
-from .memory import SECTOR_BYTES, GlobalMemory
+from .memory import SECTOR_BYTES, GlobalMemory, check_constant_lanes
 
 _U32 = np.uint32
 _SIGN = np.uint32(0x80000000)
@@ -89,17 +92,18 @@ def _classify_group(
     resident = np.zeros_like(valid)
     for lo, hi in gmem._l2_resident:
         resident |= (base >= lo) & (base < hi)
-    l2 = (uniq & resident).sum(axis=1)
-    dram = uniq.sum(axis=1) - l2
-    return dram.astype(np.int64), l2.astype(np.int64)
+    l2 = (uniq & resident).sum(axis=1).astype(np.int64)
+    dram = uniq.sum(axis=1).astype(np.int64) - l2
+    for arr in (dram, l2):
+        arr.setflags(write=False)
+    return dram, l2
 
 
 # Candidate schedules of one problem share the synthetic buffer arena,
 # so global accesses with the same addresses classify identically — and
 # trip-count siblings repeat their first-iteration addresses exactly.
 # Keyed on the L2-residency ranges too, since those decide the split.
-_CLASSIFY_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_CLASSIFY_MEMO_MAX = 4096
+_CLASSIFY_MEMO: LRUCache[tuple[np.ndarray, np.ndarray]] = LRUCache(4096)
 
 
 def _classify_cached(
@@ -108,16 +112,31 @@ def _classify_cached(
     key = (
         width, tuple(gmem._l2_resident), addrs.tobytes(), full.tobytes(),
     )
-    hit = _CLASSIFY_MEMO.get(key)
-    if hit is None:
-        if len(_CLASSIFY_MEMO) >= _CLASSIFY_MEMO_MAX:
-            _CLASSIFY_MEMO.clear()
-        dram, l2 = _classify_group(gmem, addrs, width, full)
-        dram.setflags(write=False)
-        l2.setflags(write=False)
-        hit = (dram, l2)
-        _CLASSIFY_MEMO[key] = hit
-    return hit
+    return _CLASSIFY_MEMO.get_or_build(
+        key, lambda: _classify_group(gmem, addrs, width, full)
+    )
+
+
+#: A lane's 4-, 8- or 16-byte access as one array element, and the
+#: shift from a byte offset to its element index.
+_LANE = {width: np.dtype((np.void, width)) for width in (4, 8, 16)}
+_SHIFT = {4: 2, 8: 3, 16: 4}
+
+
+def _lane_images(raw: np.ndarray) -> dict[int, np.ndarray]:
+    """The flat byte image *raw* as arrays of lane elements, per width (a
+    partial element at the end lies past every in-bounds access)."""
+    return {
+        width: raw[: raw.size // width * width].view(lane)
+        for width, lane in _LANE.items()
+    }
+
+
+def _out_of_range(addrs: np.ndarray, lo: int, hi: int, width: int) -> bool:
+    """Whether some byte offset in *addrs* does not start a *width*-aligned
+    *width*-byte access inside ``[lo, hi)``."""
+    misaligned = int(np.bitwise_or.reduce(addrs, axis=None)) & (width - 1)
+    return bool(misaligned or addrs.min() < lo or addrs.max() > hi - width)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +179,11 @@ class _Replay:
         self.regs = np.zeros((256, nw, 32), dtype=_U32)
         self.preds = np.zeros((8, nw, 32), dtype=bool)
         self.preds[7] = True
+        # The running group's register and predicate files, (256, g, 32)
+        # and (8, g, 32): views of the whole files (see _run_group).
+        self.R = self.regs
+        self.P = self.preds
+        self.F = self.regs.view(np.float32)
         self.lane = np.arange(32, dtype=_U32)
 
         block_of = np.empty(nw, dtype=np.int64)
@@ -178,10 +202,24 @@ class _Replay:
         self.wid = wid
         self.ctaid = ctaid
 
-        self.smem_sizes = [max(b.smem_bytes, 16) for b in blocks]
-        self.smem_size = max(self.smem_sizes)
-        self.smem = np.zeros((len(blocks), self.smem_size), dtype=np.uint8)
+        # Memory images, each lane's access moved as one 4-, 8- or
+        # 16-byte element once it has passed its bounds and alignment
+        # checks.  Per-block images sit 16-byte aligned in one buffer.
+        windows = np.array([max(b.smem_bytes, 16) for b in blocks])
+        self.smem_window = windows[block_of]  # each warp's block's window
+        self.smem_bound = int(windows.min())  # inside every block's window
+        row = -(-int(windows.max()) // 16) * 16
+        smem = np.zeros((len(blocks), row), dtype=np.uint8)
+        self.smem_base = (block_of * row)[:, None]
+        self.smem_lanes = _lane_images(smem.reshape(-1))
         self.const = np.stack([b.const_bank for b in blocks])
+        self.const_bytes = self.const.shape[1]
+        row = -(-self.const_bytes // 16) * 16
+        const = np.zeros((len(blocks), row), dtype=np.uint8)
+        const[:, : self.const_bytes] = self.const
+        self.const_base = (block_of * row)[:, None]
+        self.const_lanes = _lane_images(const.reshape(-1))
+        self.gmem_lanes = _lane_images(gmem.data)
         self._const_u32_cache: dict[int, np.ndarray] = {}
 
         self.done = np.zeros(nw, dtype=bool)
@@ -192,6 +230,7 @@ class _Replay:
             [] for _ in blocks
         ]
         self.chains: list[list[tuple[_Segment, int]]] = [[] for _ in range(nw)]
+        self.segments: list[_Segment] = []
         self.ready: list[_Group] = []
 
     # -- group management ---------------------------------------------------
@@ -199,6 +238,7 @@ class _Replay:
         g = _Group(pc, warps, count)
         for pos, w in enumerate(warps):
             self.chains[w].append((g.seg, pos))
+        self.segments.append(g.seg)
         self.ready.append(g)
 
     def _finish(self, warps: np.ndarray) -> None:
@@ -246,16 +286,17 @@ class _Replay:
         return hit
 
     def _mask(self, d, warps: np.ndarray):
-        """Guard mask over the group, or None for unpredicated."""
+        """Guard mask over the group (a new array), or None for
+        unpredicated."""
         if d.guard_idx == 7 and not d.guard_neg:
             return None
-        m = self.preds[d.guard_idx][warps]
-        return ~m if d.guard_neg else m
+        m = self.P[d.guard_idx]
+        return ~m if d.guard_neg else m.copy()
 
     def _fetch(self, src, warps: np.ndarray):
         t = src[0]
         if t == SRC_REG:
-            v = self.regs[src[1]][warps]
+            v = self.R[src[1]]
             if src[2]:
                 v = v ^ _SIGN
             return v
@@ -264,33 +305,50 @@ class _Replay:
         # constant: one u32 per block, broadcast over lanes
         return self._const_u32(src[1])[self.block_of[warps]][:, None]
 
-    def _pair64(self, base: int, warps: np.ndarray) -> np.ndarray:
-        return hw.pair64(self.regs[base][warps], self.regs[base + 1][warps])
+    def _pair64(self, base: int) -> np.ndarray:
+        return hw.pair64(self.R[base], self.R[base + 1])
 
-    def _write_reg(self, idx: int, warps: np.ndarray, vals, mask) -> None:
+    def _write_reg(self, idx: int, vals, mask) -> None:
         if idx == 255:
             return
-        row = self.regs[idx]
         if mask is None:
-            row[warps] = vals
+            self.R[idx] = vals
         else:
-            sub = row[warps]
-            np.copyto(sub, vals, where=mask, casting="unsafe")
-            row[warps] = sub
+            np.copyto(self.R[idx], vals, where=mask, casting="unsafe")
 
-    def _write_pred(self, idx: int, warps: np.ndarray, vals, mask) -> None:
+    def _write_pred(self, idx: int, vals, mask) -> None:
         if idx == 7:
             return
-        row = self.preds[idx]
-        sub = row[warps]
         if mask is None:
-            sub[:] = vals
+            self.P[idx] = vals
         else:
-            np.copyto(sub, vals, where=mask)
-        row[warps] = sub
+            np.copyto(self.P[idx], vals, where=mask)
 
     # -- group execution ----------------------------------------------------
     def _run_group(self, g: _Group) -> None:
+        """Run *g* until it exits, splits or waits at a barrier.
+
+        Executors read and write the group's registers through
+        ``self.R``/``self.P`` (``self.F`` is ``self.R`` as float32).  A
+        group of increasing contiguous warps gets views of the register
+        files; any other group (an EXIT/BRA split, or a barrier release
+        in arrival order) gets copies of its rows, written back when it
+        stops.  Either way an operand read is a view: every executor
+        computes its results before it writes a register, and a guard
+        mask is a new array.
+        """
+        warps = g.warps
+        contiguous = bool((np.diff(warps) == 1).all())
+        rows = slice(warps[0], warps[0] + len(warps)) if contiguous else warps
+        self.R = self.regs[:, rows]
+        self.P = self.preds[:, rows]
+        self.F = self.R.view(np.float32)
+        self._run_steps(g)
+        if not contiguous:
+            self.regs[:, warps] = self.R
+            self.preds[:, warps] = self.P
+
+    def _run_steps(self, g: _Group) -> None:
         dp = self.dp
         instrs = dp.instrs
         kinds = dp.kind
@@ -405,15 +463,15 @@ class _Replay:
         vals = hw.special_register(
             d.sr_id, self.wid[warps][:, None], self.lane, self.ctaid[:, warps]
         )
-        self._write_reg(d.dest, warps, vals, self._mask(d, warps))
+        self._write_reg(d.dest, vals, self._mask(d, warps))
 
     def _addrs(self, d, warps: np.ndarray) -> np.ndarray:
         base = d.mem_base
         if base == 255:
             return np.full((len(warps), 32), d.mem_offset, dtype=np.int64)
         if d.mem_extended:
-            return self._pair64(base, warps) + d.mem_offset
-        return self.regs[base][warps].astype(np.int64) + d.mem_offset
+            return self._pair64(base) + d.mem_offset
+        return self.R[base].astype(np.int64) + d.mem_offset
 
     def _exec_gmem(self, d, warps: np.ndarray) -> tuple:
         g = len(warps)
@@ -423,12 +481,8 @@ class _Replay:
         width = d.mem_width
         gmem = self.gmem
         dev = self.device
-        act = addrs[full]
-        if act.size and (
-            act.min() < 256
-            or act.max() + width > gmem.size
-            or np.any(act % width)
-        ):
+        act = addrs if mask is None else addrs[mask]
+        if act.size and _out_of_range(act, 256, gmem.size, width):
             # Faithful fault: re-check warp by warp for the message.
             for j in range(g):
                 active = addrs[j][full[j]]
@@ -446,7 +500,7 @@ class _Replay:
                 dev.lat_gmem_l2_hit,
                 dev.lat_gmem_l2_miss,
             )
-        self._move(d, warps, gmem.data, addrs, full, mask)
+        self._move(d, self.gmem_lanes[width], addrs, mask)
         return (cyc, lat, dram, l2, np.zeros(g, dtype=np.int64))
 
     def _exec_smem(self, d, warps: np.ndarray) -> tuple:
@@ -455,25 +509,23 @@ class _Replay:
         full = np.ones((g, 32), dtype=bool) if mask is None else mask
         addrs = self._addrs(d, warps)
         width = d.mem_width
-        blocks = self.block_of[warps]
         base_lat = (
             (self.device.lat_smem if self.device else 19) if d.is_load else 10
         )
-        sizes = np.array(
-            [self.smem_sizes[int(b)] for b in blocks], dtype=np.int64
-        )
-        bad = full & ((addrs < 0) | (addrs + width > sizes[:, None]))
-        if bad.any() or np.any(addrs[full] % width):
+        act = addrs if mask is None else addrs[mask]
+        if act.size and _out_of_range(act, 0, self.smem_bound, width):
+            # Re-check warp by warp against its own block's window.
             for j in range(g):
                 active = addrs[j][full[j]]
                 if active.size:
-                    self._check_smem_lanes(active, width, int(sizes[j]))
+                    self._check_smem_lanes(
+                        active, width, int(self.smem_window[warps[j]])
+                    )
         cyc, _ = hw.bank_phases(addrs, width, full)
         sconf = cyc - width // hw.BANK_BYTES
         lat = base_lat + sconf
-        block_base = (blocks * self.smem_size)[:, None]
         self._move(
-            d, warps, self.smem.reshape(-1), addrs + block_base, full, mask
+            d, self.smem_lanes[width], addrs + self.smem_base[warps], mask
         )
         return (
             cyc, lat, np.zeros(g, dtype=np.int64),
@@ -494,76 +546,114 @@ class _Replay:
 
     def _exec_ldc(self, d, warps: np.ndarray) -> None:
         mask = self._mask(d, warps)
-        full = np.ones((len(warps), 32), dtype=bool) if mask is None else mask
-        cbase = (self.block_of[warps] * self.const.shape[1])[:, None]
+        addrs = self._addrs(d, warps)
+        width = d.mem_width
+        act = addrs if mask is None else addrs[mask]
+        if act.size and _out_of_range(act, 0, self.const_bytes, width):
+            for j in range(len(warps)):
+                active = addrs[j] if mask is None else addrs[j][mask[j]]
+                check_constant_lanes(active, width, self.const_bytes)
         self._move(
-            d, warps, self.const.reshape(-1), self._addrs(d, warps) + cbase,
-            full, mask,
+            d, self.const_lanes[width], addrs + self.const_base[warps], mask
         )
 
-    def _move(self, d, warps: np.ndarray, mem: np.ndarray, addrs, full, mask) -> None:
-        """Load the active lanes' bytes at *addrs* of the flat byte image
-        *mem* into ``d.dest`` onward, or store them from the data
-        registers."""
-        width = d.mem_width
-        nwords = width // 4
-        idx = addrs[full][:, None] + np.arange(width, dtype=np.int64)
+    def _move(self, d, image: np.ndarray, addrs: np.ndarray, mask) -> None:
+        """Load the active lanes' accesses at byte offsets *addrs* of the
+        lane image *image* into ``d.dest`` onward, or store them from the
+        data registers."""
+        nwords = d.mem_width // 4
+        idx = addrs >> _SHIFT[d.mem_width]
         if d.is_load:
-            vals = np.zeros((len(warps), 32, nwords), dtype=_U32)
-            vals[full] = mem[idx].view(_U32).reshape(-1, nwords)
+            if mask is None:
+                lanes = image[idx]
+            else:
+                lanes = np.zeros(idx.shape, dtype=image.dtype)
+                lanes[mask] = image[idx[mask]]
+            words = lanes.view(_U32)  # (g, 32 * nwords)
             for i in range(nwords):
-                self._write_reg(d.dest + i, warps, vals[:, :, i], mask)
+                self._write_reg(d.dest + i, words[:, i::nwords], mask)
         else:
-            data = np.stack(
-                [self.regs[d.srcs[0][1] + i][warps] for i in range(nwords)],
-                axis=2,
-            )
-            mem[idx] = (
-                np.ascontiguousarray(data[full]).view(np.uint8).reshape(-1, width)
-            )
+            src = d.srcs[0][1]
+            if nwords == 1:
+                data = self.R[src]
+            else:
+                data = np.empty(idx.shape + (nwords,), dtype=_U32)
+                for i in range(nwords):
+                    data[:, :, i] = self.R[src + i]
+            lanes = data.view(image.dtype).reshape(idx.shape)
+            if mask is None:
+                image[idx] = lanes
+            else:
+                image[idx[mask]] = lanes[mask]
 
     def _exec_p2r(self, d, warps: np.ndarray) -> None:
         preds = {
-            i: self.preds[i][warps] for i in range(7) if d.pack_mask >> i & 1
+            i: self.P[i] for i in range(7) if d.pack_mask >> i & 1
         }
-        self._write_reg(d.dest, warps, hw.p2r(preds), self._mask(d, warps))
+        self._write_reg(d.dest, hw.p2r(preds), self._mask(d, warps))
 
     def _exec_r2p(self, d, warps: np.ndarray) -> None:
         mask = self._mask(d, warps)
-        src = self.regs[d.srcs[0][1]][warps]
+        src = self.R[d.srcs[0][1]]
         for i in range(7):
             if d.pack_mask >> i & 1:
-                self._write_pred(i, warps, hw.r2p(src, i), mask)
+                self._write_pred(i, hw.r2p(src, i), mask)
 
     def _exec_isetp(self, d, warps: np.ndarray) -> None:
-        combine = self.preds[d.setp_src_idx][warps]
+        combine = self.P[d.setp_src_idx]
         if d.setp_src_neg:
             combine = ~combine
         result = hw.isetp(
             self._fetch(d.srcs[0], warps), self._fetch(d.srcs[1], warps),
             combine, d.setp_cmp, d.setp_bool, d.setp_u32,
         )
-        self._write_pred(d.setp_dest, warps, result, self._mask(d, warps))
+        self._write_pred(d.setp_dest, result, self._mask(d, warps))
+
+    def _fetch_f32(self, src, warps: np.ndarray):
+        if src[0] == SRC_REG and not src[2]:
+            return self.F[src[1]]
+        return _f32(self._fetch(src, warps))
 
     def _exec_alu(self, d, warps: np.ndarray) -> None:
         mask = self._mask(d, warps)
         name = d.name
+        if name in _FP32_OPS:
+            x = [self._fetch_f32(s, warps) for s in d.srcs]
+            if name == "FFMA":
+                out = x[0] * x[1] + x[2]
+            elif name == "FADD":
+                out = x[0] + x[1]
+            elif name == "FMUL":
+                out = x[0] * x[1]
+            elif name == "FMNMX":
+                out = np.maximum(x[0], x[1])
+            elif d.mufu_fn == "RCP":
+                with np.errstate(divide="ignore"):
+                    out = np.float32(1.0) / x[0]
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out = np.float32(1.0) / np.sqrt(x[0])
+            if d.dest == 255:
+                return
+            if mask is None:
+                self.F[d.dest] = out
+            else:
+                np.copyto(self.F[d.dest], out, where=mask)
+            return
         srcs = [self._fetch(s, warps) for s in d.srcs]
 
         if d.imad_wide:
             c_src = d.srcs[2]
             if c_src[0] == SRC_REG and c_src[1] != 255:
-                addend = self._pair64(c_src[1], warps)
+                addend = self._pair64(c_src[1])
             else:
                 addend = srcs[2]
             lo, hi = hw.imad_wide(srcs[0], srcs[1], addend, d.imad_u32)
-            self._write_reg(d.dest, warps, lo, mask)
-            self._write_reg(d.dest + 1, warps, hi, mask)
+            self._write_reg(d.dest, lo, mask)
+            self._write_reg(d.dest + 1, hi, mask)
             return
         if name in hw.INT_ALU_OPCODES:
             out = hw.int_alu(name, srcs, d.lop3_op, d.shf_left)
-        elif name == "FFMA":
-            out = _f32u(_f32(srcs[0]) * _f32(srcs[1]) + _f32(srcs[2]))
         elif name in ("HFMA2", "HADD2", "HMUL2"):
             halves = [_f16(s, len(warps)) for s in srcs]
             if name == "HFMA2":
@@ -573,33 +663,19 @@ class _Replay:
             else:
                 res = halves[0] * halves[1]
             out = np.ascontiguousarray(res.astype(np.float16)).view(_U32)
-        elif name == "FADD":
-            out = _f32u(_f32(srcs[0]) + _f32(srcs[1]))
-        elif name == "FMUL":
-            out = _f32u(_f32(srcs[0]) * _f32(srcs[1]))
-        elif name == "FMNMX":
-            out = _f32u(np.maximum(_f32(srcs[0]), _f32(srcs[1])))
-        elif name == "MUFU":
-            x = _f32(srcs[0])
-            if d.mufu_fn == "RCP":
-                with np.errstate(divide="ignore"):
-                    out = _f32u(np.float32(1.0) / x)
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    out = _f32u(np.float32(1.0) / np.sqrt(x))
         else:  # pragma: no cover — decode marks these unsupported
             raise SimulatorError(f"instruction {name} has no execution semantics")
-        self._write_reg(d.dest, warps, out, mask)
+        self._write_reg(d.dest, out, mask)
+
+
+#: FP32 arithmetic, computed on float32 views of the register file.
+_FP32_OPS = frozenset(("FFMA", "FADD", "FMUL", "FMNMX", "MUFU"))
 
 
 def _f32(v):
     if isinstance(v, np.ndarray):
         return np.ascontiguousarray(v).view(np.float32)
     return np.array(v, dtype=_U32).view(np.float32)[()]
-
-
-def _f32u(v):
-    return np.asarray(v, dtype=np.float32).view(_U32)
 
 
 def _f16(v, g: int):
@@ -629,19 +705,28 @@ def replay_traces(
     replay = _Replay(dp, device, gmem, blocks, max_cycles)
     replay.run()
     static = static_instances(dp, device)
+    # Per segment, once: its static instance list, and for each memory
+    # step the instance of every member warp, in member order.
+    assembled: dict[_Segment, tuple[list[tuple], list[tuple[int, list]]]] = {}
+    for seg in replay.segments:
+        insts = [static[i] for i in seg.steps]
+        patches = []
+        for step, columns in seg.dyn.items():
+            t = insts[step]
+            head, tail = t[:3], t[8:]
+            patches.append((step, [
+                head + footprint + tail
+                for footprint in zip(*(c.tolist() for c in columns))
+            ]))
+        assembled[seg] = (insts, patches)
     traces: list[list[tuple]] = []
     for w in range(replay.nw):
         trace: list[tuple] = []
         for seg, pos in replay.chains[w]:
+            insts, patches = assembled[seg]
             offset = len(trace)
-            trace.extend(static[i] for i in seg.steps)
-            for step, (c_, la_, dr_, l2_, sc_) in seg.dyn.items():
-                t = static[seg.steps[step]]
-                trace[offset + step] = (
-                    t[0], t[1], t[2],
-                    int(c_[pos]), int(la_[pos]),
-                    int(dr_[pos]), int(l2_[pos]), int(sc_[pos]),
-                    t[8], t[9], t[10], t[11], t[12], t[13], t[14], t[15],
-                )
+            trace.extend(insts)
+            for step, member_insts in patches:
+                trace[offset + step] = member_insts[pos]
         traces.append(trace)
     return traces

@@ -154,6 +154,24 @@ class GlobalMemory:
             )
 
 
+def check_constant_lanes(addrs: np.ndarray, width: int, size: int) -> None:
+    """Fault unless each of *addrs* (one warp's active lanes) starts a
+    *width*-byte constant load inside the *size*-byte bank, aligned to
+    *width*."""
+    if not addrs.size:
+        return
+    if addrs.min() < 0 or addrs.max() + width > size:
+        bad = int(addrs[(addrs < 0) | (addrs + width > size)][0])
+        raise SimMemoryFault(
+            f"constant access at {bad:#x} outside the {size}-byte bank"
+        )
+    if np.any(addrs % width):
+        bad = int(addrs[addrs % width != 0][0])
+        raise SimMemoryFault(
+            f"misaligned {width}-byte constant access at {bad:#x}"
+        )
+
+
 def sector_ids(addrs: np.ndarray, width: int, mask: np.ndarray) -> np.ndarray:
     """Unique 32-byte sector indices a warp access touches."""
     active = addrs[mask]

@@ -13,7 +13,9 @@ with block boundaries; the join is set-union).  Two accesses pending in
 the same epoch race when different warps touch a common 32-bit word and
 at least one access is a store.  Lane addresses come from the same
 symbolic warp evaluation the bank-conflict pass uses
-(:func:`~repro.sass.analysis.smem.shared_access_table`).
+(:func:`~repro.sass.analysis.smem.shared_access_table`); each access
+keeps one word bitmap per warp, so comparing two accesses takes a few
+integer ANDs.
 
 Predicate-aware edges kill pending accesses the path contradicts: a
 ``@P5 LDS`` is dropped along the ``P5 == False`` edge of the loop
@@ -49,37 +51,80 @@ _NO_GUARD = (-1, False)
 
 @dataclasses.dataclass
 class _AccessInfo:
-    """Precomputed word footprint of one resolved shared access."""
+    """Precomputed word footprint of one resolved shared access.
+
+    Footprints are word bitmaps: Python ints whose bit *i* is 32-bit
+    word *i* of the kernel's word numbering (see :func:`_access_info`),
+    so set intersection is ``&``.
+    """
 
     pos: int
     name: str
     is_store: bool
     guard: tuple[int, bool]  # (pred index, active value) or _NO_GUARD
-    per_warp: list[frozenset[int]]  # 32-bit word indices per warp
-    union: frozenset[int]
-    cross_warp_write_overlap: bool  # the access races with itself
+    per_warp: list[int]  # the words each warp touches
+    union: int  # the words any warp touches
+    multi: int  # the words two or more warps touch
+
+    @property
+    def cross_warp_write_overlap(self) -> bool:
+        """Distinct warps sharing a word on one store: a race with itself."""
+        return self.is_store and self.multi != 0
+
+
+#: Word spans up to this many 32-bit words (256 KiB, more shared memory
+#: than any device gives a block) number words by address.  A wider span
+#: comes only from addresses far outside the window (SM003 reports
+#: them); words are then numbered by rank, so no bitmap grows with an
+#: address value.
+_DENSE_SPAN_WORDS = 1 << 16
+
+
+def _lane_words(
+    addrs: np.ndarray, active: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(warps, 32 * words per lane)`` word indices and their validity."""
+    words_per_lane = max(1, width // BANK_BYTES)
+    offsets = np.arange(words_per_lane, dtype=np.int64)
+    words = (addrs[:, :, None] // BANK_BYTES + offsets).reshape(addrs.shape[0], -1)
+    return words, np.repeat(active, words_per_lane, axis=1)
+
+
+def _bitmaps(bits: np.ndarray, valid: np.ndarray) -> list[int]:
+    """One bitmap per row of *bits* (bit numbers) holding its valid bits."""
+    if not valid.any():
+        return [0] * bits.shape[0]
+    hit = bits[valid]
+    base = int(hit.min())
+    matrix = np.zeros((bits.shape[0], int(hit.max()) - base + 1), dtype=bool)
+    matrix[np.nonzero(valid)[0], hit - base] = True
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") << base for row in packed]
 
 
 def _access_info(ctx: AnalysisContext) -> dict[int, _AccessInfo]:
-    infos: dict[int, _AccessInfo] = {}
+    resolved = []
+    lane_words = []
     for access in shared_access_table(ctx):
-        if access.addrs is None or access.active is None:
-            continue
-        words_per_lane = max(1, access.width // BANK_BYTES)
-        offsets = np.arange(words_per_lane, dtype=np.int64)
-        per_warp: list[frozenset[int]] = []
-        total = 0
-        for warp in range(access.addrs.shape[0]):
-            active = access.addrs[warp][access.active[warp]]
-            if active.size == 0:
-                per_warp.append(frozenset())
-                continue
-            words = np.unique(
-                (active[:, None] // BANK_BYTES + offsets[None, :]).ravel()
+        if access.addrs is not None and access.active is not None:
+            resolved.append(access)
+            lane_words.append(
+                _lane_words(access.addrs, access.active, access.width)
             )
-            per_warp.append(frozenset(int(w) for w in words))
-            total += words.size
-        union = frozenset().union(*per_warp) if per_warp else frozenset()
+    touched = [words[valid] for words, valid in lane_words]
+    flat = np.concatenate(touched) if touched else np.zeros(0, dtype=np.int64)
+    lo = int(flat.min()) if flat.size else 0
+    hi = int(flat.max()) if flat.size else 0
+    universe = np.unique(flat) if hi - lo >= _DENSE_SPAN_WORDS else None
+
+    infos: dict[int, _AccessInfo] = {}
+    for access, (words, valid) in zip(resolved, lane_words):
+        bits = words - lo if universe is None else np.searchsorted(universe, words)
+        per_warp = _bitmaps(bits, valid)
+        union = multi = 0
+        for warp_words in per_warp:
+            multi |= union & warp_words
+            union |= warp_words
         guard = _NO_GUARD
         g = access.instr.guard
         if not g.is_pt:
@@ -91,10 +136,7 @@ def _access_info(ctx: AnalysisContext) -> dict[int, _AccessInfo]:
             guard=guard,
             per_warp=per_warp,
             union=union,
-            # Distinct warps sharing a word on one store instruction is
-            # itself a race (per-warp sets are deduplicated, so any
-            # shrink in the union is cross-warp).
-            cross_warp_write_overlap=access.is_store and total > len(union),
+            multi=multi,
         )
     return infos
 
@@ -163,19 +205,29 @@ class SharedRacePass(AnalysisPass):
         )
 
         # Reporting sweep over the fixpoint; each (earlier, later) pair
-        # is judged once, globally.
+        # is judged once, globally.  Only the pending positions matter
+        # here, and within a block they change only as its accesses join
+        # (a BAR, which clears them, ends its block), so they are built
+        # once per block.  A load is compared with pending stores only:
+        # read/read never races.
+        stores = {pos for pos, info in infos.items() if info.is_store}
         findings: dict[tuple[int, int], Diagnostic] = {}
-        checked: set[tuple[int, int]] = set()
+        judged: set[tuple[int, int]] = set()
         for block in cfg.blocks:
             state_in = in_states[block.id]
             if state_in is None:
                 continue
-            state = set(state_in)
+            pending = {pos for pos, _guard in state_in}
             for pos in block.positions():
                 info = infos.get(pos)
                 if info is not None:
-                    self._check(info, state, infos, checked, findings)
-                step(state, pos)
+                    self._check(
+                        info, pending if info.is_store else pending & stores,
+                        infos, judged, findings,
+                    )
+                    pending.add(pos)
+                elif instructions[pos].name == "BAR":
+                    pending.clear()
 
         diags = [findings[key] for key in sorted(findings)]
         if unresolved:
@@ -201,9 +253,9 @@ class SharedRacePass(AnalysisPass):
     def _check(
         self,
         info: _AccessInfo,
-        pending: set,
+        candidates: set[int],
         infos: dict[int, _AccessInfo],
-        checked: set[tuple[int, int]],
+        judged: set[tuple[int, int]],
         findings: dict[tuple[int, int], Diagnostic],
     ) -> None:
         if info.cross_warp_write_overlap:
@@ -214,21 +266,15 @@ class SharedRacePass(AnalysisPass):
                     f"warps write overlapping shared-memory words at "
                     f"instruction {info.pos} with no intervening BAR.SYNC",
                 )
-        for other_pos, _guard in pending:
+        for other_pos in candidates:
             if other_pos == info.pos:
                 continue
             key = (min(info.pos, other_pos), max(info.pos, other_pos))
-            if key in checked:
+            if key in judged:
                 continue
-            checked.add(key)
-            other = infos.get(other_pos)
-            if other is None:
-                continue
-            if not (info.is_store or other.is_store):
-                continue  # read/read never races
-            if not (info.union & other.union):
-                continue
-            if self._cross_warp_overlap(info, other):
+            judged.add(key)
+            other = infos[other_pos]
+            if info.union & other.union and self._cross_warp_overlap(info, other):
                 a, b = sorted((info, other), key=lambda i: i.pos)
                 findings[key] = self._diag(
                     b.pos, b.name,
@@ -240,15 +286,19 @@ class SharedRacePass(AnalysisPass):
 
     @staticmethod
     def _cross_warp_overlap(a: _AccessInfo, b: _AccessInfo) -> bool:
-        for w, words_a in enumerate(a.per_warp):
-            if not words_a:
-                continue
-            for v, words_b in enumerate(b.per_warp):
-                if v == w or not words_b:
-                    continue
-                if words_a & words_b:
-                    return True
-        return False
+        """Whether a word of *a* and *b* is touched by two different warps.
+
+        A common word touched by two warps of either access qualifies.
+        Otherwise each common word has one warp in each access, and they
+        differ exactly when some warp's common words differ.
+        """
+        common = a.union & b.union
+        if common & (a.multi | b.multi):
+            return True
+        return any(
+            (words_a ^ words_b) & common
+            for words_a, words_b in zip(a.per_warp, b.per_warp)
+        )
 
     @staticmethod
     def _diag(pos: int, name: str, message: str) -> Diagnostic:

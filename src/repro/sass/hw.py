@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from ..common.cache import LRUCache
 from .operands import Reg
 
 _U32 = np.uint32
@@ -46,8 +47,7 @@ _NO_WORD = np.int64(1) << np.int64(62)  # sorts after every real word
 # A double-buffered loop repeats each access pattern every iteration, and
 # candidates that share a layout repeat them across kernels; the result
 # is a pure function of (addrs, width, active), so memoize it.
-_PHASE_MEMO: dict[tuple[int, bytes, bytes], tuple[np.ndarray, np.ndarray]] = {}
-_PHASE_MEMO_MAX = 4096
+_PHASE_MEMO: LRUCache[tuple[np.ndarray, np.ndarray]] = LRUCache(4096)
 
 
 def bank_phases(
@@ -64,10 +64,15 @@ def bank_phases(
     conflict cycles); its worst multiplicity is the n of its worst
     n-way conflict (1 when conflict-free).  The arrays are read-only.
     """
-    key = (width, addrs.tobytes(), active.tobytes())
-    hit = _PHASE_MEMO.get(key)
-    if hit is not None:
-        return hit
+    return _PHASE_MEMO.get_or_build(
+        (width, addrs.tobytes(), active.tobytes()),
+        lambda: _bank_phases(addrs, width, active),
+    )
+
+
+def _bank_phases(
+    addrs: np.ndarray, width: int, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     g = addrs.shape[0]
     phases = width // BANK_BYTES  # also the words each lane touches
     # Each phase covers 32 consecutive (lane, word) slots: one row per
@@ -90,9 +95,6 @@ def bank_phases(
     hit = (mult.sum(axis=1), mult.max(axis=1))
     for arr in hit:
         arr.setflags(write=False)
-    if len(_PHASE_MEMO) >= _PHASE_MEMO_MAX:
-        _PHASE_MEMO.clear()
-    _PHASE_MEMO[key] = hit
     return hit
 
 

@@ -22,6 +22,7 @@ import copy
 import dataclasses
 import re
 
+from ..common.cache import LRUCache
 from ..common.errors import SassSyntaxError
 from .control import ControlCode, parse_control
 from .instruction import Instruction
@@ -76,8 +77,7 @@ def _split_operands(text: str) -> list[str]:
 # memo holds a prototype; callers get a shallow copy, which is safe
 # because operands are frozen and every post-parse rewrite (control,
 # target) is a per-instance attribute assignment.
-_PARSE_MEMO: dict[str, Instruction] = {}
-_PARSE_MEMO_MAX = 65536
+_PARSE_MEMO: LRUCache[Instruction] = LRUCache(65536)
 
 
 def parse_line(line: str, lineno: int = 0) -> Instruction | None:
@@ -85,12 +85,9 @@ def parse_line(line: str, lineno: int = 0) -> Instruction | None:
     text = _strip_comment(line)
     if not text:
         return None
-    proto = _PARSE_MEMO.get(text)
-    if proto is None:
-        proto = _parse_statement(text, lineno)
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_MAX:
-            _PARSE_MEMO.clear()
-        _PARSE_MEMO[text] = proto
+    proto = _PARSE_MEMO.get_or_build(
+        text, lambda: _parse_statement(text, lineno)
+    )
     instr = copy.copy(proto)
     instr.line = lineno
     return instr

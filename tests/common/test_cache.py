@@ -91,3 +91,38 @@ def test_counters_and_clear():
     assert cache.stats() == CacheStats(max_entries=2)
     assert cache.stats().hit_rate == 0.0
     assert cache.items() == []
+
+
+def test_module_memos_count_hits_after_one_lint_and_one_simulation():
+    """The four memos below the runtime are LRUCaches with CacheStats:
+    statement parses, program decodes, bank phases and sector classes.
+    One differential main-loop measurement (a lint, then two simulations
+    of trip-count siblings) hits each of them."""
+    from repro.gpusim import V100
+    from repro.gpusim.decode import _DECODE_CACHE
+    from repro.gpusim.fastsim import _CLASSIFY_MEMO
+    from repro.kernels import measure_main_loop
+    from repro.kernels.winograd_fused import default_tunables
+    from repro.perfmodel.layer_model import _SURROGATE
+    from repro.runtime import ExecutionContext
+    from repro.sass.hw import _PHASE_MEMO
+    from repro.sass.parser import _PARSE_MEMO
+
+    memos = {
+        "parse": (_PARSE_MEMO, 65536),
+        "decode": (_DECODE_CACHE, 64),
+        "phase": (_PHASE_MEMO, 4096),
+        "classify": (_CLASSIFY_MEMO, 4096),
+    }
+    for memo, _bound in memos.values():
+        memo.clear()
+    measure_main_loop(
+        _SURROGATE, V100, default_tunables("f22"), iters=3,
+        context=ExecutionContext(device="V100"),
+    )
+    for name, (memo, bound) in memos.items():
+        stats = memo.stats()
+        assert isinstance(stats, CacheStats)
+        assert stats.hits > 0 and stats.misses > 0, (name, stats)
+        assert stats.builds == stats.misses, (name, stats)
+        assert 0 < stats.size <= bound == stats.max_entries, (name, stats)

@@ -23,10 +23,11 @@ field-for-field.  The ``slow`` tier sweeps the entire QUICK_SPACE grid
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from repro.common import SimulatorError
-from repro.gpusim import DEVICES, V100, GlobalMemory, simulate_resident_blocks
+from repro.common import SimMemoryFault, SimulatorError
+from repro.gpusim import DEVICES, V100, GlobalMemory, run_grid, simulate_resident_blocks
 from repro.kernels.runner import _simulate_fused_kernel
 from repro.kernels.winograd_fused import default_tunables
 from repro.models import paper_layers
@@ -181,3 +182,191 @@ def test_s2r_and_mufu_latencies_come_from_the_device(monkeypatch):
     assert cycles["fast", V100.lat_s2r] == cycles["reference", V100.lat_s2r]
     assert cycles["fast", slow.lat_s2r] == cycles["reference", slow.lat_s2r]
     assert cycles["fast", slow.lat_s2r] - cycles["fast", V100.lat_s2r] == 8 + 13
+
+
+# ---------------------------------------------------------------------------
+# Split lockstep groups: warps that diverge at warp granularity.
+# ---------------------------------------------------------------------------
+# Odd warps branch away (``@P0 BRA`` on ``(tid >> 5) & 1``); each path
+# stores and loads shared memory, touches global memory and waits at its
+# own BAR.SYNC; both paths then meet at a third.  The fast engine runs
+# each path as a group of every other warp (not a contiguous range), and
+# releases the join barrier as one group in arrival order.  Registers
+# written before each barrier are read after it, by the next group, and
+# the load after the join is conflict-free on even warps only (8-way on
+# odd ones), so each warp's footprint is its own.  Two loads overwrite
+# their own address register: one before the split (a group of
+# contiguous warps) and one after the join (a group in arrival order).
+_SPLIT = """
+.kernel split_groups
+.registers 32
+.smem 4096
+.param 8 out_ptr
+S2R R0, SR_TID.X;
+S2R R6, SR_CTAID.X;
+SHF.R.U32 R1, R0, 0x5, RZ;
+LOP3.AND R2, R1, 0x1, RZ;
+ISETP.NE.AND P0, PT, R2, RZ, PT;
+SHF.L.U32 R3, R0, 0x2, RZ;
+SHF.L.U32 R7, R6, 0xb, RZ;
+MOV R4, param:out_ptr;
+MOV R5, c[0x0][0x164];
+IADD3 R4, R4, R7, RZ;
+IADD3 R4, R4, R3, RZ;
+IADD3 R8, R0, 0x100, RZ;
+STS [R3+0x800], R8;
+IADD3 R16, R3, 0x800, RZ;
+LDS R16, [R16];
+@P0 BRA odd;
+STS [R3], R8;
+MOV R14, 0x10;
+MOV R15, R3;
+BAR.SYNC;
+LDS R9, [R3];
+IADD3 R9, R9, R14, RZ;
+STG.E [R4], R9;
+BRA join;
+odd:
+IADD3 R10, R0, 0x200, RZ;
+LDG.E R11, [R4];
+MOV R14, 0x20;
+LOP3.AND R15, R0, 0x7, RZ;
+SHF.L.U32 R15, R15, 0x7, RZ;
+BAR.SYNC;
+STS [R3+0x400], R10;
+LDS R12, [R3+0x400];
+STG.E [R4], R12;
+join:
+BAR.SYNC;
+LDS R15, [R15];
+IADD3 R13, R15, R14, RZ;
+IADD3 R13, R13, R16, RZ;
+STG.E [R4+0x400], R13;
+EXIT;
+"""
+
+
+@pytest.mark.parametrize("dev_key", DEVICE_KEYS)
+def test_engines_agree_on_split_groups(monkeypatch, dev_key):
+    kernel = assemble(_SPLIT, auto_schedule=True, strict=True)
+    runs = {}
+    for engine in ("reference", "fast"):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        gmem = GlobalMemory(1 << 20)
+        out = gmem.alloc(2 * 2048)
+        result = run_grid(
+            kernel, DEVICES[dev_key], grid=2, threads_per_block=256,
+            params={"out_ptr": out}, gmem=gmem, concurrent=2,
+        )
+        runs[engine] = (
+            dataclasses.asdict(result.counters),
+            gmem.read_array(out, (2, 2, 256), np.uint32),
+        )
+    (ref, ref_out), (fast, fast_out) = runs["reference"], runs["fast"]
+    assert fast == ref, {k: (ref[k], fast[k]) for k in ref if ref[k] != fast[k]}
+    np.testing.assert_array_equal(fast_out, ref_out)
+    tid = np.arange(256, dtype=np.uint32)
+    odd = (tid >> 5) & 1 == 1
+    for block in range(2):
+        first, second = fast_out[block]
+        np.testing.assert_array_equal(first, np.where(odd, tid + 0x200, tid + 0x110))
+        # Odd lanes read the word of thread (lane & 7) * 32: written (as
+        # tid + 0x100) only when that thread's warp is even.
+        row = (tid & 7) * 32
+        read = np.where((row >> 5) & 1 == 0, row + 0x100, 0)
+        joined = np.where(odd, read + 0x20, tid + 0x110)
+        np.testing.assert_array_equal(second, joined + tid + 0x100)
+
+
+# ---------------------------------------------------------------------------
+# Constant loads: the 4 KB bank bounds and alignment, on both engines.
+# ---------------------------------------------------------------------------
+# Only block 0 loads from the offset under test; block 1 loads its
+# out_ptr parameter, so an engine that reads across the bank's end sees
+# block 1's bank.
+_LDC = """
+.kernel ldc
+.registers 16
+.param 8 out_ptr
+S2R R6, SR_CTAID.X;
+S2R R0, SR_TID.X;
+ISETP.EQ.AND P0, PT, R6, RZ, PT;
+MOV R1, 0x160;
+@P0 MOV R1, {offset:#x};
+LDC R4, [R1];
+SHF.L.U32 R7, R0, 0x2, RZ;
+SHF.L.U32 R8, R6, 0x7, RZ;
+MOV R2, param:out_ptr;
+MOV R3, c[0x0][0x164];
+IADD3 R2, R2, R7, RZ;
+IADD3 R2, R2, R8, RZ;
+STG.E [R2], R4;
+EXIT;
+"""
+
+
+def _run_ldc(offset):
+    kernel = assemble(_LDC.format(offset=offset), auto_schedule=True)
+    gmem = GlobalMemory(1 << 16)
+    out = gmem.alloc(256)
+    result = run_grid(
+        kernel, V100, grid=2, threads_per_block=32,
+        params={"out_ptr": out}, gmem=gmem, concurrent=2,
+    )
+    return result.counters.cycles, gmem.read_array(out, (2, 32), np.uint32)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize(
+    "offset,message",
+    [
+        (0x1000, "constant access at 0x1000 outside the 4096-byte bank"),
+        (0xFFE, "constant access at 0xffe outside the 4096-byte bank"),
+        (0x2, "misaligned 4-byte constant access at 0x2"),
+    ],
+)
+def test_bad_constant_load_faults(monkeypatch, engine, offset, message):
+    monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+    with pytest.raises(SimMemoryFault, match=message):
+        _run_ldc(offset)
+
+
+def test_in_range_constant_load_agrees(monkeypatch):
+    runs = {}
+    for engine in ("reference", "fast"):
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+        runs[engine] = _run_ldc(0x160)
+    cycles, out = runs["fast"]
+    assert cycles == runs["reference"][0]
+    np.testing.assert_array_equal(out, runs["reference"][1])
+    assert (out == 256).all()  # out_ptr: the first allocation
+
+
+def test_guarded_r2p_keeps_the_mask_it_issued_with(monkeypatch):
+    """``@P0 R2P`` that clears P0 still writes P1 under the P0 it issued
+    with: the fast engine's guard mask is a copy, not a view of the row
+    the instruction rewrites.  (The reference engine reads its guard
+    through a view and leaves P1 clear here, so this pins the fast
+    engine alone.)"""
+    kernel = assemble(
+        ".kernel r2p_guard\n.registers 16\n.param 8 out_ptr\n"
+        "S2R R0, SR_TID.X;\n"
+        "MOV R1, 0x2;\n"
+        "ISETP.LT.U32.AND P0, PT, R0, 0x20, PT;\n"
+        "@P0 R2P R1, 0x3;\n"
+        "MOV R5, RZ;\n"
+        "@P1 MOV R5, 0x1;\n"
+        "SHF.L.U32 R7, R0, 0x2, RZ;\n"
+        "MOV R2, param:out_ptr;\n"
+        "MOV R3, c[0x0][0x164];\n"
+        "IADD3 R2, R2, R7, RZ;\n"
+        "STG.E [R2], R5;\n"
+        "EXIT;\n",
+        auto_schedule=True,
+    )
+    monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
+    gmem = GlobalMemory(1 << 16)
+    out = gmem.alloc(128)
+    run_grid(kernel, V100, grid=1, threads_per_block=32,
+             params={"out_ptr": out}, gmem=gmem)
+    assert (gmem.read_array(out, (32,), np.uint32) == 1).all()

@@ -101,7 +101,7 @@ def test_derived_decode_matches_fresh_decode():
     derived = build_fused_kernel(
         PROB, Tunables(), RTX2070.name, main_loop_only=True, iters=3
     )
-    seeded = _DECODE_CACHE[id(derived.instructions)][1]
+    seeded = _DECODE_CACHE.get(id(derived.instructions))[1]
     _DECODE_CACHE.clear()
     fresh = decode_program(derived.instructions)
     assert seeded.n == fresh.n
