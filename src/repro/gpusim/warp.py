@@ -64,8 +64,11 @@ class WarpState:
 
     # ---- predicates --------------------------------------------------------
     def read_pred(self, idx: int, negated: bool = False) -> np.ndarray:
+        """A copy of predicate ``idx``: an instruction that rewrites the
+        predicate it reads (``@P0 R2P`` clearing P0) keeps the value it
+        issued with."""
         values = self.preds[idx]
-        return ~values if negated else values
+        return ~values if negated else values.copy()
 
     def write_pred(self, idx: int, values: np.ndarray, mask: np.ndarray) -> None:
         if idx == 7:

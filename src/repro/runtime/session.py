@@ -48,7 +48,8 @@ from .context import ExecutionContext, activate, current_context
 class LayerRun:
     """Measured execution of one layer.
 
-    ``seconds`` is the wall-clock around the layer's convolution call.
+    ``seconds`` is the wall-clock around the layer's convolution call
+    (for an AUTO layer planned by this run, its winning timed trial).
     """
 
     layer: str
@@ -173,8 +174,14 @@ class InferenceSession:
         passes its own tensors automatically).  The other modes compile
         without touching data.
         """
+        return self._compile(calibration)[0]
+
+    def _compile(self, calibration) -> tuple[list[ConvPlan], list]:
+        """:meth:`compile`, plus each layer's timed-trial output: the AUTO
+        winner's output on *calibration* where this call planned the
+        layer (a plan-cache miss), else ``None``."""
         if self._plans is not None:
-            return self._plans
+            return self._plans, [None] * len(self._plans)
         layer_data = [None] * len(self.problems)
         if calibration is not None:
             layer_data = list(zip(*self._checked(*calibration)))
@@ -186,9 +193,10 @@ class InferenceSession:
             )
         ctx = self.context
         plans: list[ConvPlan] = []
+        trials = []
         with activate(ctx):
             for prob, data in zip(self.problems, layer_data):
-                plan, _ = plan_layer(
+                plan, y = plan_layer(
                     prob, self.mode, ctx, device=ctx.device,
                     workspace_limit=ctx.arena.limit_bytes,
                     tune_schedule=self.tune_schedule,
@@ -196,11 +204,12 @@ class InferenceSession:
                     data=data,
                 )
                 plans.append(plan)
+                trials.append(y)
             # One workspace sized at the network's high-water mark: the core
             # of the arena story (not counted as a runtime "grow").
             ctx.arena.reserve_capacity(max(plan.workspace_bytes for plan in plans))
         self._plans = plans
-        return plans
+        return plans, trials
 
     @property
     def plans(self) -> list[ConvPlan] | None:
@@ -238,24 +247,31 @@ class InferenceSession:
         independently; chain outputs yourself for a sequential network).
         Fused Winograd layers reuse the transformed filters of an earlier
         run (of any session on this context) while the same filter
-        arrays hold the same bits.
+        arrays hold the same bits.  An AUTO layer that this call plans
+        from these tensors is not executed again: its output is the
+        winning trial's, and its ``seconds`` that trial's time.
         """
         inputs, filters = self._checked(inputs, filters)
-        plans = self.compile(calibration=(inputs, filters))
+        plans, trials = self._compile((inputs, filters))
         runs: list[LayerRun] = []
         outputs: list[np.ndarray] = []
         with activate(self.context):
             t0 = time.perf_counter()
-            for prob, plan, x, f in zip(self.problems, plans, inputs, filters):
+            for prob, plan, x, f, y in zip(
+                self.problems, plans, inputs, filters, trials
+            ):
                 label, workspace = prob.label(), plan.workspace_bytes
                 with self.context.span("layer", label, algo=plan.algo):
                     with self.context.arena.reserve(workspace, tag=label):
-                        start = time.perf_counter()
-                        y = _run_planned(
-                            plan.algo, x, f, prob.pad, prob.stride,
-                            self.context.prepared_filters,
-                        )
-                        dt = time.perf_counter() - start
+                        if y is not None:
+                            dt = plan.trial_times[plan.algo]
+                        else:
+                            start = time.perf_counter()
+                            y = _run_planned(
+                                plan.algo, x, f, prob.pad, prob.stride,
+                                self.context.prepared_filters,
+                            )
+                            dt = time.perf_counter() - start
                 runs.append(LayerRun(label, plan.algo, dt, workspace, y.shape))
                 outputs.append(y)
             total = time.perf_counter() - t0

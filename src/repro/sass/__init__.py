@@ -30,6 +30,7 @@ from .analysis import (
     lint_instructions,
     lint_kernel,
 )
+from .analysis.ctrlcodes import schedule, validate_control
 from .assembler import AssembledKernel, assemble, assemble_file
 from .control import NO_BARRIER, ControlCode, parse_control
 from .cubin import LoadedCubin, read_cubin, write_cubin
@@ -40,7 +41,6 @@ from .encoder import (
     encode_instruction,
     encode_program,
 )
-from .hazards import schedule, validate_control
 from .instruction import Instruction
 from .isa import (
     MAX_USABLE_REGISTERS,

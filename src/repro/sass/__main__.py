@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     p_as.add_argument("-D", "--define", action="append", metavar="NAME=VALUE",
                       help="variable for inline Python blocks")
     p_as.add_argument("--schedule", action="store_true",
-                      help="auto-fill stalls and scoreboard barriers")
+                      help="auto-fill stalls, waits and scoreboard barriers")
     p_as.add_argument("--strict", action="store_true",
                       help="fail on control-code hazards")
     p_as.set_defaults(func=cmd_as)

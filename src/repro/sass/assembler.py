@@ -6,8 +6,8 @@ Pipeline (mirroring TuringAs):
 2. :mod:`parser` — text → IR, labels collected;
 3. label resolution — ``BRA`` targets become relative instruction
    displacements (in instructions, i.e. 16-byte units);
-4. optional :mod:`hazards` scheduling pass (``auto_schedule=True``) and
-   validation (``strict=True``);
+4. optional control-code repair (``auto_schedule=True``) and check
+   (``strict=True``), both over the CFG (:mod:`.analysis.ctrlcodes`);
 5. register audit — highest register used must stay under the 253-register
    ceiling the paper measured (footnote 7);
 6. :mod:`encoder` — IR → 128-bit words.
@@ -20,8 +20,8 @@ from __future__ import annotations
 import dataclasses
 
 from ..common.errors import AssemblerError, RegisterBudgetError, SassSyntaxError
+from .analysis.ctrlcodes import schedule, validate_control
 from .encoder import encode_program
-from .hazards import schedule, validate_control
 from .instruction import Instruction
 from .isa import MAX_USABLE_REGISTERS
 from .parser import parse_program
@@ -85,8 +85,11 @@ def assemble(
     ----------
     source: SASS listing (may contain directives and inline Python).
     env: variables visible to inline Python blocks and ``{{ }}`` splices.
-    auto_schedule: run the hazard pass to fill default control codes.
-    strict: raise if :func:`hazards.validate_control` finds violations.
+    auto_schedule: add the stalls, waits and barriers the program's
+        hazards need, on every branch and loop path
+        (:func:`~repro.sass.analysis.ctrlcodes.schedule`).
+    strict: raise if :func:`~repro.sass.analysis.ctrlcodes.validate_control`
+        finds violations.
     """
     pre = preprocess(source, env)
     parsed = parse_program(pre.source)
@@ -95,21 +98,15 @@ def assemble(
         raise AssemblerError("empty program")
 
     # Resolve BRA labels to relative displacements (in instructions).
-    loop_start = None
     for pos, instr in enumerate(instructions):
         if instr.name == "BRA" and isinstance(instr.target, str):
             label = instr.target
             if label not in parsed.labels:
                 raise SassSyntaxError(f"undefined label {label!r}", instr.line)
-            target_idx = parsed.labels[label]
-            instr.target = target_idx - (pos + 1)
-            if target_idx <= pos:
-                loop_start = target_idx if loop_start is None else min(
-                    loop_start, target_idx
-                )
+            instr.target = parsed.labels[label] - (pos + 1)
 
     if auto_schedule:
-        schedule(instructions, loop_start=loop_start)
+        schedule(instructions)
     if strict:
         problems = validate_control(instructions)
         if problems:

@@ -24,7 +24,7 @@ import functools
 
 from ..common.errors import EncodingError
 from .control import ControlCode
-from .isa import SUBWORD_FLAGS, OpSpec, spec_for
+from .isa import SUBWORD_FLAGS, OpSpec, spec_for, width_of
 from .operands import Const, Imm, Mem, Operand, Pred, Reg
 
 
@@ -127,8 +127,6 @@ class Instruction:
             regs.append(self.mem.base.index)
         # Wide memory stores read a register vector starting at the data reg.
         if data is not None and not data.is_rz:
-            from .isa import width_of
-
             nregs = max(1, width_of(self.flags) // 4)
             regs.extend(range(data.index, data.index + nregs))
         # Operands are immutable after parsing (only ``control`` is
@@ -141,18 +139,16 @@ class Instruction:
         cached = self.__dict__.get("_writes_cache")
         if cached is not None:
             return cached
+        regs: list[int]
         if self.dest is None or self.dest.is_rz:
-            regs: list[int] = []
+            regs = []
+        elif self.spec.is_load:
+            nregs = max(1, width_of(self.flags) // 4)
+            regs = list(range(self.dest.index, self.dest.index + nregs))
+        elif self.name == "IMAD" and "WIDE" in self.flags:
+            regs = [self.dest.index, self.dest.index + 1]
         else:
-            from .isa import width_of
-
-            if self.spec.is_load:
-                nregs = max(1, width_of(self.flags) // 4)
-                regs = list(range(self.dest.index, self.dest.index + nregs))
-            elif self.name == "IMAD" and "WIDE" in self.flags:
-                regs = [self.dest.index, self.dest.index + 1]
-            else:
-                regs = [self.dest.index]
+            regs = [self.dest.index]
         self.__dict__["_writes_cache"] = regs
         return regs
 

@@ -11,8 +11,9 @@ Accepted line grammar (one statement per line)::
     BRA MAIN_LOOP;    BAR.SYNC;    EXIT;
 
 The control-code prefix is optional; when omitted it defaults to
-``ControlCode()`` and the hazard pass (:mod:`repro.sass.hazards`) is
-expected to fill in stalls and barriers.  ``.reuse`` operand suffixes
+``ControlCode()`` and the assembler's ``auto_schedule`` pass
+(:func:`repro.sass.analysis.ctrlcodes.schedule`) is expected to fill in
+stalls, waits and barriers.  ``.reuse`` operand suffixes
 set that operand slot's reuse bit in the control word.
 """
 

@@ -342,12 +342,10 @@ def test_in_range_constant_load_agrees(monkeypatch):
     assert (out == 256).all()  # out_ptr: the first allocation
 
 
-def test_guarded_r2p_keeps_the_mask_it_issued_with(monkeypatch):
+def test_guarded_r2p_keeps_the_mask_it_issued_with(both_engines):
     """``@P0 R2P`` that clears P0 still writes P1 under the P0 it issued
-    with: the fast engine's guard mask is a copy, not a view of the row
-    the instruction rewrites.  (The reference engine reads its guard
-    through a view and leaves P1 clear here, so this pins the fast
-    engine alone.)"""
+    with: each engine's guard mask is a copy, not a view of the row the
+    instruction rewrites."""
     kernel = assemble(
         ".kernel r2p_guard\n.registers 16\n.param 8 out_ptr\n"
         "S2R R0, SR_TID.X;\n"
@@ -364,9 +362,14 @@ def test_guarded_r2p_keeps_the_mask_it_issued_with(monkeypatch):
         "EXIT;\n",
         auto_schedule=True,
     )
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "fast")
-    gmem = GlobalMemory(1 << 16)
-    out = gmem.alloc(128)
-    run_grid(kernel, V100, grid=1, threads_per_block=32,
-             params={"out_ptr": out}, gmem=gmem)
-    assert (gmem.read_array(out, (32,), np.uint32) == 1).all()
+
+    def simulate():
+        gmem = GlobalMemory(1 << 16)
+        out = gmem.alloc(128)
+        result = run_grid(kernel, V100, grid=1, threads_per_block=32,
+                          params={"out_ptr": out}, gmem=gmem)
+        return (gmem.read_array(out, (32,), np.uint32).tolist(),
+                dataclasses.asdict(result.counters))
+
+    stored, _ = both_engines(simulate)
+    assert stored == [1] * 32

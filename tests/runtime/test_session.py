@@ -78,6 +78,40 @@ def test_auto_mode_compiles_from_trials():
     assert len(result.layers) == 1
 
 
+def test_auto_first_run_returns_the_winning_trial_outputs(monkeypatch):
+    """The first run() of an AUTO session plans each layer from its own
+    tensors, so the winning trial's output is the layer's output and the
+    layer does not execute again; a later run executes every layer."""
+    import repro.runtime.session as session_module
+
+    executed = []
+    real = session_module._run_planned
+
+    def counting(algo, *args):
+        executed.append(algo)
+        return real(algo, *args)
+
+    monkeypatch.setattr(session_module, "_run_planned", counting)
+    ctx = ExecutionContext()
+    session = InferenceSession(TINY, mode="AUTO", context=ctx)
+    inputs, filters = _tensors(TINY)
+    first = session.run(inputs, filters)
+    assert executed == []
+    trials = ctx.dispatch_stats.trials_run
+    assert trials > 0
+    for run, plan in zip(first.layers, session.plans):
+        assert run.seconds == plan.trial_times[plan.algo]
+    # Each layer still reserves its workspace around its output.
+    assert first.arena.reserves == first.arena.releases == 2
+
+    second = session.run(inputs, filters)
+    assert executed == [plan.algo for plan in session.plans]
+    assert ctx.dispatch_stats.trials_run == trials
+    for a, b in zip(first.outputs, second.outputs):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_auto_mode_requires_calibration_for_bare_compile():
     session = InferenceSession(TINY, mode="AUTO", context=ExecutionContext())
     with pytest.raises(ConvConfigError):

@@ -32,15 +32,25 @@ consts = st.builds(
     Const, st.integers(0, 7), st.integers(0, 1023).map(lambda x: 4 * x)
 )
 b_operands = st.one_of(regs, imms, consts)
-controls = st.builds(
-    ControlCode,
-    stall=st.integers(0, 15),
-    yield_flag=st.booleans(),
-    write_bar=st.sampled_from([0, 1, 2, 3, 4, 5, 7]),
-    read_bar=st.sampled_from([0, 1, 2, 3, 4, 5, 7]),
-    wait_mask=st.integers(0, 63),
-    reuse=st.integers(0, 15),
-)
+
+
+def _controls(reuse):
+    return st.builds(
+        ControlCode,
+        stall=st.integers(0, 15),
+        yield_flag=st.booleans(),
+        write_bar=st.sampled_from([0, 1, 2, 3, 4, 5, 7]),
+        read_bar=st.sampled_from([0, 1, 2, 3, 4, 5, 7]),
+        wait_mask=st.integers(0, 63),
+        reuse=reuse,
+    )
+
+
+controls = _controls(st.integers(0, 15))
+# Built with no reuse flags rather than filtered to them: a filter that
+# keeps 1 draw in 16 trips Hypothesis's filter_too_much health check on
+# unlucky seeds.
+no_reuse_controls = _controls(st.just(0))
 
 
 def _roundtrip(instr: Instruction) -> None:
@@ -92,7 +102,7 @@ def test_fuzz_ffma(dest, a, b, c, guard, control, neg_a, neg_c):
     offset=st.integers(-(1 << 20), (1 << 20) - 1).map(lambda x: 4 * x),
     guard=guards,
     width=st.sampled_from([(), ("E",), ("E", "64"), ("E", "128")]),
-    control=controls.filter(lambda c: c.reuse == 0),
+    control=no_reuse_controls,
 )
 @settings(max_examples=200, deadline=None)
 def test_fuzz_ldg(dest, base, offset, guard, width, control):
@@ -116,7 +126,7 @@ def test_fuzz_ldg(dest, base, offset, guard, width, control):
     cmp=st.sampled_from(["EQ", "NE", "LT", "LE", "GT", "GE"]),
     boolean=st.sampled_from(["AND", "OR", "XOR"]),
     unsigned=st.booleans(),
-    control=controls.filter(lambda c: c.reuse == 0),
+    control=no_reuse_controls,
 )
 @settings(max_examples=150, deadline=None)
 def test_fuzz_isetp(pdst, a, b, combine, cmp, boolean, unsigned, control):
@@ -138,7 +148,7 @@ def test_fuzz_isetp(pdst, a, b, combine, cmp, boolean, unsigned, control):
 @given(
     dest=regs,
     mask=st.integers(0, 127).map(Imm),
-    control=controls.filter(lambda c: c.reuse == 0),
+    control=no_reuse_controls,
 )
 @settings(max_examples=60, deadline=None)
 def test_fuzz_p2r(dest, mask, control):

@@ -1,6 +1,6 @@
 """Hazard pass: stall insertion, barrier allocation, validation."""
 
-from repro.sass import NO_BARRIER, parse_program, schedule, validate_control
+from repro.sass import NO_BARRIER, assemble, parse_program, schedule, validate_control
 
 
 def _prog(src):
@@ -93,15 +93,21 @@ def test_bar_needs_no_scoreboard_waits():
 
 
 def test_loop_carried_hazard_second_pass():
-    """A value produced at the loop tail and read at the head is covered."""
-    instrs = _prog(
+    """A value produced at the loop tail and read at the head is covered:
+    the back-edge branch's stall is raised by what the linear sweep could
+    not see."""
+    kernel = assemble(
+        ".kernel t\n.registers 8\n"
         "MOV R0, 0x4;\n"
+        "TOP:\n"
         "IADD3 R1, R0, 0x1, RZ;\n"
-        "@P0 BRA TOP;\nEXIT;\n"
+        "MOV R0, 0x2;\n"
+        "@P0 BRA TOP;\nEXIT;\n",
+        auto_schedule=True,
     )
-    # Mark instruction 1 as loop start manually.
-    schedule(instrs, loop_start=1)
-    assert validate_control(instrs) == []
+    assert validate_control(kernel.instructions) == []
+    mov, bra = kernel.instructions[2], kernel.instructions[3]
+    assert mov.control.stall == 1 and bra.control.stall == 3
 
 
 def test_schedule_preserves_explicit_controls():
@@ -110,5 +116,5 @@ def test_schedule_preserves_explicit_controls():
         "[B---3--:R-:W-:-:S01] IADD3 R1, R0, 0x1, RZ;\nEXIT;\n"
     )
     schedule(instrs)
-    assert instrs[0].control.write_bar == 3  # untouched
+    assert instrs[0].control.write_bar == 3  # a hand-set barrier is kept
     assert validate_control(instrs) == []
