@@ -10,18 +10,20 @@ A3 — shared-memory layout: the Table-4 transposed buffers vs the naive
      tile-major layout (why the kernel transposes through smem at all).
 """
 
-from harness import emit, main_loop_measurement
+from harness import emit
 
 from repro.common import ConvProblem, format_table
-from repro.kernels import Tunables, WinogradF22Kernel
+from repro.gpusim import RTX2070
+from repro.kernels import Tunables, WinogradF22Kernel, measure_main_loop
 from repro.perfmodel import gemm_step_intensity
+from repro.perfmodel.layer_model import _SURROGATE
 
 PROB = ConvProblem(n=32, c=64, h=28, w=28, k=64)
 
 
 def blocking_rows():
-    b64 = main_loop_measurement("RTX2070", bk=64)
-    b32 = main_loop_measurement("RTX2070", bk=32)
+    b64 = measure_main_loop(_SURROGATE, RTX2070, Tunables(bk=64))
+    b32 = measure_main_loop(_SURROGATE, RTX2070, Tunables(bk=32))
     return [
         ("main-loop TFLOPS", b32.tflops, b64.tflops),
         ("cycles / bc-iteration", b32.cycles_per_iter, b64.cycles_per_iter),
@@ -33,8 +35,8 @@ def blocking_rows():
 
 
 def p2r_rows():
-    packed = main_loop_measurement("RTX2070", use_p2r=True)
-    recompute = main_loop_measurement("RTX2070", use_p2r=False)
+    packed = measure_main_loop(_SURROGATE, RTX2070, Tunables(use_p2r=True))
+    recompute = measure_main_loop(_SURROGATE, RTX2070, Tunables(use_p2r=False))
     gen = WinogradF22Kernel(PROB, Tunables())
     no_pack_registers = gen.num_regs + 16 - 1  # 16 bools, minus the mask reg
     return [
@@ -46,8 +48,8 @@ def p2r_rows():
 
 
 def layout_rows():
-    good = main_loop_measurement("RTX2070", smem_layout="transposed")
-    bad = main_loop_measurement("RTX2070", smem_layout="tile_major")
+    good = measure_main_loop(_SURROGATE, RTX2070, Tunables(smem_layout="transposed"))
+    bad = measure_main_loop(_SURROGATE, RTX2070, Tunables(smem_layout="tile_major"))
     return [
         ("cycles / iteration", bad.cycles_per_iter, good.cycles_per_iter),
         ("smem conflict cycles (run)", bad.counters.smem_conflict_cycles,

@@ -18,31 +18,37 @@ the paper's plots.
 """
 
 import pytest
-from harness import (
-    emit,
-    prewarm_schedule_measurements,
-    schedule_measurement,
-    schedule_tflops,
-)
+from harness import emit
 
 from repro.common import format_grid
+from repro.gpusim import RTX2070
+from repro.kernels import WinogradF22Kernel, measure_main_loop
 from repro.models import paper_layers
+from repro.perfmodel.layer_model import _SURROGATE
 from repro.sched import DEFAULT_SPACE, PAPER_SCHEDULE, QUICK_SPACE
 
-LAYERS = [p.name for p in paper_layers()]
+PROBLEMS = paper_layers()
+LAYERS = [p.name for p in PROBLEMS]
+
+
+def schedule_tflops(prob, schedule) -> float:
+    """Device-level main-loop TFLOPS of one layer under one schedule."""
+    # The main loop's per-iteration cost is layer-independent at fixed
+    # tunables (same block shape, §4), so every layer reads one
+    # simulation on the layer model's mid-size surrogate and scales it
+    # by its own grid (tail-wave) utilization.
+    tunables = schedule.to_tunables()
+    meas = measure_main_loop(_SURROGATE, RTX2070, tunables)
+    gen = WinogradF22Kernel(prob, tunables)
+    blocks = gen.grid[0] * gen.grid[1]
+    return meas.tflops * (blocks / (RTX2070.waves(blocks) * RTX2070.num_sms))
 
 
 def _sweep(variants: dict):
-    # Fan the independent per-schedule measurements out across the
-    # process pool first (serial fallback on one core); the per-layer
-    # loop below then only applies grid utilization to memoized results.
-    prewarm_schedule_measurements("RTX2070", variants.values())
-    series = {}
-    for label, schedule in variants.items():
-        series[label] = [
-            schedule_tflops(layer, "RTX2070", schedule) for layer in LAYERS
-        ]
-    return series
+    return {
+        label: [schedule_tflops(prob, schedule) for prob in PROBLEMS]
+        for label, schedule in variants.items()
+    }
 
 
 def _emit_figure(name, title, series, paper_claim):
@@ -54,7 +60,7 @@ def _emit_figure(name, title, series, paper_claim):
 
 
 def _cycles(schedule) -> float:
-    return schedule_measurement("RTX2070", schedule).cycles_per_iter
+    return measure_main_loop(_SURROGATE, RTX2070, schedule.to_tunables()).cycles_per_iter
 
 
 def test_fig07_yield_strategies(benchmark):
@@ -126,5 +132,5 @@ def test_schedule_search_agrees_with_figures(benchmark):
 
 
 if __name__ == "__main__":
-    for layer in LAYERS[:4]:
-        print(layer, f"{schedule_tflops(layer, 'RTX2070', PAPER_SCHEDULE):.2f} TFLOPS")
+    for prob in PROBLEMS[:4]:
+        print(prob.name, f"{schedule_tflops(prob, PAPER_SCHEDULE):.2f} TFLOPS")

@@ -8,12 +8,14 @@ Conv4N32/Conv5N32 where the grid is too small to fill the device
 as the batch grows.
 """
 
-from harness import emit, layer_result
+from harness import DEVICES, emit
 
 from repro.common import format_grid
 from repro.models import paper_layers
+from repro.perfmodel import our_layer_performance
 
-LAYERS = [p.name for p in paper_layers()]
+PROBLEMS = paper_layers()
+LAYERS = [p.name for p in PROBLEMS]
 
 
 def sol_series(device_name):
@@ -21,8 +23,8 @@ def sol_series(device_name):
     # simulation cache replays it for the rest, whose extrapolation is
     # pure arithmetic.
     main, total = [], []
-    for layer in LAYERS:
-        r = layer_result(layer, device_name)
+    for prob in PROBLEMS:
+        r = our_layer_performance(prob, DEVICES[device_name])
         main.append(100 * r.sol_main_loop)
         total.append(100 * r.sol_total)
     return main, total

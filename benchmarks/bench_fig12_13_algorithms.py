@@ -7,7 +7,7 @@ GEMM is worst on Conv2; IMPLICIT_PRECOMP is the strongest baseline
 on Conv5 (the §8.1 break-even at K≈129).
 """
 
-from harness import cudnn_layer_time, emit, layer_result
+from harness import DEVICES, emit
 
 from repro.common import format_table
 from repro.models import paper_layers
@@ -15,19 +15,22 @@ from repro.perfmodel import (
     ALGO_ORDER,
     PAPER_FIG12_RTX2070,
     PAPER_FIG13_V100,
+    cudnn_time,
+    our_layer_performance,
 )
 
-LAYERS = [p.name for p in paper_layers()]
+PROBLEMS = paper_layers()
+LAYERS = [p.name for p in PROBLEMS]
 PAPER = {"RTX2070": PAPER_FIG12_RTX2070, "V100": PAPER_FIG13_V100}
 
 
 def grid(device_name):
+    device = DEVICES[device_name]
     out = {}
-    for layer in LAYERS:
-        ours = layer_result(layer, device_name).time_s
-        out[layer] = [
-            cudnn_layer_time(layer, device_name, algo) / ours
-            for algo in ALGO_ORDER
+    for prob in PROBLEMS:
+        ours = our_layer_performance(prob, device).time_s
+        out[prob.name] = [
+            cudnn_time(prob, device, algo) / ours for algo in ALGO_ORDER
         ]
     return out
 

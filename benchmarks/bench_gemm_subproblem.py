@@ -9,11 +9,12 @@ Two measurements on the simulated RTX 2070:
    showing the §4.3 techniques carry over to plain batched GEMM.
 """
 
-from harness import DEVICES, emit, main_loop_measurement
+from harness import DEVICES, emit
 
 from repro.common import format_table
 from repro.gpusim import GlobalMemory, simulate_resident_blocks
-from repro.kernels import BatchedGemmKernel
+from repro.kernels import BatchedGemmKernel, Tunables, measure_main_loop
+from repro.perfmodel.layer_model import _SURROGATE
 
 
 def gemm_steady_state(iters: int = 3):
@@ -51,7 +52,7 @@ def gemm_steady_state(iters: int = 3):
 
 def _run():
     gemm = gemm_steady_state()
-    wino = main_loop_measurement("RTX2070")
+    wino = measure_main_loop(_SURROGATE, DEVICES["RTX2070"], Tunables())
     rows = [
         ("cycles / bc-iteration", gemm["cycles_per_iter"], wino.cycles_per_iter),
         ("device TFLOPS", gemm["tflops"], wino.tflops),

@@ -11,11 +11,11 @@ pattern.
 import json
 import os
 
-from harness import DEVICES, RESULTS_DIR, cudnn_layer_time, emit, paper_vs_measured_table
+from harness import DEVICES, RESULTS_DIR, emit, paper_vs_measured_table
 
 from repro.common import ConvProblem, format_table
 from repro.models import RESNET_LAYER_SHAPES, paper_layers
-from repro.perfmodel import PAPER_TABLE2_V100, predicted_time, rank_algorithms
+from repro.perfmodel import PAPER_TABLE2_V100, cudnn_time, predicted_time, rank_algorithms
 
 
 def table1_text() -> str:
@@ -32,8 +32,8 @@ def table1_text() -> str:
 def table2_rows():
     rows = []
     for prob in paper_layers():
-        wino = cudnn_layer_time(prob.name, "V100", "WINOGRAD")
-        gemm = cudnn_layer_time(prob.name, "V100", "IMPLICIT_PRECOMP_GEMM")
+        wino = cudnn_time(prob, DEVICES["V100"], "WINOGRAD")
+        gemm = cudnn_time(prob, DEVICES["V100"], "IMPLICIT_PRECOMP_GEMM")
         rows.append((prob.name, PAPER_TABLE2_V100[prob.name], gemm / wino))
     return rows
 

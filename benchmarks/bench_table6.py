@@ -6,21 +6,22 @@ Table-2-anchored baseline (DESIGN.md §2).  Paper: up to 2.65× / avg
 biggest win and Turing beating Volta across the board.
 """
 
-from harness import cudnn_layer_time, emit, layer_result
+from harness import DEVICES, emit
 
 from repro.common import format_table
 from repro.models import paper_layers
-from repro.perfmodel import PAPER_TABLE6
+from repro.perfmodel import PAPER_TABLE6, cudnn_time, our_layer_performance
 
-LAYERS = [p.name for p in paper_layers()]
+PROBLEMS = paper_layers()
+LAYERS = [p.name for p in PROBLEMS]
 
 
 def speedups(device_name):
+    device = DEVICES[device_name]
     out = {}
-    for layer in LAYERS:
-        ours = layer_result(layer, device_name).time_s
-        cudnn = cudnn_layer_time(layer, device_name, "WINOGRAD")
-        out[layer] = cudnn / ours
+    for prob in PROBLEMS:
+        ours = our_layer_performance(prob, device).time_s
+        out[prob.name] = cudnn_time(prob, device, "WINOGRAD") / ours
     return out
 
 

@@ -9,6 +9,10 @@ budget is the context's), and prints one line per plan (its
 * four modes' session runs: output digests and ``ArenaStats``;
 * two ``AUTO`` sessions' plan structure (their trial times are
   wall-clock) and a bare ``AUTO`` compile's error;
+* an odd layer whose ``WINOGRAD`` workspace (960 B) the arena reserves
+  as 1,024 B, and Conv5 at N = 1, each under a 1,000 B budget in
+  ``AUTO_HEURISTIC`` and ``WINOGRAD``: the plan or compile error, then
+  one run's output digest and ``ArenaStats`` or its error;
 * ``conv2d`` ``AUTO_HEURISTIC`` over 5×5, stride-2, odd and Conv5
   shapes on both devices, twice each: outputs, the plan-cache entries
   and ``DispatchStats``.
@@ -46,6 +50,7 @@ STACKS = {n: [resnet_layer(name, n) for name in ("Conv2", "Conv3", "Conv4", "Con
           for n in (1, 4)}
 RUN_MODES = ("AUTO_HEURISTIC", "WINOGRAD", "GEMM", "DIRECT")
 AUTO_STACK = [ConvProblem(n=1, c=4, h=8, w=8, k=4), ConvProblem(n=1, c=8, h=8, w=8, k=8)]
+ROUNDED_BUDGET_LAYERS = [ConvProblem(n=1, c=5, h=8, w=8, k=3), resnet_layer("Conv5", 1)]
 CONV2D_SHAPES = [
     ConvProblem(n=1, c=3, h=10, w=10, k=2, r=5, s=5, pad=2),
     ConvProblem(n=2, c=4, h=9, w=9, k=6, stride=2),
@@ -112,6 +117,24 @@ def digest_auto_structure() -> None:
         print(f"error AUTO/bare {type(exc).__name__}: {exc}")
 
 
+def digest_rounded_budget() -> None:
+    for i, prob in enumerate(ROUNDED_BUDGET_LAYERS):
+        xs, fs = _tensors([prob], seed=200 + i)
+        for mode in ("AUTO_HEURISTIC", "WINOGRAD"):
+            case = f"budget1000/{prob.label()}/{mode}"
+            ctx = ExecutionContext(device=RTX2070, workspace_limit_bytes=1000)
+            session = InferenceSession([prob], mode=mode, context=ctx)
+            try:
+                (plan,) = session.compile()
+                print(f"plan {case} {json.dumps(plan.to_dict(), sort_keys=True)}")
+                result = session.run(xs, fs)
+            except ReproError as exc:
+                print(f"error {case} {type(exc).__name__}: {exc}")
+                continue
+            _emit(f"run/{case}", result.outputs[0])
+            print(f"arena {case} {dataclasses.asdict(result.arena)}")
+
+
 def digest_conv2d() -> None:
     ctx = ExecutionContext()
     for i, prob in enumerate(CONV2D_SHAPES):
@@ -133,6 +156,7 @@ def main() -> None:
     digest_session_plans()
     digest_session_runs()
     digest_auto_structure()
+    digest_rounded_budget()
     digest_conv2d()
 
 

@@ -69,6 +69,43 @@ META_ALGORITHMS = (
 )
 
 
+def shape_error(algo: str, r: int, s: int, pad: int, stride: int) -> str | None:
+    """Why *algo* cannot run an R×S filter at this pad and stride, naming
+    the algorithms that can; ``None`` when it can.
+
+    The tile-family Winograd pipelines (F(2×2) and F(4×4)) implement the
+    paper's 3×3/pad-1/stride-1 case only.  ``WINOGRAD_DWM`` decomposes
+    any square filter at stride 1 or 2 into such sub-problems.  Only DWM
+    and DIRECT run strided problems; everything else additionally
+    handles arbitrary R×S and padding at stride 1.  The planner's
+    eligibility filter (``perfmodel.selection.algorithm_supports``) and
+    the executor dispatch both apply this rule.
+    """
+    if algo == "WINOGRAD_DWM":
+        if r == s and stride in (1, 2):
+            return None
+        return (
+            f"WINOGRAD_DWM decomposes square filters at stride 1 or 2; use "
+            f"DIRECT for a {r}x{s} filter at stride {stride}"
+        )
+    if stride != 1:
+        if algo == "DIRECT":
+            return None
+        return (
+            f"{algo} implements stride-1 convolution; use WINOGRAD_DWM "
+            "(polyphase decomposition) or DIRECT for stride 2"
+        )
+    if algo in ("WINOGRAD", "WINOGRAD_F44", "WINOGRAD_NONFUSED") and (
+        (r, s) != (3, 3) or pad != 1
+    ):
+        return (
+            f"{algo} implements the paper's 3×3/pad-1 case; use WINOGRAD_DWM "
+            "to decompose larger (or strided) filters, or "
+            "WINOGRAD_REFERENCE/DIRECT"
+        )
+    return None
+
+
 def _validate_conv_inputs(
     x: np.ndarray, f: np.ndarray, pad: int, stride: int = 1
 ) -> None:
@@ -128,11 +165,9 @@ def _run_concrete(
     serves the fused algorithms' transformed filters; without one they
     transform *f* on the call.
     """
-    if stride != 1 and algo not in ("DIRECT", "WINOGRAD_DWM"):
-        raise ConvConfigError(
-            f"{algo} implements stride-1 convolution; use WINOGRAD_DWM "
-            "(polyphase decomposition) or DIRECT for stride 2"
-        )
+    reason = shape_error(algo, f.shape[2], f.shape[3], pad, stride)
+    if reason is not None:
+        raise ConvConfigError(reason)
     if algo == "DIRECT":
         return direct_conv2d(x, f, pad, stride)
     if algo == "WINOGRAD_DWM":
@@ -156,13 +191,6 @@ def _run_concrete(
         return fft_tiling_conv2d(x, f, pad)[0]
     if algo == "WINOGRAD_REFERENCE":
         return winograd_conv2d_nchw(x, f, m=2, pad=pad)
-
-    if pad != 1 or f.shape[2:] != (3, 3):
-        raise ConvConfigError(
-            f"{algo} implements the paper's 3×3/pad-1 case; use WINOGRAD_DWM "
-            "to decompose larger (or strided) filters, or "
-            "WINOGRAD_REFERENCE/DIRECT"
-        )
     if algo in FUSED_TILE_FOR_ALGO:
         return _fused_conv2d(FUSED_TILE_FOR_ALGO[algo], x, f, prepared_filters)
     # WINOGRAD_NONFUSED

@@ -169,7 +169,6 @@ def simulate_resident_blocks(
     gmem: GlobalMemory,
     threads_per_block: int,
     num_blocks: int | None = None,
-    first_block: int = 0,
 ) -> LaunchResult:
     """Run one SM's worth of concurrently-resident blocks (timing study)."""
     meta, program = _kernel_parts(kernel)
@@ -180,7 +179,7 @@ def simulate_resident_blocks(
     const = build_const_bank(meta, params)
     warps = threads_per_block // 32
     specs = [
-        BlockSpec(block_idx=first_block + i, num_warps=warps, const_bank=const,
+        BlockSpec(block_idx=i, num_warps=warps, const_bank=const,
                   smem_bytes=meta.smem_bytes)
         for i in range(num_blocks)
     ]

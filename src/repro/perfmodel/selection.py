@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from ..common.errors import ModelError
 from ..common.problem import ConvProblem
+from ..convolution.api import shape_error
 from ..gpusim.arch import DeviceSpec
 from .breakeven import fused_time
 from .cudnn_model import (
@@ -33,7 +34,7 @@ from .cudnn_model import (
     implicit_precomp_gemm_time,
     winograd_nonfused_time,
 )
-from .workspace import dispatch_workspace_bytes
+from .workspace import dispatch_workspace_bytes, reserved_bytes
 
 # Every algorithm the dispatcher may execute, in Fig. 12-14 column order.
 # ``DIRECT`` is the library's arithmetic ground truth: it has no
@@ -133,20 +134,13 @@ def predicted_time(prob: ConvProblem, device: DeviceSpec, algo: str) -> float:
 def algorithm_supports(algo: str, prob: ConvProblem) -> bool:
     """Structural eligibility: can *algo* run this problem shape at all?
 
-    The tile-family Winograd pipelines (F(2×2) and F(4×4)) implement the
-    paper's 3×3/pad-1/stride-1 case only (``conv2d`` raises
-    ``ConvConfigError`` outside it).  ``WINOGRAD_DWM`` decomposes any
-    square filter at stride 1 or 2 into such sub-problems.  Only DWM and
-    DIRECT run strided problems; everything else additionally handles
-    arbitrary R×S and padding at stride 1.
+    *algo* must be a dispatcher algorithm (one with a time model) whose
+    executor runs the shape: :func:`repro.convolution.api.shape_error`,
+    the rule ``conv2d`` raises ``ConvConfigError`` from, admits it.
     """
-    if algo == "WINOGRAD_DWM":
-        return prob.r == prob.s and prob.stride in (1, 2)
-    if prob.stride != 1:
-        return algo == "DIRECT"
-    if algo in ("WINOGRAD", "WINOGRAD_F44", "WINOGRAD_NONFUSED"):
-        return (prob.r, prob.s) == (3, 3) and prob.pad == 1
-    return algo in _TIME_MODELS
+    return algo in _TIME_MODELS and (
+        shape_error(algo, prob.r, prob.s, prob.pad, prob.stride) is None
+    )
 
 
 def rank_algorithms(
@@ -175,7 +169,9 @@ def rank_algorithms(
             )
             continue
         if workspace_limit_bytes is not None:
-            need = dispatch_workspace_bytes(prob, algo)
+            # Compared in the bytes the arena will reserve, so a plan
+            # that passes this filter also fits the arena's budget.
+            need = reserved_bytes(dispatch_workspace_bytes(prob, algo))
             if need > workspace_limit_bytes:
                 excluded[algo] = (
                     f"workspace {need} B exceeds limit {workspace_limit_bytes} B"

@@ -19,6 +19,17 @@ from ..common.problem import ConvProblem
 
 MB = 1024.0 * 1024.0
 
+#: A workspace reservation is rounded up to this many bytes, the
+#: 256-byte alignment cudaMalloc guarantees.
+ALIGNMENT = 256
+
+
+def reserved_bytes(nbytes: int) -> int:
+    """The bytes a workspace of *nbytes* takes: *nbytes* rounded up to
+    :data:`ALIGNMENT`.  The arena reserves this, so a budget is compared
+    with it, not with the closed form."""
+    return (nbytes + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
+
 
 def fft_workspace_bytes(prob: ConvProblem) -> int:
     """Whole-image FFT: complex input, filter and output spectra.

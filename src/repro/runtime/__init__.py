@@ -19,7 +19,8 @@ helpers in ``repro.kernels.cache``, ...) working unchanged;
 ``activate(ctx)`` scopes a different context to a ``with`` block.
 """
 
-from .arena import ALIGNMENT, ArenaStats, WorkspaceArena, WorkspaceBlock
+from ..perfmodel.workspace import ALIGNMENT
+from .arena import ArenaStats, WorkspaceArena, WorkspaceBlock
 from .context import (
     ExecutionContext,
     PreparedFilterCache,
@@ -30,7 +31,6 @@ from .context import (
     current_context,
     default_context,
 )
-from .parallel import default_workers, parallel_map
 from .session import InferenceSession, LayerRun, SessionResult
 
 __all__ = [
@@ -49,6 +49,4 @@ __all__ = [
     "activate",
     "current_context",
     "default_context",
-    "default_workers",
-    "parallel_map",
 ]

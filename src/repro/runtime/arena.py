@@ -32,14 +32,7 @@ import dataclasses
 import threading
 
 from ..common.errors import WorkspaceError, WorkspaceLimitError
-
-#: Reservation offsets/sizes are rounded up to this many bytes, matching
-#: the 256-byte alignment cudaMalloc guarantees.
-ALIGNMENT = 256
-
-
-def _align(nbytes: int, alignment: int = ALIGNMENT) -> int:
-    return (nbytes + alignment - 1) // alignment * alignment
+from ..perfmodel.workspace import reserved_bytes
 
 
 @dataclasses.dataclass
@@ -115,13 +108,10 @@ class WorkspaceArena:
     Thread-safe: serving dispatch threads share a tenant's arena.
     """
 
-    def __init__(self, limit_bytes: int | None = None, alignment: int = ALIGNMENT):
+    def __init__(self, limit_bytes: int | None = None):
         if limit_bytes is not None and limit_bytes < 0:
             raise WorkspaceError(f"limit_bytes must be >= 0 or None, got {limit_bytes}")
-        if alignment < 1 or alignment & (alignment - 1):
-            raise WorkspaceError(f"alignment must be a power of two, got {alignment}")
         self._lock = threading.RLock()
-        self._alignment = alignment
         self._limit = limit_bytes
         self._free: list[tuple[int, int]] = []  # sorted (offset, size)
         self._top = 0  # bump pointer: everything above is untouched capacity
@@ -132,14 +122,15 @@ class WorkspaceArena:
     # Reservation
     # ------------------------------------------------------------------
     def reserve(self, nbytes: int, tag: str = "") -> WorkspaceBlock:
-        """Reserve *nbytes* (rounded up to the alignment); returns a block.
+        """Reserve :func:`~repro.perfmodel.workspace.reserved_bytes` of
+        *nbytes* (*nbytes* rounded up to 256 B); returns a block.
 
         Raises :class:`WorkspaceLimitError` if the reservation would push
         concurrent usage past ``limit_bytes``.
         """
         if nbytes < 0:
             raise WorkspaceError(f"cannot reserve {nbytes} bytes")
-        size = _align(nbytes, self._alignment)
+        size = reserved_bytes(nbytes)
         with self._lock:
             if self._limit is not None and self._stats.in_use_bytes + size > self._limit:
                 raise WorkspaceLimitError(
@@ -189,7 +180,7 @@ class WorkspaceArena:
         Does not count as a ``grow``: sizing the arena from the closed-form
         workspace plan *is* the intended use, not a fallback.
         """
-        size = _align(nbytes, self._alignment)
+        size = reserved_bytes(nbytes)
         with self._lock:
             self._stats.capacity_bytes = max(self._stats.capacity_bytes, size)
 
@@ -229,14 +220,6 @@ class WorkspaceArena:
     @property
     def limit_bytes(self) -> int | None:
         return self._limit
-
-    def set_limit(self, limit_bytes: int | None) -> None:
-        """Change the budget (applies to future reservations only)."""
-        if limit_bytes is not None and limit_bytes < 0:
-            raise WorkspaceError(f"limit_bytes must be >= 0 or None, got {limit_bytes}")
-        with self._lock:
-            self._limit = limit_bytes
-            self._stats.limit_bytes = limit_bytes
 
     def stats(self) -> ArenaStats:
         with self._lock:

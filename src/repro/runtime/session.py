@@ -40,8 +40,23 @@ from ..common.errors import ConvConfigError
 from ..common.problem import ConvProblem
 from ..convolution.api import META_ALGORITHMS, _run_planned
 from ..convolution.autotune import ConvPlan, plan_layer
+from ..perfmodel.selection import DISPATCH_CANDIDATES
 from .arena import ArenaStats
 from .context import ExecutionContext, activate, current_context
+
+
+def session_mode(mode: str) -> str:
+    """*mode*, upper-cased, if a session can plan it: an AUTO mode or a
+    dispatch candidate to force.  Raises :class:`ConvConfigError` naming
+    the accepted modes otherwise.  The serving frontend and fleet check
+    a model's mode with it before they register or cost the model."""
+    mode = mode.upper()
+    if mode not in META_ALGORITHMS + DISPATCH_CANDIDATES:
+        raise ConvConfigError(
+            f"unknown session mode {mode!r}; choose from "
+            f"{META_ALGORITHMS + DISPATCH_CANDIDATES}"
+        )
+    return mode
 
 
 @dataclasses.dataclass
@@ -142,16 +157,8 @@ class InferenceSession:
                 raise ConvConfigError(
                     f"layers must be ConvProblem instances, got {prob!r}"
                 )
-        from ..perfmodel.selection import DISPATCH_CANDIDATES
-
-        mode = mode.upper()
-        if mode not in META_ALGORITHMS + DISPATCH_CANDIDATES:
-            raise ConvConfigError(
-                f"unknown session mode {mode!r}; choose from "
-                f"{META_ALGORITHMS + DISPATCH_CANDIDATES}"
-            )
         self.problems = problems
-        self.mode = mode
+        self.mode = session_mode(mode)
         self.context = context or current_context()
         self._plans: list[ConvPlan] | None = None
 

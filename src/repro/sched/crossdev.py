@@ -145,18 +145,11 @@ def validate_plan_on(
     )
     tile = foreign_result.tile
     iters = foreign_result.budget.base_iters
-    # with_tile() drops base_tunables when retargeting families, so only
-    # reuse the config's base when the search actually ran with it.
-    base_tunables = None
-    if config is not None and config.tile == foreign_result.tile:
-        base_tunables = config.base_tunables
     foreign = evaluate_schedule(
         schedule, target, iters=iters, context=context, tile=tile,
-        base_tunables=base_tunables,
     )
     native = evaluate_schedule(
         schedule, home, iters=iters, context=context, tile=tile,
-        base_tunables=base_tunables,
     )
     floor = foreign_result.rungs[0][0]
     # The foreign schedule itself may sit outside the searched grid and

@@ -40,7 +40,6 @@ from ..common.errors import ConvConfigError
 from ..gpusim.arch import DeviceSpec
 from ..kernels.cache import build_fused_kernel
 from ..kernels.runner import ensure_lint_clean, lint_family_key, measure_main_loop
-from ..kernels.winograd_fused import Tunables
 from ..winograd.tilespec import get_tile
 from .space import (
     DEFAULT_SPACE,
@@ -142,7 +141,6 @@ class ScheduleSearchConfig:
 
     space: ScheduleSpace = DEFAULT_SPACE
     budget: SearchBudget = SearchBudget()
-    base_tunables: Tunables | None = None
     tile: str = "f22"
 
     @classmethod
@@ -158,9 +156,9 @@ class ScheduleSearchConfig:
     def with_tile(self, tile) -> "ScheduleSearchConfig":
         """This config retargeted at another family.
 
-        Same budget; the space and structural base are re-derived from
-        the new family (a space or ``base_tunables`` chosen for one
-        generator does not transfer to another's invariants).
+        Same budget; the space is re-derived from the new family (a
+        space chosen for one generator does not transfer to another's
+        invariants).
         """
         spec = get_tile(tile)
         if spec.name == self.tile:
@@ -239,17 +237,6 @@ class SearchResult:
             "rungs": [[s.to_dict() for s in rung] for rung in self.rungs],
         }
 
-    def validate_on(self, device, **kwargs):
-        """Re-simulate this search's winner on another device.
-
-        Convenience wrapper over
-        :func:`repro.sched.crossdev.validate_plan_on`; see there for the
-        penalty semantics and keyword arguments.
-        """
-        from .crossdev import validate_plan_on
-
-        return validate_plan_on(self, device, **kwargs)
-
 
 def evaluate_schedule(
     schedule: Schedule,
@@ -257,8 +244,6 @@ def evaluate_schedule(
     *,
     iters: int = 3,
     num_blocks: int | None = None,
-    base_tunables: Tunables | None = None,
-    prob: ConvProblem | None = None,
     context: ExecutionContext | None = None,
     tile=None,
 ) -> CandidateScore:
@@ -272,14 +257,13 @@ def evaluate_schedule(
     """
     ctx = _ctx(context)
     spec = get_tile(tile)
-    prob = prob if prob is not None else _surrogate_problem()
-    tunables = schedule.to_tunables(base_tunables, spec)
+    tunables = schedule.to_tunables(tile=spec)
     with ctx.span(
         "sched", schedule.label(), device=device.name, iters=iters,
         tile=spec.name,
     ) as span:
         meas = measure_main_loop(
-            prob, device=device, tunables=tunables, iters=iters,
+            _surrogate_problem(), device=device, tunables=tunables, iters=iters,
             num_blocks=num_blocks, context=ctx, tile=spec,
         )
         span["cycles_per_iter"] = meas.cycles_per_iter
@@ -298,8 +282,6 @@ def lint_gate_candidate(
     device: DeviceSpec,
     *,
     iters: int = 3,
-    base_tunables: Tunables | None = None,
-    prob: ConvProblem | None = None,
     context: ExecutionContext | None = None,
     tile=None,
 ) -> None:
@@ -311,8 +293,8 @@ def lint_gate_candidate(
     """
     ctx = _ctx(context)
     spec = get_tile(tile)
-    prob = prob if prob is not None else _surrogate_problem()
-    tunables = schedule.to_tunables(base_tunables, spec)
+    prob = _surrogate_problem()
+    tunables = schedule.to_tunables(tile=spec)
     kernel = build_fused_kernel(
         prob, tunables, device.name,
         main_loop_only=True, iters=iters, tile=spec, context=ctx,
@@ -328,8 +310,6 @@ def static_cost_candidate(
     device: DeviceSpec,
     *,
     iters: int = 3,
-    base_tunables: Tunables | None = None,
-    prob: ConvProblem | None = None,
     context: ExecutionContext | None = None,
     tile=None,
 ) -> StaticReport:
@@ -349,10 +329,8 @@ def static_cost_candidate(
 
     ctx = _ctx(context)
     spec = get_tile(tile)
-    prob = prob if prob is not None else _surrogate_problem()
-    tunables = schedule.to_tunables(base_tunables, spec)
     kernel = build_fused_kernel(
-        prob, tunables, device.name,
+        _surrogate_problem(), schedule.to_tunables(tile=spec), device.name,
         main_loop_only=True, iters=iters, tile=spec, context=ctx,
     )
     return static_report(
@@ -366,8 +344,6 @@ def prune_candidates(
     margin: float,
     *,
     iters: int = 3,
-    base_tunables: Tunables | None = None,
-    prob: ConvProblem | None = None,
     context: ExecutionContext | None = None,
     tile=None,
 ) -> tuple[list[Schedule], list[str]]:
@@ -380,9 +356,7 @@ def prune_candidates(
     """
     costs = {
         schedule.label(): static_cost_candidate(
-            schedule, device, iters=iters,
-            base_tunables=base_tunables, prob=prob, context=context,
-            tile=tile,
+            schedule, device, iters=iters, context=context, tile=tile,
         ).static_issue_cycles
         for schedule in candidates
     }
@@ -402,8 +376,6 @@ def successive_halving(
     device: DeviceSpec | None = None,
     *,
     budget: SearchBudget | None = None,
-    base_tunables: Tunables | None = None,
-    prob: ConvProblem | None = None,
     candidates: list[Schedule] | None = None,
     context: ExecutionContext | None = None,
     tile=None,
@@ -443,8 +415,7 @@ def successive_halving(
             for candidate in candidates:
                 lint_gate_candidate(
                     candidate, device, iters=budget.rung_iters(0),
-                    base_tunables=base_tunables, prob=prob, context=ctx,
-                    tile=spec,
+                    context=ctx, tile=spec,
                 )
             lint_gated = len(candidates)
 
@@ -452,9 +423,7 @@ def successive_halving(
             if budget.prune_margin is not None and len(candidates) > 1:
                 candidates, pruned = prune_candidates(
                     candidates, device, budget.prune_margin,
-                    iters=budget.rung_iters(0),
-                    base_tunables=base_tunables, prob=prob, context=ctx,
-                    tile=spec,
+                    iters=budget.rung_iters(0), context=ctx, tile=spec,
                 )
                 span["pruned"] = len(pruned)
 
@@ -464,8 +433,7 @@ def successive_halving(
                 scores = [
                     evaluate_schedule(
                         s, device, iters=iters, num_blocks=budget.num_blocks,
-                        base_tunables=base_tunables, prob=prob, context=ctx,
-                        tile=spec,
+                        context=ctx, tile=spec,
                     )
                     for s in survivors
                 ]
@@ -499,12 +467,9 @@ def schedule_key(device_name: str, config: ScheduleSearchConfig) -> tuple[Any, .
 
     The AUTO dispatch path and :class:`~repro.runtime.InferenceSession`
     look winners up under it, so a whole layer stack pays for at most
-    one search per (device, tile family, space, budget, base tunables).
+    one search per (device, tile family, space, budget).
     """
-    return (
-        device_name, config.tile, config.space.signature(),
-        config.budget, config.base_tunables,
-    )
+    return device_name, config.tile, config.space.signature(), config.budget
 
 
 def ensure_schedule(
@@ -528,7 +493,7 @@ def ensure_schedule(
         config = config.with_tile(tile)
     search = functools.partial(
         successive_halving, config.space, device, budget=config.budget,
-        base_tunables=config.base_tunables, context=ctx, tile=config.tile,
+        context=ctx, tile=config.tile,
     )
     # Searched outside the cache's lock (it is long); a concurrent
     # duplicate search is wasteful but harmless: the result is

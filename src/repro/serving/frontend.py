@@ -49,15 +49,17 @@ import numpy as np
 
 from ..common.errors import (
     BackpressureError,
+    ConvConfigError,
     ReproError,
     ServingError,
     WorkspaceLimitError,
 )
 from ..common.problem import ConvProblem
 from ..convolution.api import META_ALGORITHMS
-from ..runtime.arena import _align
+from ..perfmodel.selection import algorithm_supports
+from ..perfmodel.workspace import DISPATCH_WORKSPACE, reserved_bytes
 from ..runtime.context import ExecutionContext
-from ..runtime.session import InferenceSession
+from ..runtime.session import InferenceSession, session_mode
 from .config import ServingConfig
 from .metrics import ServingMetrics
 
@@ -110,6 +112,18 @@ class ModelSpec:
         return tuple(
             (p.c, p.h, p.w, p.k, p.r, p.s, p.pad) for p in self.problems
         )
+
+
+def model_mode(model: ModelSpec, config: ServingConfig) -> str:
+    """The session mode *model* runs in under *config*.
+
+    Raises :class:`ServingError` naming the model if no session can run
+    that mode (:func:`repro.runtime.session.session_mode`).
+    """
+    try:
+        return session_mode(model.mode or config.mode)
+    except ConvConfigError as exc:
+        raise ServingError(f"model {model.name!r}: {exc}") from None
 
 
 @dataclasses.dataclass
@@ -296,18 +310,11 @@ class ServingFrontend:
         workspace budget — such a model could never be served, so the
         failure belongs at registration, not per request.
         """
-        from ..perfmodel.selection import DISPATCH_CANDIDATES, algorithm_supports
-
         if self._closed:
             raise ServingError("serving frontend is closed")
         if not tenant:
             raise ServingError("tenant name must be non-empty")
-        mode = (model.mode or self.config.mode).upper()
-        if mode not in META_ALGORITHMS + DISPATCH_CANDIDATES:
-            raise ServingError(
-                f"model {model.name!r}: unknown session mode {mode!r}; "
-                f"choose from {META_ALGORITHMS + DISPATCH_CANDIDATES}"
-            )
+        mode = model_mode(model, self.config)
         for prob in model.problems:
             if mode not in META_ALGORITHMS and not algorithm_supports(mode, prob):
                 raise ServingError(
@@ -326,7 +333,7 @@ class ServingFrontend:
             raise ServingError(
                 f"tenant {tenant!r} already has a model named {model.name!r}"
             )
-        cap = self._budget_batch_cap(model)
+        cap = self._budget_batch_cap(model, mode)
         if cap < 1:
             raise ServingError(
                 f"model {model.name!r} cannot run even at batch 1 under the "
@@ -335,25 +342,22 @@ class ServingFrontend:
         state.models[model.name] = model
         state.batch_caps[model.name] = cap
 
-    def _budget_batch_cap(self, model: ModelSpec) -> int:
+    def _budget_batch_cap(self, model: ModelSpec, mode: str) -> int:
         """Largest batch N whose planned workspace fits the arena budget.
 
-        Only computable up front when the session mode forces a concrete
-        algorithm (its closed-form workspace is monotone in N); the AUTO
-        modes already exclude over-budget algorithms per layer at plan
-        time, so they keep the configured ``max_batch``.
+        Only computable up front when the session *mode* forces a
+        concrete algorithm (its closed-form workspace is monotone in N);
+        the AUTO modes already exclude over-budget algorithms per layer
+        at plan time, so they keep the configured ``max_batch``.
         """
         limit = self.config.workspace_limit_bytes
-        mode = (model.mode or self.config.mode).upper()
         if limit is None or mode in META_ALGORITHMS:
             return self.config.max_batch
-        from ..perfmodel.workspace import DISPATCH_WORKSPACE
-
         workspace = DISPATCH_WORKSPACE[mode]
         cap = 0
         for n in range(1, self.config.max_batch + 1):
             worst = max(
-                _align(workspace(p.with_batch(n))) for p in model.problems
+                reserved_bytes(workspace(p.with_batch(n))) for p in model.problems
             )
             if worst > limit:
                 break

@@ -212,6 +212,31 @@ def test_forced_algorithm_over_the_context_budget_rejected_at_compile():
     assert len(ctx.plans) == 0
 
 
+def test_budget_compares_the_bytes_the_arena_reserves():
+    # WINOGRAD needs 960 B here, which the arena reserves as 1,024 B: a
+    # 1,000 B budget must exclude it at plan time, not let every run()
+    # fail its reservation.
+    prob = ConvProblem(n=1, c=5, h=8, w=8, k=3)
+    inputs, filters = _tensors([prob])
+    forced = InferenceSession(
+        [prob], mode="WINOGRAD", context=ExecutionContext(workspace_limit_bytes=1000)
+    )
+    with pytest.raises(
+        ConvConfigError, match="forced algorithm WINOGRAD .* 1024 B exceeds limit 1000 B"
+    ):
+        forced.compile()
+    ctx = ExecutionContext(workspace_limit_bytes=1000)
+    session = InferenceSession([prob], context=ctx)
+    result = session.run(inputs, filters)
+    (plan,) = session.plans
+    assert plan.algo != "WINOGRAD"
+    assert "1024 B exceeds limit 1000 B" in plan.excluded["WINOGRAD"]
+    np.testing.assert_array_equal(
+        result.outputs[0], conv2d(inputs[0], filters[0], pad=1, algo=plan.algo)
+    )
+    assert result.arena.peak_bytes <= 1000
+
+
 def test_second_session_on_a_context_compiles_from_its_plan_cache():
     ctx = ExecutionContext()
     first = InferenceSession(TINY, context=ctx).compile()

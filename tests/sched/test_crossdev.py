@@ -92,7 +92,7 @@ def test_cross_device_penalty_is_positive_when_orderings_diverge(fake_simulator)
 def test_validate_on_method_and_report_serialization(fake_simulator):
     ctx_v, result_v = _search(V100)
     ctx_r = ExecutionContext(device=RTX2070)
-    report = result_v.validate_on("turing", config=CONFIG, context=ctx_r)
+    report = validate_plan_on(result_v, "turing", config=CONFIG, context=ctx_r)
     payload = report.to_dict()
     assert payload["tuned_on"] == "V100"
     assert payload["validated_on"] == "RTX2070"

@@ -69,9 +69,8 @@ def fake_search(monkeypatch):
 def fake_static_cost(monkeypatch):
     """Static costs shaped like the real ones: yield ablations cost more."""
 
-    def cost(schedule, device, *, iters=3, base_tunables=None, prob=None,
-             context=None, tile=None):
-        tunables = schedule.to_tunables(base_tunables)
+    def cost(schedule, device, *, iters=3, context=None, tile=None):
+        tunables = schedule.to_tunables()
         cycles = 1000 + YIELD_PENALTY[tunables.yield_strategy]
         return types.SimpleNamespace(static_issue_cycles=cycles)
 

@@ -6,6 +6,7 @@ on a tiny problem.
 """
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ def test_refused_registration_books_no_load():
     assert stats["routing"] == []
     spans = router.planning_context("V100").tracer.spans()
     assert not [s for s in spans if s.kind == "route"]
+
+
+@pytest.mark.parametrize("mode", ["FASTEST", "WINOGRAD_REFERENCE"])
+def test_unknown_mode_refused_before_the_fleet_bids(mode):
+    """The built-in cost model has no time for a mode no session runs;
+    the fleet refuses it with the frontend's error before any bid."""
+    router = FleetRouter(("V100", "RTX2070"), ServingConfig(max_batch=4))
+    model = dataclasses.replace(_model("m"), mode=mode)
+    with pytest.raises(ServingError, match=f"model 'm': unknown session mode '{mode}'"):
+        router.register_model("t", model)
+    assert router.stats()["routing"] == []
 
 
 def test_submit_routes_to_placed_device_and_runs():

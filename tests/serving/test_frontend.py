@@ -97,10 +97,9 @@ def test_queue_depth_bound_sheds_load():
 def test_workspace_budget_caps_formed_batch_size():
     # GEMM's im2col workspace is linear in N; a budget sized for two
     # images caps the formed batch at 2 regardless of max_batch.
-    from repro.perfmodel.workspace import gemm_workspace_bytes
-    from repro.runtime.arena import _align
+    from repro.perfmodel.workspace import gemm_workspace_bytes, reserved_bytes
 
-    per_image = _align(gemm_workspace_bytes(PROB))
+    per_image = reserved_bytes(gemm_workspace_bytes(PROB))
 
     async def main():
         frontend = ServingFrontend(ServingConfig(
@@ -119,6 +118,34 @@ def test_workspace_budget_caps_formed_batch_size():
     assert len(outs) == 6
     assert snap.max_batch_size == 2
     assert arena["peak_bytes"] <= 2 * per_image
+
+
+def test_auto_tenant_serves_a_candidate_that_fits_the_reserved_budget():
+    # WINOGRAD needs 960 B on this layer, reserved as 1,024 B: under a
+    # 1,000 B budget the tenant must plan a candidate that fits
+    # (IMPLICIT_GEMM needs none), not shed every request; at 1,024 B it
+    # serves WINOGRAD.
+    prob = ConvProblem(n=1, c=5, h=8, w=8, k=3, name="Odd")
+    weights = random_filter(prob, make_rng(3))
+    image = make_rng(4).random((prob.c, prob.h, prob.w), dtype=np.float32)
+
+    async def serve(budget):
+        frontend = ServingFrontend(ServingConfig(
+            max_batch=1, max_queue_delay_s=0.001, workspace_limit_bytes=budget))
+        frontend.register_model("a", _model(
+            name="odd", problems=(prob,), filters=(weights,)))
+        out = await frontend.submit("a", "odd", image)
+        chosen = frontend.stats()["tenants"]["a"]["dispatch"]["chosen"]
+        await frontend.close()
+        return out, chosen
+
+    out, chosen = asyncio.run(serve(1000))
+    assert "WINOGRAD" not in chosen
+    np.testing.assert_allclose(
+        out[0], conv2d(image[np.newaxis], weights, pad=1, algo="DIRECT")[0],
+        atol=conv_tolerance(prob),
+    )
+    assert asyncio.run(serve(1024))[1] == {"WINOGRAD": 1}
 
 
 def test_unservable_model_rejected_at_registration():
@@ -166,10 +193,9 @@ def test_forced_algorithm_that_cannot_run_a_layer_rejected_at_registration():
 def test_workspace_limit_surfaces_as_typed_backpressure():
     # Occupy the tenant's arena so the dispatch-time reservation loses:
     # the client must see BackpressureError, never WorkspaceLimitError.
-    from repro.perfmodel.workspace import gemm_workspace_bytes
-    from repro.runtime.arena import _align
+    from repro.perfmodel.workspace import gemm_workspace_bytes, reserved_bytes
 
-    per_image = _align(gemm_workspace_bytes(PROB))
+    per_image = reserved_bytes(gemm_workspace_bytes(PROB))
 
     async def main():
         frontend = ServingFrontend(ServingConfig(
