@@ -16,7 +16,9 @@ the launch's counters.  A search's lines are followed by its winner.
 Diffing the output of two checkouts shows whether a simulator change
 moved any simulated number or output bit; it is the simulator's
 analogue of ``digest_executors.py``.  ``REPRO_SIM_ENGINE=reference``
-must print the same text (slowly).
+must print the same text (slowly).  The tier-1 test
+``tests/gpusim/test_simulated_counter_digests.py`` pins the full-kernel
+and RTX2070 ``sass_conv`` lines.
 
 Usage::
 
@@ -25,9 +27,12 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import os
+from typing import Iterator
 
 import numpy as np
 
@@ -51,76 +56,76 @@ SASS_CONV = (
     ("f44", ConvProblem(n=32, c=8, h=7, w=7, k=16)),
 )
 
-#: The ``Counters`` of every launch since the last :func:`_emit_launches`.
-_LAUNCHES: list = []
+
+def _line(name: str, *parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return f"sha256 {name} {h.hexdigest()}"
 
 
-def _record_launches() -> None:
+@contextlib.contextmanager
+def _recorded_launches() -> Iterator[list]:
+    """The ``Counters`` (as tuples) of every ``SMSimulator.run`` in the block."""
+    launches: list = []
     run = SMSimulator.run
 
     def recording(self, blocks):
         counters = run(self, blocks)
-        _LAUNCHES.append(dataclasses.astuple(counters))
+        launches.append(dataclasses.astuple(counters))
         return counters
 
     SMSimulator.run = recording
+    try:
+        yield launches
+    finally:
+        SMSimulator.run = run
 
 
-def _emit(name: str, *parts) -> None:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
-    print(f"sha256 {name} {h.hexdigest()}")
-
-
-def _emit_launches(prefix: str) -> None:
-    for i, counters in enumerate(_LAUNCHES):
-        _emit(f"{prefix}/launch{i:03d}", counters)
-    _LAUNCHES.clear()
-
-
-def digest_searches() -> None:
+def search_lines() -> Iterator[str]:
+    """Each search's launches, then its winner."""
     for name in DEVICES:
         device = DEVICE_SPECS[name]
         for tile in TILES:
-            result = successive_halving(
-                QUICK_SPACE, device, budget=SearchBudget(max_rungs=2),
-                context=ExecutionContext(device=device), tile=tile,
-            )
-            _emit_launches(f"search/{name}/{tile}")
-            print(f"winner search/{name}/{tile} {result.schedule.label()}")
+            with _recorded_launches() as launches:
+                result = successive_halving(
+                    QUICK_SPACE, device, budget=SearchBudget(max_rungs=2),
+                    context=ExecutionContext(device=device), tile=tile,
+                )
+            for i, counters in enumerate(launches):
+                yield _line(f"search/{name}/{tile}/launch{i:03d}", counters)
+            yield f"winner search/{name}/{tile} {result.schedule.label()}"
 
 
-def digest_full_kernels() -> None:
+def full_kernel_lines() -> Iterator[str]:
+    """The default full kernels, one launch each."""
     for name in DEVICES:
         device = DEVICE_SPECS[name]
         for tile in TILES:
             tunables = default_tunables(tile)
             prob = dataclasses.replace(_SURROGATE, k=tunables.bk)
-            _simulate_fused_kernel(
+            result = _simulate_fused_kernel(
                 prob, device, tunables, 3, None, ExecutionContext(device=device),
                 tile, main_loop_only=False,
             )
-            _emit_launches(f"full/{name}/{tile}")
+            yield _line(f"full/{name}/{tile}/launch000", dataclasses.astuple(result.counters))
 
 
-def digest_sass_conv() -> None:
-    for name in DEVICES:
+def sass_conv_lines(devices: tuple[str, ...] = DEVICES) -> Iterator[str]:
+    """Each ``sass_conv`` problem's output and counters."""
+    for name in devices:
         ctx = ExecutionContext(device=DEVICE_SPECS[name])
         rng = make_rng(7)
         for i, (tile, prob) in enumerate(SASS_CONV):
             x, f = random_activation(prob, rng), random_filter(prob, rng)
             y, counters = run_fused_sass_conv(x, f, tile=tile, context=ctx)
-            _LAUNCHES.clear()
-            _emit(f"sass_conv/{name}/{tile}/{i}", y, dataclasses.astuple(counters))
+            yield _line(f"sass_conv/{name}/{tile}/{i}", y, dataclasses.astuple(counters))
 
 
 def main() -> None:
     os.environ["REPRO_SIM_CACHE"] = "0"
-    _record_launches()
-    digest_searches()
-    digest_full_kernels()
-    digest_sass_conv()
+    for line in itertools.chain(search_lines(), full_kernel_lines(), sass_conv_lines()):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -33,12 +33,14 @@ comes from; ``REPRO_SIM_ENGINE`` picks one:
 
 * ``fast`` (the default): :func:`repro.gpusim.fastsim.replay_traces`
   executes the whole program first and hands over complete traces, and
-  the scheduler skips idle stretches in closed form;
+  each scheduler is looked at only in cycles where it might issue: it
+  sleeps until a lower bound on its next issue, and the loop jumps to
+  the earliest wake;
 * ``reference`` (the differential oracle): a per-issue hook runs
   :func:`repro.gpusim.engine.execute` on the warp's :class:`WarpState`
   the moment its instruction issues, takes the footprint from the
   :class:`~repro.gpusim.engine.ExecResult` and appends the warp's next
-  instance; the scheduler then steps every cycle.
+  instance; no scheduler sleeps, so every cycle is stepped.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ from .memory import SECTOR_BYTES, GlobalMemory, SharedMemory
 from .warp import WarpState
 
 MAX_CYCLES = 100_000_000
+#: A wake or eligibility time later than any simulated cycle.
+_NEVER = 1 << 62
 
 
 @dataclasses.dataclass
@@ -187,17 +191,35 @@ def schedule(
 
     *traces* holds one list of instance tuples per resident warp,
     numbered block-major as *blocks* lists them.  Without *on_issue*
-    each trace is complete and ends at the warp's ``EXIT``; stretches in
-    which no scheduler can issue are skipped, and the idle and
-    barrier-wait counters are integrated in closed form over them.  With
-    it, ``on_issue(warp, instance)`` runs as each instance issues and
+    each trace is complete and ends at the warp's ``EXIT``.  With it,
+    ``on_issue(warp, instance)`` runs as each instance issues and
     returns the instance to time; it appends the warp's next instance
-    unless the warp exited, and idle cycles are stepped one at a time.
-    Both paths produce the same counters.
+    unless the warp exited.
+
+    A scheduler is looked at only in cycles where it might issue.  After
+    each look it sleeps until a lower bound on its next issue, at least
+    one cycle: over its warps that are live and not at a CTA barrier,
+    the earliest of the later of the warp's eligibility time (stall
+    count and the scoreboard barriers its next instance waits on) and
+    the free time of the pipe that instance needs; an LSU instance
+    behind a full MSHR queue also waits for the earliest pending
+    completion.  Issues from other schedulers only make the shared
+    pipes, the MSHR queue and DRAM/L2 busier, so the bound holds; the
+    one event that makes a warp eligible sooner, a ``BAR`` arrival or
+    ``EXIT`` releasing its block, wakes every scheduler (later ones in
+    scan order still in this cycle).  With *on_issue* no scheduler
+    sleeps: every cycle is stepped, which the differential tests hold
+    the sleeping path to.  Each scheduler-cycle is an issue, a
+    yield-switch bubble or an idle look, so the idle count follows from
+    the other two.
     """
     nw = len(traces)
     max_cycles = MAX_CYCLES
+    stepping = on_issue is not None
     block_of = [b for b, block in enumerate(blocks) for _ in range(block.num_warps)]
+    block_warps: list[list[int]] = [[] for _ in blocks]
+    for w, b in enumerate(block_of):
+        block_warps[b].append(w)
     bar_needed = [block.num_warps for block in blocks]
     conflict_cached = dp.conflict_cached
     conflict_memo = dp._conflict_memo
@@ -205,6 +227,7 @@ def schedule(
     # per issued instruction, and LOAD_FAST beats LOAD_GLOBAL.
     heappush = heapq.heappush
     heappop = heapq.heappop
+    never = _NEVER
     pipe_fma = PIPE_FMA
     pipe_alu = PIPE_ALU
     pipe_lsu = PIPE_LSU
@@ -221,29 +244,38 @@ def schedule(
     # index in the eligibility scan instead of two.
     cur = [t[0] for t in traces]
     ready_at = [0] * nw
-    done = [False] * nw
-    at_bar = [False] * nw
-    bar_cnt = [[0] * 6 for _ in range(nw)]
+    # The first cycle the warp's stall count and the scoreboard barriers
+    # its current instance waits on let it issue; ``never`` after its
+    # EXIT and while it waits at a CTA barrier, when ``parked`` keeps
+    # the value its release restores (None when not waiting).
+    elig = [0] * nw
+    parked: list[int | None] = [None] * nw
+    # Scoreboard: per warp and barrier, the latest completion of the
+    # accesses that set it; pending at cycle t exactly while later than t.
+    release = [[0] * 6 for _ in range(nw)]
     reuse_valid = [False] * nw
     last_part = [-1] * nw
 
     n_sched = device.schedulers_per_sm
     sched_warps: list[list[int]] = [[] for _ in range(n_sched)]
-    pos_in_sched = [0] * nw
     for w in range(nw):
-        s = w % n_sched
-        pos_in_sched[w] = len(sched_warps[s])
-        sched_warps[s].append(w)
+        sched_warps[w % n_sched].append(w)
+    # Round-robin order: after warp w issues, its scheduler next scans
+    # the warps that follow w, wrapping around.
+    after: list[list[int]] = [[] for _ in range(nw)]
+    for warps_s in sched_warps:
+        for pos, w in enumerate(warps_s):
+            after[w] = warps_s[pos + 1:] + warps_s[:pos + 1]
+    scan = [after[ws[0]] if ws else [] for ws in sched_warps]
     preferred: list[int | None] = [None] * n_sched
     last_issued: list[int | None] = [None] * n_sched
-    next_free = [0] * n_sched
-    rr = [0] * n_sched
     charged = [False] * n_sched
+    wake = [0] * n_sched
+    # Free time of each pipe, by pipe id, as each scheduler sees it: the
+    # FP32 and INT pipes are the partition's own, the LSU and MIO
+    # entries are shared and written for every scheduler at once.
+    pipe_free = [[0] * len(PIPE_IDS) for _ in range(n_sched)]
 
-    fma_busy = [0] * n_sched
-    alu_busy = [0] * n_sched
-    lsu_busy = 0
-    mio_busy = 0
     dram_free = 0.0
     l2_free = 0.0
     sector_cost = SECTOR_BYTES / device.dram_bytes_per_cycle_per_sm
@@ -251,7 +283,6 @@ def schedule(
         device.l2_gbps / device.clock_ghz / device.num_sms
     )
 
-    events: list[tuple[int, int, int]] = []
     mshr: list[int] = []
     mshr_depth = device.lsu_queue_depth
     bar_count = [0] * len(blocks)
@@ -259,7 +290,6 @@ def schedule(
     live = nw
 
     c = Counters()
-    c_instr = 0
     c_ffma = 0
     c_fp32 = 0
     c_hfma2 = 0
@@ -274,297 +304,231 @@ def schedule(
     c_rbc = 0
     c_switch = 0
     c_switch_pen = 0
-    c_idle = 0
     c_barwait = 0
+
+    def release_block(b: int, s_idx: int, now: int) -> None:
+        """Release block *b*'s CTA barrier during scheduler *s_idx*'s issue."""
+        bar_count[b] = 0
+        for w in block_warps[b]:
+            e = parked[w]
+            if e is not None:
+                elig[w] = e
+                parked[w] = None
+        # The released warps may issue at once: schedulers later in scan
+        # order look again in this cycle, the others in the next.
+        for s in range(n_sched):
+            soonest = now if s > s_idx else now + 1
+            if wake[s] > soonest:
+                wake[s] = soonest
 
     while live > 0:
         if now > max_cycles:
             raise SimDeadlock(f"no completion after {max_cycles} cycles")
-        while events and events[0][0] <= now:
-            _, widx, barrier = heappop(events)
-            bar_cnt[widx][barrier] -= 1
         while mshr and mshr[0] <= now:
             heappop(mshr)
 
         issued_any = False
         mshr_full = len(mshr) >= mshr_depth
         for s_idx in range(n_sched):
-            if next_free[s_idx] > now:
+            if wake[s_idx] > now:
                 continue
+            pf = pipe_free[s_idx]
             choice = -1
             switched = False
             pref = preferred[s_idx]
             # "Stay" preference: while the last instruction's yield bit
             # said stay, keep issuing from the same warp.
-            if pref is not None:
-                w = pref
-                if not done[w] and not at_bar[w] and ready_at[w] <= now:
-                    t = cur[w]
-                    ok = True
-                    wbits = t[1]
-                    if wbits:
-                        bc = bar_cnt[w]
-                        for b in wbits:
-                            if bc[b] > 0:
-                                ok = False
-                                break
-                    if ok:
-                        p = t[2]
-                        if p == pipe_fma:
-                            ok = fma_busy[s_idx] <= now
-                        elif p == pipe_alu:
-                            ok = alu_busy[s_idx] <= now
-                        elif p == pipe_lsu:
-                            ok = lsu_busy <= now and not mshr_full
-                        elif p == pipe_mio:
-                            ok = mio_busy <= now
-                        if ok:
-                            choice = w
+            if pref is not None and elig[pref] <= now:
+                p = cur[pref][2]
+                if pf[p] <= now and (p != pipe_lsu or not mshr_full):
+                    choice = pref
             if choice < 0:
-                warps_s = sched_warps[s_idx]
-                n = len(warps_s)
-                base = rr[s_idx] + 1
-                for step in range(n):
-                    w = warps_s[(base + step) % n]
-                    if done[w] or at_bar[w] or ready_at[w] > now:
+                for w in scan[s_idx]:
+                    if elig[w] > now:
                         continue
-                    t = cur[w]
-                    wbits = t[1]
-                    if wbits:
-                        bc = bar_cnt[w]
-                        blocked = False
-                        for b in wbits:
-                            if bc[b] > 0:
-                                blocked = True
-                                break
-                        if blocked:
-                            continue
-                    p = t[2]
-                    if p == pipe_fma:
-                        if fma_busy[s_idx] > now:
-                            continue
-                    elif p == pipe_alu:
-                        if alu_busy[s_idx] > now:
-                            continue
-                    elif p == pipe_lsu:
-                        if lsu_busy > now or mshr_full:
-                            continue
-                    elif p == pipe_mio:
-                        if mio_busy > now:
-                            continue
+                    p = cur[w][2]
+                    if pf[p] > now or (p == pipe_lsu and mshr_full):
+                        continue
                     choice = w
                     # A yield-flagged instruction makes the next issue
                     # from this scheduler pay one extra cycle (§5.1.4); a
                     # switch forced by a stall or scoreboard wait is free
                     # (preferred stays set in that case).
-                    switched = (
-                        preferred[s_idx] is None
-                        and last_issued[s_idx] is not None
-                    )
+                    switched = pref is None and last_issued[s_idx] is not None
                     break
-            if choice < 0:
-                c_idle += 1
-                continue
-            if switched and not charged[s_idx]:
-                # The yield-requested switch "takes one more clock cycle"
-                # (§5.1.4): a real bubble before the issue.
-                charged[s_idx] = True
-                next_free[s_idx] = now + 1
-                c_switch += 1
-                c_switch_pen += 1
-                continue
-            charged[s_idx] = False
+            if choice >= 0:
+                if switched and not charged[s_idx]:
+                    # The yield-requested switch "takes one more clock
+                    # cycle" (§5.1.4): a real bubble before the issue.
+                    charged[s_idx] = True
+                    wake[s_idx] = now + 1
+                    c_switch += 1
+                    c_switch_pen += 1
+                    continue
+                charged[s_idx] = False
 
-            widx = choice
-            k = ptr[widx]
-            if switched:
-                reuse_valid[last_issued[s_idx]] = False
+                widx = choice
+                k = ptr[widx]
+                if switched:
+                    reuse_valid[last_issued[s_idx]] = False
 
-            t = cur[widx]
-            if on_issue is not None:
-                t = on_issue(widx, t)
-                seq_len[widx] = len(traces[widx])
-            (
-                i, _wbits, p, pipe_cycles, delay, dram_sec, l2_sec, sconf,
-                st, yflag, wb, rb, part, confl0, cc, is_bar,
-            ) = t
+                t = cur[widx]
+                if stepping:
+                    t = on_issue(widx, t)
+                    seq_len[widx] = len(traces[widx])
+                (
+                    i, _wbits, p, pipe_cycles, delay, dram_sec, l2_sec, sconf,
+                    st, yflag, wb, rb, part, confl0, cc, is_bar,
+                ) = t
 
-            # ---- register banks (§5.2.2) -------------------------------
-            # A participating instruction reads the reuse cache its
-            # warp's previous participating instruction left, unless a
-            # yield or a yield-requested switch cleared it; decode
-            # resolves the bank rule for each (instruction, predecessor).
-            conflict = False
-            if part:
-                prev = last_part[widx]
-                if reuse_valid[widx] and prev >= 0:
-                    conflict = conflict_memo.get((i, prev))
-                    if conflict is None:
-                        conflict = conflict_cached(i, prev)
+                # ---- register banks (§5.2.2) ---------------------------
+                # A participating instruction reads the reuse cache its
+                # warp's previous participating instruction left, unless
+                # a yield or a yield-requested switch cleared it; decode
+                # resolves the bank rule for each (instruction,
+                # predecessor).
+                conflict = False
+                if part:
+                    prev = last_part[widx]
+                    if reuse_valid[widx] and prev >= 0:
+                        conflict = conflict_memo.get((i, prev))
+                        if conflict is None:
+                            conflict = conflict_cached(i, prev)
+                    else:
+                        conflict = confl0
+                    last_part[widx] = i
+                    reuse_valid[widx] = True
+
+                # ---- timing bookkeeping --------------------------------
+                if p == pipe_fma:
+                    if conflict:
+                        pipe_cycles += 1
+                        c_rbc += 1
+                    pf[pipe_fma] = now + pipe_cycles
+                    c_fma_busy += pipe_cycles
+                    c_fp32 += 1
+                    if cc == cc_ffma:
+                        c_ffma += 1
+                    elif cc == cc_hfma2:
+                        c_hfma2 += 1
+                    elif cc == cc_half2:
+                        c_half2 += 1
+                elif p == pipe_alu:
+                    pf[pipe_alu] = now + pipe_cycles
+                    c_alu_busy += pipe_cycles
+                elif p == pipe_lsu:
+                    for row in pipe_free:
+                        row[pipe_lsu] = now + pipe_cycles
+                    c_lsu_busy += pipe_cycles
+                elif p == pipe_mio:
+                    for row in pipe_free:
+                        row[pipe_mio] = now + pipe_cycles
+                    c_mio_busy += pipe_cycles
+                    c_sconf += sconf
+                c_dram += dram_sec
+                c_l2 += l2_sec
+
+                # ---- scoreboard barriers -------------------------------
+                if delay:
+                    # An access can charge both buckets (a warp
+                    # straddling the L2-resident boundary); it completes
+                    # when its slowest bucket drains.
+                    ready = float(now + delay)
+                    if dram_sec:
+                        ready = max(ready, dram_free + dram_sec * sector_cost)
+                        dram_free = (
+                            max(dram_free, float(now)) + dram_sec * sector_cost
+                        )
+                    if l2_sec:
+                        ready = max(ready, l2_free + l2_sec * l2_sector_cost)
+                        l2_free = (
+                            max(l2_free, float(now)) + l2_sec * l2_sector_cost
+                        )
+                    done_at = int(ready)
+                    if p == pipe_lsu:
+                        heappush(mshr, done_at)
+                    rel = release[widx]
+                    if wb != no_barrier and rel[wb] < done_at:
+                        rel[wb] = done_at
+                    if rb != no_barrier and rel[rb] < done_at:
+                        rel[rb] = done_at
+
+                # ---- control flow --------------------------------------
+                ready = now + (st if st > 1 else 1)
+                ready_at[widx] = ready
+                if k + 1 < seq_len[widx]:
+                    ptr[widx] = k + 1
+                    t = cur[widx] = traces[widx][k + 1]
+                    rel = release[widx]
+                    for bar in t[1]:
+                        if rel[bar] > ready:
+                            ready = rel[bar]
+                    if is_bar:
+                        b = block_of[widx]
+                        bar_count[b] += 1
+                        parked[widx] = ready
+                        elig[widx] = never
+                        if bar_count[b] >= bar_needed[b]:
+                            release_block(b, s_idx, now)
+                    else:
+                        elig[widx] = ready
                 else:
-                    conflict = confl0
-                last_part[widx] = i
-                reuse_valid[widx] = True
-
-            # ---- timing bookkeeping ------------------------------------
-            c_instr += 1
-            if p == pipe_fma:
-                if conflict:
-                    pipe_cycles += 1
-                    c_rbc += 1
-                fma_busy[s_idx] = now + pipe_cycles
-                c_fma_busy += pipe_cycles
-                c_fp32 += 1
-                if cc == cc_ffma:
-                    c_ffma += 1
-                elif cc == cc_hfma2:
-                    c_hfma2 += 1
-                elif cc == cc_half2:
-                    c_half2 += 1
-            elif p == pipe_alu:
-                alu_busy[s_idx] = now + pipe_cycles
-                c_alu_busy += pipe_cycles
-            elif p == pipe_lsu:
-                lsu_busy = now + pipe_cycles
-                c_lsu_busy += pipe_cycles
-            elif p == pipe_mio:
-                mio_busy = now + pipe_cycles
-                c_mio_busy += pipe_cycles
-                c_sconf += sconf
-            c_dram += dram_sec
-            c_l2 += l2_sec
-
-            # ---- scoreboard barriers -----------------------------------
-            if delay:
-                # An access can charge both buckets (a warp straddling
-                # the L2-resident boundary); it completes when its
-                # slowest bucket drains.
-                ready = float(now + delay)
-                if dram_sec:
-                    ready = max(ready, dram_free + dram_sec * sector_cost)
-                    dram_free = (
-                        max(dram_free, float(now)) + dram_sec * sector_cost
-                    )
-                if l2_sec:
-                    ready = max(ready, l2_free + l2_sec * l2_sector_cost)
-                    l2_free = (
-                        max(l2_free, float(now)) + l2_sec * l2_sector_cost
-                    )
-                delay = int(ready) - now
-                if p == pipe_lsu:
-                    heappush(mshr, now + delay)
-                if wb != no_barrier:
-                    bar_cnt[widx][wb] += 1
-                    heappush(events, (now + delay, widx, wb))
-                if rb != no_barrier:
-                    bar_cnt[widx][rb] += 1
-                    heappush(events, (now + delay, widx, rb))
-
-            # ---- control flow ------------------------------------------
-            if k + 1 >= seq_len[widx]:
-                # The trace ends at the warp's EXIT.  Volta arrival
-                # semantics: an exited warp no longer counts toward its
-                # block's barrier; if it was the last straggler, release
-                # the warps already waiting.
-                done[widx] = True
-                live -= 1
-                b = block_of[widx]
-                bar_needed[b] -= 1
-                if bar_count[b] and bar_count[b] >= bar_needed[b]:
-                    bar_count[b] = 0
-                    for other in range(nw):
-                        if block_of[other] == b:
-                            at_bar[other] = False
-            else:
-                ptr[widx] = k + 1
-                cur[widx] = traces[widx][k + 1]
-                if is_bar:
+                    # The trace ends at the warp's EXIT.  Volta arrival
+                    # semantics: an exited warp no longer counts toward
+                    # its block's barrier; if it was the last straggler,
+                    # release the warps already waiting.
+                    elig[widx] = never
+                    live -= 1
                     b = block_of[widx]
-                    bar_count[b] += 1
-                    at_bar[widx] = True
-                    if bar_count[b] >= bar_needed[b]:
-                        bar_count[b] = 0
-                        for other in range(nw):
-                            if block_of[other] == b:
-                                at_bar[other] = False
+                    bar_needed[b] -= 1
+                    if bar_count[b] and bar_count[b] >= bar_needed[b]:
+                        release_block(b, s_idx, now)
 
-            ready_at[widx] = now + (st if st > 1 else 1)
-            rr[s_idx] = pos_in_sched[widx]
-            next_free[s_idx] = now + 1
-            last_issued[s_idx] = widx
-            if yflag:
-                # Yield: prefer other warps next and forfeit the reuse
-                # cache (§6.1's two costs of the flag).
-                preferred[s_idx] = None
-                reuse_valid[widx] = False
-            else:
-                preferred[s_idx] = widx
-            issued_any = True
+                scan[s_idx] = after[widx]
+                last_issued[s_idx] = widx
+                if yflag:
+                    # Yield: prefer other warps next and forfeit the
+                    # reuse cache (§6.1's two costs of the flag).
+                    preferred[s_idx] = None
+                    reuse_valid[widx] = False
+                else:
+                    preferred[s_idx] = widx
+                issued_any = True
 
-        if issued_any:
-            now += 1
-            continue
+            # ---- sleep until this scheduler might issue ----------------
+            if stepping:
+                wake[s_idx] = now + 1
+                continue
+            soonest = never
+            for w in sched_warps[s_idx]:
+                e = elig[w]
+                if e < soonest:
+                    p = cur[w][2]
+                    x = pf[p]
+                    if x > e:
+                        e = x
+                    if p == pipe_lsu and len(mshr) >= mshr_depth and mshr[0] > e:
+                        e = mshr[0]
+                    if e < soonest:
+                        soonest = e
+            wake[s_idx] = soonest if soonest > now else now + 1
 
-        # Nothing issued: account this cycle, then skip ahead to the
-        # next time any scheduler input can change (stepping instead
-        # when instances execute at issue).
-        for w in range(nw):
-            if not done[w] and not at_bar[w] and ready_at[w] <= now:
-                c_barwait += 1
-        if on_issue is not None:
-            now += 1
-            continue
-
-        horizon = None
-        if events:
-            t = events[0][0]
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        if mshr:
-            t = mshr[0]
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        for t in next_free:
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        for w in range(nw):
-            if not done[w] and not at_bar[w]:
-                t = ready_at[w]
-                if t > now and (horizon is None or t < horizon):
-                    horizon = t
-        for t in fma_busy:
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        for t in alu_busy:
-            if t > now and (horizon is None or t < horizon):
-                horizon = t
-        if lsu_busy > now and (horizon is None or lsu_busy < horizon):
-            horizon = lsu_busy
-        if mio_busy > now and (horizon is None or mio_busy < horizon):
-            horizon = mio_busy
-        if horizon is None:
-            # No pending event can ever unblock an eligible warp: the
-            # stepped loop would spin to MAX_CYCLES and raise.
-            raise SimDeadlock(
-                f"no completion after {max_cycles} cycles"
-            )
-        if horizon > now + 1:
-            if horizon > max_cycles + 1:
-                horizon = max_cycles + 1
-            a, b_end = now + 1, horizon
-            span = b_end - a
-            # issue_idle: schedulers keep failing until the horizon.
-            for t in next_free:
-                c_idle += span if t <= a else max(0, b_end - t)
-            # barrier_wait: per warp, cycles with ready_at satisfied.
+        # Move to the earliest wake.  No warp issues in the cycles
+        # skipped, nor in this one unless ``issued_any``: each warp
+        # that is live and not at a CTA barrier counts a barrier-wait
+        # cycle for every such cycle at or after its stall-ready cycle.
+        nxt = min(wake) if live else now + 1
+        a = now + 1 if issued_any else now
+        if nxt > a:
             for w in range(nw):
-                if not done[w] and not at_bar[w]:
-                    t = ready_at[w]
-                    c_barwait += span if t <= a else max(0, b_end - t)
-            now = b_end
-        else:
-            now += 1
+                if elig[w] != never:
+                    r = ready_at[w]
+                    if r < nxt:
+                        c_barwait += nxt - (r if r > a else a)
+        now = nxt
 
+    # Every instance of every trace issued exactly once.
+    c_instr = sum(seq_len)
     c.cycles = now
     c.instructions = c_instr
     c.ffma_instrs = c_ffma
@@ -581,8 +545,6 @@ def schedule(
     c.reg_bank_conflicts = c_rbc
     c.warp_switches = c_switch
     c.switch_penalty_cycles = c_switch_pen
-    c.issue_idle_cycles = c_idle
+    c.issue_idle_cycles = n_sched * now - c_instr - c_switch_pen
     c.barrier_wait_cycles = c_barwait
     return c
-
-

@@ -113,6 +113,10 @@ class Instruction:
         return None
 
     # ------------------------------------------------------------------
+    # Operand lists.  Each is computed once and cached on the instance;
+    # the parser computes them on its memoized prototype, so the copies
+    # of one statement share the same lists.  Callers must not mutate
+    # them.
     def reads_registers(self) -> list[int]:
         """Regular-register indices this instruction reads (RZ excluded)."""
         cached = self.__dict__.get("_reads_cache")

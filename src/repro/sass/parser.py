@@ -77,7 +77,9 @@ def _split_operands(text: str) -> list[str]:
 # in layout), so successful parses are memoized by statement text.  The
 # memo holds a prototype; callers get a shallow copy, which is safe
 # because operands are frozen and every post-parse rewrite (control,
-# target) is a per-instance attribute assignment.
+# target) is a per-instance attribute assignment.  The prototype's
+# operand lists are computed when it is built, so every copy shares
+# them (read-only) instead of recomputing them once per build.
 _PARSE_MEMO: LRUCache[Instruction] = LRUCache(65536)
 
 
@@ -86,11 +88,19 @@ def parse_line(line: str, lineno: int = 0) -> Instruction | None:
     text = _strip_comment(line)
     if not text:
         return None
-    proto = _PARSE_MEMO.get_or_build(
-        text, lambda: _parse_statement(text, lineno)
-    )
+    proto = _PARSE_MEMO.get_or_build(text, lambda: _prototype(text, lineno))
     instr = copy.copy(proto)
     instr.line = lineno
+    return instr
+
+
+def _prototype(text: str, lineno: int) -> Instruction:
+    """The memo entry for *text*: its parse, with the operand lists cached."""
+    instr = _parse_statement(text, lineno)
+    instr.reads_registers()
+    instr.writes_registers()
+    instr.reads_predicates()
+    instr.writes_predicates()
     return instr
 
 

@@ -22,8 +22,10 @@ def both_engines(monkeypatch):
     engine, checks that the two results are equal and returns one.
 
     Both engines issue through the one SM scheduler: the reference engine
-    steps every cycle, the fast engine skips idle stretches, so a test
-    that simulates through this fixture pins both paths.
+    steps every cycle, the fast engine puts each scheduler to sleep until
+    a lower bound on its next issue, so a test that simulates through
+    this fixture checks the sleep and wake rules against per-cycle
+    stepping.
     """
 
     def run(simulate):

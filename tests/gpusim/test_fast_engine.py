@@ -12,7 +12,8 @@ kernels the paper actually measures:
 * decode's static footprints (``base_cycles``/``base_lat``), which the
   reference engine takes from ``ExecResult`` instead;
 * trace assembly (``fastsim.replay_traces``);
-* the scheduler's arithmetic skip over idle stretches.
+* the scheduler's sleep and wake rules (each partition looked at only
+  in cycles where it might issue).
 
 The default tier covers a few main-loop schedules, the F(4×4) default
 main loop and the full kernels (prologue and epilogue) of both
@@ -107,6 +108,60 @@ def test_engines_agree_on_default_kernels(monkeypatch, dev_key, tile, main_loop_
         monkeypatch, prob, DEVICES[dev_key], tunables,
         tile=tile, main_loop_only=main_loop_only,
     )
+
+
+TWO_BLOCKS = """
+.kernel two_blocks
+.registers 32
+.smem 2048
+.param 8 ptr
+S2R R0, SR_TID.X;
+SHF.L.U32 R1, R0, 0x2, RZ;
+MOV R2, param:ptr;
+MOV R3, c[0x0][0x164];
+IADD3 R2, R2, R1, RZ;
+LDG.E R4, [R2];
+STS [R1], R4;
+BAR.SYNC;
+[B------:R-:W-:Y:S01] LDS R5, [R1];
+FFMA R6, R5, R5, R4;
+[B------:R-:W-:Y:S02] FFMA R7, R6, R5, R4;
+STG.E [R2], R7;
+EXIT;
+"""
+
+
+def _two_block_launch():
+    kernel = assemble(TWO_BLOCKS, auto_schedule=True)
+    gmem = GlobalMemory(1 << 16)
+    ptr = gmem.alloc(4096)
+    return simulate_resident_blocks(
+        kernel, V100, params={"ptr": ptr}, gmem=gmem,
+        threads_per_block=128, num_blocks=2,
+    ).counters
+
+
+@pytest.mark.parametrize("kernel", ["f22-full", "f44-full", "two-blocks"])
+def test_idle_cycles_are_the_scheduler_cycles_left_over(monkeypatch, kernel):
+    """Each scheduler-cycle is an issue, a yield-switch bubble or an idle
+    look, on both engines: the default full kernels of both families on
+    RTX2070, and two resident blocks on V100."""
+    for engine in ("reference", "fast"):
+        if kernel == "two-blocks":
+            monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+            device, c = V100, dataclasses.asdict(_two_block_launch())
+        else:
+            device = DEVICES["RTX2070"]
+            tunables = default_tunables(kernel[:3])
+            prob = dataclasses.replace(_surrogate(), k=tunables.bk)
+            c, _ = _counters(
+                monkeypatch, engine, prob, device, tunables, 3,
+                tile=kernel[:3], main_loop_only=False,
+            )
+        assert c["issue_idle_cycles"] == (
+            device.schedulers_per_sm * c["cycles"]
+            - c["instructions"] - c["switch_penalty_cycles"]
+        ), engine
 
 
 def test_engines_agree_on_table1_layer(monkeypatch):

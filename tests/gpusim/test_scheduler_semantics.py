@@ -1,7 +1,7 @@
 """Focused timing-semantics tests for the SM scheduler.
 
 Every simulation runs on both engines (the ``both_engines`` fixture), so
-each test pins the scheduler's per-cycle path and its idle-skipping path.
+each test pins the scheduler's per-cycle path and its sleeping path.
 """
 
 import numpy as np

@@ -1,4 +1,10 @@
-"""SM scheduler behavior and the launch API."""
+"""SM scheduler behavior and the launch API.
+
+The scheduler tests simulate through the ``both_engines`` fixture, so
+each pins the sleeping and the per-cycle path of the one scheduler.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,49 +40,55 @@ def _ffma_loop(yield_every=None, body=128, iters=8, pairs_mixed=True):
     return assemble("\n".join(lines))
 
 
-def _run(kernel, device=V100, iters=8, threads=256, blocks=1):
-    gmem = GlobalMemory(1 << 20)
-    res = simulate_resident_blocks(
-        kernel, device, params={"iters": iters}, gmem=gmem,
-        threads_per_block=threads, num_blocks=blocks,
-    )
-    return res.counters
+@pytest.fixture
+def run(both_engines):
+    """Counters of *blocks* resident blocks of *kernel* (equal on both engines)."""
+
+    def _run(kernel, device=V100, iters=8, threads=256, blocks=1):
+        return both_engines(
+            lambda: simulate_resident_blocks(
+                kernel, device, params={"iters": iters}, gmem=GlobalMemory(1 << 20),
+                threads_per_block=threads, num_blocks=blocks,
+            ).counters
+        )
+
+    return _run
 
 
-def test_ffma_throughput_near_peak():
-    c = _run(_ffma_loop())
+def test_ffma_throughput_near_peak(run):
+    c = run(_ffma_loop())
     assert c.sol() > 0.97
     # 8 warps × 8 iters × 128 FFMAs.
     assert c.ffma_instrs == 8 * 8 * 128
 
 
-def test_flops_accounting():
-    c = _run(_ffma_loop(), iters=2)
+def test_flops_accounting(run):
+    c = run(_ffma_loop(), iters=2)
     assert c.flops == 2 * 32 * c.ffma_instrs
 
 
-def test_register_bank_conflicts_slow_the_pipe():
-    good = _run(_ffma_loop(pairs_mixed=True))
-    bad = _run(_ffma_loop(pairs_mixed=False))
+def test_register_bank_conflicts_slow_the_pipe(run):
+    good = run(_ffma_loop(pairs_mixed=True))
+    bad = run(_ffma_loop(pairs_mixed=False))
     assert bad.reg_bank_conflicts > 0 and good.reg_bank_conflicts == 0
     assert bad.cycles > good.cycles * 1.2
 
 
-def test_yield_flag_costs_cycles():
-    natural = _run(_ffma_loop(yield_every=None))
-    yielding = _run(_ffma_loop(yield_every=8))
+def test_yield_flag_costs_cycles(run):
+    natural = run(_ffma_loop(yield_every=None))
+    yielding = run(_ffma_loop(yield_every=8))
     assert yielding.switch_penalty_cycles > 0
     assert natural.switch_penalty_cycles == 0
     assert yielding.cycles >= natural.cycles
 
 
-def test_single_warp_cannot_reach_peak():
+def test_single_warp_cannot_reach_peak(run):
     """One warp alone: FFMA every 2 cycles max → SOL capped at ~0.25/sched."""
-    c = _run(_ffma_loop(), threads=32)
+    c = run(_ffma_loop(), threads=32)
     assert c.sol() < 0.30
 
 
-def test_barrier_synchronizes_block():
+def test_barrier_synchronizes_block(both_engines):
     """Warp 0 writes smem before the barrier; all warps read it after."""
     src = """
 .kernel barrier_demo
@@ -97,18 +109,22 @@ STG.E [R2], R5;
 EXIT;
 """
     kernel = assemble(src, auto_schedule=True, strict=True)
+
+    def launch():
+        gmem = GlobalMemory(1 << 20)
+        out = gmem.alloc(1024)
+        res = run_grid(kernel, V100, grid=1, threads_per_block=64,
+                       params={"out_ptr": out}, gmem=gmem)
+        return res.counters, gmem.read_array(out, (64,), np.uint32).tolist()
+
     # Only threads < 32 wrote; but all 64 threads read within [0,256B)?
     # Threads 32-63 read offsets 128..255 which were never written → 0.
-    gmem = GlobalMemory(1 << 20)
-    out = gmem.alloc(1024)
-    run_grid(kernel, V100, grid=1, threads_per_block=64,
-             params={"out_ptr": out}, gmem=gmem)
-    vals = gmem.read_array(out, (64,), np.uint32)
+    vals = np.array(both_engines(launch)[1])
     assert (vals[:32] == 0x2A).all()
     assert (vals[32:] == 0).all()
 
 
-def test_multi_block_isolation():
+def test_multi_block_isolation(both_engines):
     """Two resident blocks have independent shared memory and barriers."""
     src = """
 .kernel two_blocks
@@ -131,11 +147,15 @@ STG.E [R2], R5;
 EXIT;
 """
     kernel = assemble(src, auto_schedule=True, strict=True)
-    gmem = GlobalMemory(1 << 20)
-    out = gmem.alloc(4096)
-    run_grid(kernel, V100, grid=2, threads_per_block=32,
-             params={"out_ptr": out}, gmem=gmem, concurrent=2)
-    vals = gmem.read_array(out, (64,), np.uint32)
+
+    def launch():
+        gmem = GlobalMemory(1 << 20)
+        out = gmem.alloc(4096)
+        res = run_grid(kernel, V100, grid=2, threads_per_block=32,
+                       params={"out_ptr": out}, gmem=gmem, concurrent=2)
+        return res.counters, gmem.read_array(out, (64,), np.uint32).tolist()
+
+    vals = np.array(both_engines(launch)[1])
     assert (vals[:32] == 1).all() and (vals[32:] == 2).all()
 
 
@@ -163,7 +183,7 @@ EXIT;
     np.testing.assert_array_equal(vals, np.arange(6))
 
 
-def test_mshr_limit_throttles_ldg_bursts():
+def test_mshr_limit_throttles_ldg_bursts(both_engines):
     """A burst of loads beyond the LSU queue depth stalls issue."""
     def burst_kernel():
         lines = [".kernel burst", ".registers 96", ".param 8 ptr",
@@ -176,18 +196,18 @@ def test_mshr_limit_throttles_ldg_bursts():
         return assemble("\n".join(lines))
 
     kernel = burst_kernel()
-    gmem = GlobalMemory(1 << 20)
-    ptr = gmem.alloc(4096)
-    import dataclasses
 
-    deep = dataclasses.replace(V100, lsu_queue_depth=1024)
-    shallow = dataclasses.replace(V100, lsu_queue_depth=8)
-    c_deep = simulate_resident_blocks(
-        kernel, deep, params={"ptr": ptr}, gmem=gmem, threads_per_block=256
-    ).counters
-    c_shallow = simulate_resident_blocks(
-        kernel, shallow, params={"ptr": ptr}, gmem=gmem, threads_per_block=256
-    ).counters
+    def counters(device):
+        gmem = GlobalMemory(1 << 20)
+        ptr = gmem.alloc(4096)
+        return both_engines(
+            lambda: simulate_resident_blocks(
+                kernel, device, params={"ptr": ptr}, gmem=gmem, threads_per_block=256
+            ).counters
+        )
+
+    c_deep = counters(dataclasses.replace(V100, lsu_queue_depth=1024))
+    c_shallow = counters(dataclasses.replace(V100, lsu_queue_depth=8))
     assert c_shallow.cycles > c_deep.cycles
 
 

@@ -14,7 +14,7 @@ Each test encodes the *fixed* behavior and fails on the pre-fix code:
   Volta arrival semantics release the barrier when the straggler exits.
 
 The simulated cases run on both engines (the ``both_engines`` fixture),
-so they pin the scheduler's per-cycle and idle-skipping paths alike.
+so they pin the scheduler's per-cycle and sleeping paths alike.
 """
 
 import numpy as np

@@ -435,9 +435,9 @@ def test_ctrl_clean_after_schedule():
 def _pred_writing_load(src):
     """A variable-latency producer that also writes P0 (e.g. LDGSTS-style
     predicate result).  No current mnemonic parses with a predicate
-    destination, so craft it on the Instruction directly."""
+    destination, so craft a new Instruction from the parsed one."""
     instrs = _prog(src)
-    instrs[0].dest_preds = (Pred(0),)
+    instrs[0] = dataclasses.replace(instrs[0], dest_preds=(Pred(0),))
     return instrs
 
 
