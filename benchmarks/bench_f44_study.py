@@ -13,10 +13,13 @@ from repro.common import format_table
 from repro.gpusim import RTX2070, V100
 from repro.models import resnet_layer
 from repro.perfmodel.f44_study import (
+    attainable_sol,
     best_feasible,
     enumerate_blockings,
     f22_reference_blocking_infeasible,
+    feasible,
     projected_speedup_over_f22,
+    registers,
 )
 
 
@@ -25,10 +28,10 @@ def _run():
     for b in enumerate_blockings():
         rows.append((
             f"({b.bk},{b.bn},{b.bc})",
-            b.registers,
+            registers(b),
             f"{b.smem_bytes // 1024}K",
             f"{b.arithmetic_intensity:.1f}",
-            "yes" if b.feasible else "no",
+            "yes" if feasible(b) else "no",
         ))
     table = format_table(
         ["(bk,bn,bc)", "regs/thread", "smem", "flops/B", "feasible"],
@@ -39,15 +42,13 @@ def _run():
     best = best_feasible()
     lines = [table, ""]
     lines.append(
-        f"F(2x2)'s (64,32,8) transplanted: {transplant.registers} registers "
+        f"F(2x2)'s (64,32,8) transplanted: {registers(transplant)} registers "
         f"(> {253}) and {transplant.smem_bytes // 1024} KB smem — infeasible, "
         "which is why the paper defers the fused F(4x4)."
     )
-    from repro.perfmodel.f44_study import attainable_sol
-
     lines.append(
         f"best feasible: ({best.bk},{best.bn},{best.bc}) at "
-        f"{best.arithmetic_intensity:.1f} flops/B, {best.registers} regs — "
+        f"{best.arithmetic_intensity:.1f} flops/B, {registers(best)} regs — "
         "every feasible blocking is MEMORY-bound (F(2x2)'s is 10.67 flops/B)"
     )
     for dev in (V100, RTX2070):
@@ -64,8 +65,8 @@ def _run():
 
 def test_f44_design_study(benchmark):
     transplant, best = benchmark.pedantic(_run, rounds=1, iterations=1)
-    assert not transplant.feasible  # the §8.1 obstacle, made concrete
-    assert best is not None and best.feasible
+    assert not feasible(transplant)  # the §8.1 obstacle, made concrete
+    assert best is not None and feasible(best)
     # Every feasible blocking is memory-bound — below F(2×2)'s 10.67.
     assert best.arithmetic_intensity < 10.67
     p = resnet_layer("Conv3", 64)

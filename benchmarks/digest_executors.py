@@ -1,13 +1,12 @@
 """Digest every NumPy Winograd executor over a fixed problem corpus.
 
-Runs the filter transform, the fused executor (F(2×2) at the paper's
-and cuDNN's blocking, F(4×4)), its §8.4 NCHW port, the non-fused
-executor (m = 2 and 4) and ``conv2d``'s Winograd algorithms on seeded
-inputs, and prints one ``sha256 <name> <hex>`` line per result: the
-digest of the output's bytes, and of the run's stats fields where the
-executor reports them.  Diffing the lines of two checkouts shows
-whether a NumPy-executor change altered any output bit; it is the
-NumPy analogue of ``lint_kernels.py``'s kernel digests.
+Runs the filter transform, the fused executor (F(2×2) and F(4×4)), its
+§8.4 NCHW port, the non-fused executor (m = 2 and 4) and ``conv2d``'s
+Winograd algorithms on seeded inputs, and prints one ``sha256 <name>
+<hex>`` line per result: the digest of the output's bytes, and of the
+non-fused run's ``NonFusedRunStats`` fields.  Diffing the lines of two
+checkouts shows whether a NumPy-executor change altered any output
+bit; it is the NumPy analogue of ``lint_kernels.py``'s kernel digests.
 
 The NCHW port's output is digested in KHWN order, so its line equals
 the fused executor's line of the same tile, dtype and shape exactly
@@ -28,12 +27,7 @@ import numpy as np
 from repro.common import ConvProblem, kcrs_to_crsk, nchw_to_chwn, nkhw_to_khwn
 from repro.convolution import conv2d
 from repro.models import resnet_layer
-from repro.winograd import (
-    CUDNN_CONFIG,
-    FusedWinogradConv,
-    FusedWinogradConvNCHW,
-    NonFusedWinogradConv,
-)
+from repro.winograd import FusedWinogradConv, FusedWinogradConvNCHW, NonFusedWinogradConv
 
 #: Exact §8.4 patch, ragged tiles, Conv5-like overhang, one tile and one
 #: filter, pad 0, a channel remainder with several K blocks, several
@@ -52,11 +46,7 @@ SHAPES = [
 
 DTYPES = (np.float32, np.float64)
 
-FUSED = [
-    ("f22", FusedWinogradConv),
-    ("f22-cudnn", lambda: FusedWinogradConv(config=CUDNN_CONFIG)),
-    ("f44", lambda: FusedWinogradConv(tile="f44")),
-]
+TILES = ("f22", "f44")
 
 CONV2D_ALGOS = ("WINOGRAD", "WINOGRAD_F44", "WINOGRAD_NONFUSED", "WINOGRAD_DWM")
 CONV2D_LAYERS = [resnet_layer(name, n) for n in (1, 4) for name in ("Conv2", "Conv3", "Conv4", "Conv5")]
@@ -86,17 +76,13 @@ def digest_executors() -> None:
             x, f = _inputs(prob, dtype, seed=i)
             x_chwn, f_crsk = nchw_to_chwn(x), kcrs_to_crsk(f)
             case = f"{np.dtype(dtype).name}/{_label(prob)}"
-            for tile, make in FUSED:
-                conv = make()
+            for tile in TILES:
+                conv = FusedWinogradConv(tile=tile)
                 f_t = conv.transform_filters(f_crsk)
-                if tile != "f22-cudnn":
-                    _emit(f"ftf/{tile}/{case}", f_t)
-                y, stats = conv.run(x_chwn, f_t, prob)
-                _emit(f"fused/{tile}/{case}", y)
-                _emit(f"fused/{tile}/{case}:stats", dataclasses.astuple(stats))
-                if tile != "f22-cudnn":
-                    nchw = FusedWinogradConvNCHW(tile=tile)
-                    _emit(f"nchw/{tile}/{case}", nkhw_to_khwn(nchw.run_nchw(x, f_t, prob)))
+                _emit(f"ftf/{tile}/{case}", f_t)
+                _emit(f"fused/{tile}/{case}", conv.run(x_chwn, f_t, prob))
+                nchw = FusedWinogradConvNCHW(tile=tile)
+                _emit(f"nchw/{tile}/{case}", nkhw_to_khwn(nchw.run_nchw(x, f_t, prob)))
             for m in (2, 4):
                 y, stats = NonFusedWinogradConv(m=m).run(x_chwn, f_crsk, prob)
                 _emit(f"nonfused/m{m}/{case}", y)

@@ -7,8 +7,13 @@ padding of 1 and stride 1, matching all 3×3 ResNet layers (Table 1).
 
 :class:`ConvProblem` is the single currency passed between the NumPy
 implementations, the kernel generators, the simulator launch helpers and
-the analytical models; all derived quantities (tile counts, FLOPs,
-workspace sizes) live here so the formulas are written exactly once.
+the analytical models.  The quantities of the problem itself (output
+extent, Winograd tile counts, direct FLOPs, tensor bytes) live here so
+the formulas are written exactly once; the closed forms built on them
+live with their models: workspace bytes in ``repro.perfmodel.workspace``
+(including the transformed filter), kernel blocking arithmetic in
+``repro.perfmodel.roofline.Blocking`` and tile overcompute in
+``repro.perfmodel.cudnn_model.tile_overcompute``.
 """
 
 from __future__ import annotations
@@ -135,11 +140,6 @@ class ConvProblem:
     @property
     def output_bytes(self) -> int:
         return 4 * self.n * self.k * self.out_h * self.out_w
-
-    def transformed_filter_bytes(self, m: int = 2) -> int:
-        """Workspace holding GFGᵀ for every (c, k): C·K·t² floats."""
-        t = m + self.r - 1
-        return 4 * self.c * self.k * t * t
 
     # ------------------------------------------------------------------
     def with_batch(self, n: int) -> "ConvProblem":

@@ -209,8 +209,7 @@ def _fused_conv2d(tile: str, x: np.ndarray, f: np.ndarray, prepared_filters) -> 
         f_transformed = prepare(f)
     else:
         f_transformed = prepared_filters.get(tile, f, prepare)
-    y_khwn, _ = conv.run(nchw_to_chwn(x), f_transformed)
-    return khwn_to_nkhw(y_khwn)
+    return khwn_to_nkhw(conv.run(nchw_to_chwn(x), f_transformed))
 
 
 def _run_planned(

@@ -215,6 +215,5 @@ def dwm_conv2d_with_plan(
             name=f"dwm:{part.label()}",
         )
         f_t = conv.transform_filters(kcrs_to_crsk(g))
-        y_khwn, _ = conv.run(nchw_to_chwn(win.astype(np.float32)), f_t, prob)
-        y += khwn_to_nkhw(y_khwn)
+        y += khwn_to_nkhw(conv.run(nchw_to_chwn(win.astype(np.float32)), f_t, prob))
     return y, plan

@@ -37,14 +37,12 @@ from .selection import (
     rank_algorithms,
 )
 from .workspace import (
-    ALGORITHM_WORKSPACE,
     DISPATCH_WORKSPACE,
     dispatch_workspace_bytes,
     workspace_mb,
 )
 
 __all__ = [
-    "ALGORITHM_WORKSPACE",
     "ALGO_ORDER",
     "DISPATCH_CANDIDATES",
     "DISPATCH_WORKSPACE",

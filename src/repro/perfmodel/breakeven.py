@@ -13,6 +13,10 @@ Setting them equal, NCHW cancels and the break-even is a pure function
 of K and the machine balance: the paper reports K = 129 on V100 and
 K = 127 on RTX 2070 (with its sheet peak), in line with its Figs. 12-13
 where the non-fused algorithm only wins on Conv5 (K = 512).
+
+The flops are :attr:`ConvProblem.direct_flops`, counted over the output
+extent H'·W': the paper's H·W on its pad-1 layers, and the right count
+for the pad-0 parts that ``selection.dwm_winograd_time`` prices.
 """
 
 from __future__ import annotations
@@ -23,14 +27,12 @@ from ..gpusim.arch import DeviceSpec
 
 def fused_time(prob: ConvProblem, device: DeviceSpec) -> float:
     """§8.1's idealized fused-kernel time (seconds)."""
-    flops = 2 * prob.n * prob.c * prob.h * prob.w * prob.k * prob.r * prob.s
-    return flops / (2.25 * device.peak_fp32_tflops * 1e12)
+    return prob.direct_flops / (2.25 * device.peak_fp32_tflops * 1e12)
 
 
 def nonfused_time(prob: ConvProblem, device: DeviceSpec) -> float:
     """§8.1's idealized non-fused F(4×4) time (seconds)."""
-    flops = 2 * prob.n * prob.c * prob.h * prob.w * prob.k * prob.r * prob.s
-    compute = flops / (4.0 * device.peak_fp32_tflops * 1e12)
+    compute = prob.direct_flops / (4.0 * device.peak_fp32_tflops * 1e12)
     volume = prob.n * prob.c * prob.h * prob.w  # input elements
     traffic = volume * (1 + 2.25) * 2 * 4  # bytes through DRAM
     return compute + traffic / (device.dram_gbps * 1e9)

@@ -31,7 +31,7 @@ from ..common.errors import ModelError
 from ..common.problem import ConvProblem
 from ..gpusim.arch import DeviceSpec
 from .paper_data import PAPER_TABLE2_V100
-from .workspace import fft_tiling_workspace_bytes, gemm_workspace_bytes
+from .workspace import fft_tiles, fft_tiling_workspace_bytes, gemm_workspace_bytes
 
 # First-principles efficiency of a large library SGEMM / implicit-GEMM
 # convolution (fraction of FP32 peak).
@@ -133,8 +133,7 @@ def fft_tiling_time(prob: ConvProblem, device: DeviceSpec, size: int = 32) -> fl
     (Figs. 12-14: 4-14× worse than our kernel, gigabyte workspaces).
     """
     half = size // 2 + 1
-    out_tile = size - prob.r + 1
-    tiles = (-(-prob.out_h // out_tile)) * (-(-prob.out_w // out_tile))
+    tiles = fft_tiles(prob, size)
     ws = fft_tiling_workspace_bytes(prob, size)
     traffic = 3 * ws / (device.dram_gbps * 1e9)
     pointwise_flops = 8.0 * prob.n * prob.k * prob.c * size * half * tiles

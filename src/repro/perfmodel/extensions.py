@@ -6,57 +6,33 @@ tensor core, the data layout needs a redesign.  Nevertheless, many
 techniques introduced in this work ... can be adopted."
 
 These are analytical projections (no fp16 kernel is generated), built
-from the same blocking arithmetic as the fp32 model; the simulator's
-HFMA2 support (``tests/gpusim/test_fp16.py``) demonstrates the 2×
-flops-per-issue substrate the projection rests on.
+on the fp32 model's :class:`~repro.perfmodel.roofline.Blocking` with
+2-byte elements; the simulator's HFMA2 support
+(``tests/gpusim/test_fp16.py``) demonstrates the 2× flops-per-issue
+substrate the projection rests on.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..gpusim.arch import DeviceSpec
+from ..sass.hw import TURING_LIMITS
+from .roofline import Blocking, gemm_step_intensity
 
-
-@dataclasses.dataclass(frozen=True)
-class Fp16Projection:
-    """The §8.3 fp16 port of the fused kernel's blocking."""
-
-    bk: int = 64
-    bn: int = 64  # doubled, per §8.3
-    bc: int = 8
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """Main-loop flops per global byte (fp16 halves the bytes)."""
-        flops = 2 * 16 * self.bk * self.bn * self.bc
-        gmem_bytes = 16 * (self.bk + self.bn) * self.bc * 2  # 2-byte elements
-        return flops / gmem_bytes
-
-    def peak_tflops(self, device: DeviceSpec) -> float:
-        """HFMA2 doubles flops per FP32-pipe issue."""
-        return 2 * device.peak_fp32_tflops
-
-    @property
-    def smem_bytes(self) -> int:
-        """(16, bc, bk) + (16, bc, bn) half-precision buffers."""
-        return 16 * self.bc * (self.bk + self.bn) * 2
-
-    @property
-    def ffma2_per_thread_per_iter(self) -> int:
-        """Packed-half FMAs per thread per bc-iteration (two lanes each)."""
-        return 16 * self.bk * self.bn * self.bc // 256 // 2
+#: The §8.3 fp16 port of the fused kernel's blocking: bn doubled to 64.
+FP16_BLOCKING = Blocking(bk=64, bn=64, bc=8, width=2)
 
 
 def fp16_projection_summary(device: DeviceSpec) -> dict:
-    """The §8.3 claims as numbers for a given device."""
-    fp32_intensity = 2 * 16 * 64 * 32 * 8 / (16 * (64 + 32) * 8 * 4)
-    proj = Fp16Projection()
+    """The §8.3 claims as numbers for a given device.
+
+    HFMA2 issues two half-precision FMAs at once, which doubles the
+    peak and halves the issues per thread.
+    """
     return {
-        "fp32_intensity_flops_per_byte": fp32_intensity,
-        "fp16_intensity_flops_per_byte": proj.arithmetic_intensity,
-        "fp16_peak_tflops": proj.peak_tflops(device),
-        "fp16_smem_bytes_per_block": proj.smem_bytes,
-        "hfma2_per_thread_per_iter": proj.ffma2_per_thread_per_iter,
-        "fits_turing_smem": proj.smem_bytes <= 64 * 1024,
+        "fp32_intensity_flops_per_byte": gemm_step_intensity(64),
+        "fp16_intensity_flops_per_byte": FP16_BLOCKING.arithmetic_intensity,
+        "fp16_peak_tflops": 2 * device.peak_fp32_tflops,
+        "fp16_smem_bytes_per_block": FP16_BLOCKING.smem_bytes,
+        "hfma2_per_thread_per_iter": FP16_BLOCKING.fma_per_thread // 2,
+        "fits_turing_smem": FP16_BLOCKING.smem_bytes <= TURING_LIMITS.smem_per_block,
     }

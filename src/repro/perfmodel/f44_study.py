@@ -7,8 +7,10 @@ so the EWMM becomes a *36*-batched GEMM, and the register accounting
 that fit F(2×2) exactly into 253 registers (Table 5) no longer closes
 at the same block size.
 
-For a candidate blocking (bk, bn, bc) with 256 threads the per-thread
-budget is (mirroring Table 5):
+A candidate is a :class:`~repro.perfmodel.roofline.Blocking` (bk, bn,
+bc) of 36-element tiles, whose intensity, staging shared memory and
+accumulator count are the fp32 model's.  With 256 threads the
+per-thread register budget is (mirroring Table 5, :func:`registers`):
 
 * accumulators:      36·bk·bn / 256
 * double-buffered smem fragments: 2 · 36·(bk + bn)·bc / 256 / warps'
@@ -25,92 +27,65 @@ of the best feasible configuration using the §8.1 time model with the
 
 from __future__ import annotations
 
-import dataclasses
-import math
-
 from ..common.problem import ConvProblem
 from ..gpusim.arch import DeviceSpec
+from ..sass.hw import TURING_LIMITS
+from .cudnn_model import tile_overcompute
+from .roofline import THREADS, Blocking
 
-THREADS = 256
 ALPHA2 = 36  # 6×6 transformed tiles for F(4×4, 3×3)
 MAX_REGS = 253
-MAX_SMEM = 64 * 1024  # Turing per-block limit (§7.1)
 
 
-@dataclasses.dataclass(frozen=True)
-class F44Blocking:
-    """One candidate (bk, bn, bc) for a fused F(4×4,3×3) kernel."""
-
-    bk: int
-    bn: int
-    bc: int
-
-    @property
-    def accumulators(self) -> int:
-        return ALPHA2 * self.bk * self.bn // THREADS
-
-    @property
-    def gmem_prefetch_regs(self) -> int:
-        # Input tiles are 6×6 = 36 values; filters arrive pre-transformed.
-        return (self.bk + self.bn) * self.bc * ALPHA2 // THREADS
-
-    @property
-    def frag_regs(self) -> int:
-        # Per k-step each thread consumes bk·bn·36/256 outputs from
-        # (bk + bn)-proportional fragments; double buffered.
-        per_step = (self.bk + self.bn) * ALPHA2 // THREADS * 4
-        return 2 * max(per_step, 8)
-
-    @property
-    def registers(self) -> int:
-        return self.accumulators + self.gmem_prefetch_regs + self.frag_regs + 13
-
-    @property
-    def smem_bytes(self) -> int:
-        """(36, bc, bk) + (36, bc, bn) staging buffers."""
-        return ALPHA2 * self.bc * (self.bk + self.bn) * 4
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        flops = 2 * ALPHA2 * self.bk * self.bn * self.bc
-        gmem = ALPHA2 * (self.bk + self.bn) * self.bc * 4
-        return flops / gmem
-
-    @property
-    def feasible(self) -> bool:
-        return (
-            self.registers <= MAX_REGS
-            and self.smem_bytes <= MAX_SMEM
-            and self.accumulators * THREADS == ALPHA2 * self.bk * self.bn
-        )
+def registers(b: Blocking) -> int:
+    """Per-thread registers of a fused kernel at blocking *b* (Table 5's
+    accounting): accumulators, the global prefetch of (bk + bn)·bc
+    transformed tiles (filters arrive pre-transformed), double-buffered
+    fragments and ~13 scalars."""
+    prefetch = (b.bk + b.bn) * b.bc * b.elements // THREADS
+    # Per k-step each thread consumes bk·bn·alpha²/256 outputs from
+    # (bk + bn)-proportional fragments; double buffered.
+    per_step = (b.bk + b.bn) * b.elements // THREADS * 4
+    return b.accumulators + prefetch + 2 * max(per_step, 8) + 13
 
 
-def enumerate_blockings() -> list[F44Blocking]:
-    """All (bk, bn, bc) candidates on the paper's natural grid."""
+def feasible(b: Blocking) -> bool:
+    """Blocking *b* fits the 253-register and Turing per-block
+    shared-memory budgets, with its accumulators spread evenly over the
+    threads."""
+    return (
+        registers(b) <= MAX_REGS
+        and b.smem_bytes <= TURING_LIMITS.smem_per_block
+        and b.accumulators * THREADS == b.elements * b.bk * b.bn
+    )
+
+
+def enumerate_blockings() -> list[Blocking]:
+    """All F(4×4) (bk, bn, bc) candidates on the paper's natural grid."""
     out = []
     for bk in (16, 32, 64):
         for bn in (8, 16, 32):
             for bc in (4, 8):
-                out.append(F44Blocking(bk, bn, bc))
+                out.append(Blocking(bk, bn, bc, elements=ALPHA2))
     return out
 
 
-def best_feasible() -> F44Blocking | None:
-    feasible = [b for b in enumerate_blockings() if b.feasible]
-    if not feasible:
+def best_feasible() -> Blocking | None:
+    candidates = [b for b in enumerate_blockings() if feasible(b)]
+    if not candidates:
         return None
     # Intensity is bc-independent (it cancels), so break ties toward the
     # deeper channel step: fewer main-loop iterations, barriers and
     # prologue overheads per accumulated channel.
-    return max(feasible, key=lambda b: (b.arithmetic_intensity, b.bc))
+    return max(candidates, key=lambda b: (b.arithmetic_intensity, b.bc))
 
 
-def f22_reference_blocking_infeasible() -> F44Blocking:
+def f22_reference_blocking_infeasible() -> Blocking:
     """The paper's F(2×2) blocking transplanted to F(4×4): over budget."""
-    return F44Blocking(64, 32, 8)
+    return Blocking(64, 32, 8, elements=ALPHA2)
 
 
-def attainable_sol(blocking: F44Blocking, device: DeviceSpec) -> float:
+def attainable_sol(blocking: Blocking, device: DeviceSpec) -> float:
     """FP32-pipe utilization ceiling the blocking's intensity permits.
 
     Raw-FFMA intensity is the blocking's effective-flops intensity ÷ 4
@@ -123,7 +98,7 @@ def attainable_sol(blocking: F44Blocking, device: DeviceSpec) -> float:
 
 
 def projected_fused_f44_time(
-    prob: ConvProblem, device: DeviceSpec, blocking: F44Blocking | None = None
+    prob: ConvProblem, device: DeviceSpec, blocking: Blocking | None = None
 ) -> float:
     """Projected fused F(4×4) layer time for a feasible blocking.
 
@@ -132,9 +107,7 @@ def projected_fused_f44_time(
     """
     blocking = blocking or best_feasible()
     sol = attainable_sol(blocking, device)
-    th = -(-prob.out_h // 4)
-    tw = -(-prob.out_w // 4)
-    over = (4 * th / prob.out_h) * (4 * tw / prob.out_w)
+    over = tile_overcompute(prob, m=4)
     flops = over * 2 * prob.n * prob.c * prob.out_h * prob.out_w * prob.k * 9
     return flops / (4.0 * sol * device.peak_fp32_tflops * 1e12)
 
@@ -142,12 +115,11 @@ def projected_fused_f44_time(
 def projected_speedup_over_f22(
     prob: ConvProblem,
     device: DeviceSpec,
-    blocking: F44Blocking | None = None,
+    blocking: Blocking | None = None,
     sol_f22: float = 0.91,
 ) -> float:
     """Projected fused-F(4×4) speedup over our fused F(2×2) kernel."""
-    th2, tw2 = -(-prob.out_h // 2), -(-prob.out_w // 2)
-    over2 = (2 * th2 / prob.out_h) * (2 * tw2 / prob.out_w)
+    over2 = tile_overcompute(prob, m=2)
     f22 = over2 * 2 * prob.n * prob.c * prob.out_h * prob.out_w * prob.k * 9 / (
         2.25 * sol_f22 * device.peak_fp32_tflops * 1e12
     )

@@ -11,6 +11,11 @@ points are the Winograd pipeline stages:
   moves the kernel to the right of the DRAM ridge point provided L2
   catches the filter traffic;
 * blocked direct convolution at ``bk = 64`` for comparison.
+
+The EWMM step's blocking arithmetic (intensity, staging shared memory,
+per-thread FMAs and accumulators) is written once, as :class:`Blocking`;
+the F(4×4) feasibility study (§8.1) and the fp16 projection (§8.3)
+read the same type.
 """
 
 from __future__ import annotations
@@ -42,15 +47,58 @@ class RooflinePoint:
         )
 
 
-def gemm_step_intensity(bk: int, bn: int = 32, bc: int = 8) -> float:
-    """EWMM arithmetic intensity: 2·16·bk·bn·bc flops over the loaded tiles.
+#: Threads per block of every fused-kernel blocking modelled here (§4).
+THREADS = 256
 
-    Per iteration a block loads (bk + bn)·bc transformed tiles of 16
-    floats; §3.3's numbers: 8 ops/byte at bk=32, 10.67 at bk=64.
+
+@dataclasses.dataclass(frozen=True)
+class Blocking:
+    """One (bk, bn, bc) two-level blocking of a fused Winograd main loop.
+
+    Per bc-iteration a block stages (bk + bn)·bc transformed tiles of
+    ``elements`` (alpha²) values, ``width`` bytes each, and its
+    :data:`THREADS` threads perform alpha²·bk·bn·bc FMAs.  The paper's
+    F(2×2,3×3) kernel is ``Blocking(64, 32, 8)`` (§3.3, Table 7), cuDNN's
+    is bk = 32; ``perfmodel.f44_study`` sizes F(4×4,3×3) blockings with
+    ``elements=36`` and ``perfmodel.extensions`` the §8.3 fp16 port with
+    ``width=2``.
     """
-    flops = 2 * 16 * bk * bn * bc
-    gmem_bytes = 16 * (bk + bn) * bc * 4
-    return flops / gmem_bytes
+
+    bk: int
+    bn: int
+    bc: int
+    elements: int = 16
+    width: int = 4
+
+    @property
+    def smem_bytes(self) -> int:
+        """The (alpha², bc, bk) + (alpha², bc, bn) staging buffers
+        (Table 7's 32 + 16 KB at f22's (64, 32, 8))."""
+        return self.elements * self.bc * (self.bk + self.bn) * self.width
+
+    @property
+    def accumulators(self) -> int:
+        """Output accumulators per thread: alpha²·bk·bn / THREADS."""
+        return self.elements * self.bk * self.bn // THREADS
+
+    @property
+    def fma_per_thread(self) -> int:
+        """FMAs per thread per bc-iteration (1024 at f22's (64, 32, 8), §4.3)."""
+        return self.elements * self.bk * self.bn * self.bc // THREADS
+
+    @property
+    def arithmetic_intensity(self) -> float:
+        """Main-loop flops per global byte: 2·alpha²·bk·bn·bc flops over
+        the bytes of the alpha²·(bk + bn)·bc staged values (§3.3: 8 at
+        f22's bk = 32, 10.67 at bk = 64)."""
+        flops = 2 * self.elements * self.bk * self.bn * self.bc
+        gmem_bytes = self.elements * (self.bk + self.bn) * self.bc * self.width
+        return flops / gmem_bytes
+
+
+def gemm_step_intensity(bk: int, bn: int = 32, bc: int = 8) -> float:
+    """Fig. 2's EWMM point: the F(2×2) :class:`Blocking`'s intensity."""
+    return Blocking(bk, bn, bc).arithmetic_intensity
 
 
 def direct_conv_intensity(bk: int = 64, bn: int = 32, bc: int = 8) -> float:

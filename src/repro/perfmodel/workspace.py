@@ -10,10 +10,18 @@ multi-tile ones.  cuDNN's absolute numbers differ somewhat, but the
 figure's structure — FFT enormous, explicit GEMM large, implicit GEMM
 zero, non-fused Winograd mid, our fused kernel only the 16·K·C
 transformed filter — is reproduced.
+
+Each workspace formula is written once, here, and keyed by dispatcher
+algorithm in :data:`DISPATCH_WORKSPACE`: the planner's budget filter,
+the arena's reservations (:func:`reserved_bytes`) and Fig. 14
+(:func:`workspace_mb`) all read it.  :func:`transformed_filter_bytes`
+is the fused kernels' one filter workspace, and :func:`fft_tiles` the
+FFT_TILING tile count that ``cudnn_model.fft_tiling_time`` charges
+too; the problem geometry (output extent, Winograd tile counts) is
+:class:`~repro.common.problem.ConvProblem`'s.
 """
 
 from __future__ import annotations
-
 
 from ..common.problem import ConvProblem
 
@@ -54,9 +62,15 @@ def fft_tiling_workspace_bytes(prob: ConvProblem, size: int = 32) -> int:
     filter term C·K·size·(size/2+1)·8 dominating the deep layers.
     """
     half = size // 2 + 1
-    out_tile = size - prob.r + 1
-    tiles = (-(-prob.out_h // out_tile)) * (-(-prob.out_w // out_tile))
+    tiles = fft_tiles(prob, size)
     return (prob.n * prob.c * tiles + prob.c * prob.k) * size * half * 8
+
+
+def fft_tiles(prob: ConvProblem, size: int = 32) -> int:
+    """Tiles per image of a *size*-point tiled FFT: each transform yields
+    ``size − R + 1`` outputs along each axis."""
+    out_tile = size - prob.r + 1
+    return (-(-prob.out_h // out_tile)) * (-(-prob.out_w // out_tile))
 
 
 def gemm_workspace_bytes(prob: ConvProblem) -> int:
@@ -83,14 +97,22 @@ def winograd_nonfused_workspace_bytes(prob: ConvProblem, m: int = 4) -> int:
     )
 
 
+def transformed_filter_bytes(prob: ConvProblem, m: int = 2) -> int:
+    """The FTF's CR'S'K output for a fused F(m×m, 3×3) kernel: alpha²·K·C
+    fp32 values, alpha = m + 2.  The tile is always 3×3, whatever the
+    layer's R: a DWM part's sub-filter is 3×3."""
+    alpha = m + 2
+    return alpha * alpha * prob.k * prob.c * 4
+
+
 def winograd_fused_workspace_bytes(prob: ConvProblem) -> int:
     """Our kernel: only the 16·K·C transformed filter (§7.3: 0.25 MB-16 MB)."""
-    return 16 * prob.k * prob.c * 4
+    return transformed_filter_bytes(prob, m=2)
 
 
 def winograd_fused_f44_workspace_bytes(prob: ConvProblem) -> int:
     """Fused F(4×4,3×3): the 36·K·C transformed filter (6×6 tiles)."""
-    return 36 * prob.k * prob.c * 4
+    return transformed_filter_bytes(prob, m=4)
 
 
 def winograd_dwm_workspace_bytes(prob: ConvProblem) -> int:
@@ -98,7 +120,7 @@ def winograd_dwm_workspace_bytes(prob: ConvProblem) -> int:
     16·K·C transformed sub-filter (parts run sequentially, so the filter
     workspace is reused, not multiplied by the part count)."""
     padded = 4 * prob.n * prob.c * (prob.h + 2 * prob.pad) * (prob.w + 2 * prob.pad)
-    return padded + 16 * prob.k * prob.c * 4
+    return padded + transformed_filter_bytes(prob, m=2)
 
 
 def direct_workspace_bytes(prob: ConvProblem) -> int:
@@ -106,20 +128,9 @@ def direct_workspace_bytes(prob: ConvProblem) -> int:
     return 0
 
 
-ALGORITHM_WORKSPACE = {
-    "FFT": fft_workspace_bytes,
-    "FFT_TILING": fft_tiling_workspace_bytes,
-    "GEMM": gemm_workspace_bytes,
-    "IMPLICIT_GEMM": implicit_gemm_workspace_bytes,
-    "IMPLICIT_PRECOMP_GEMM": implicit_precomp_gemm_workspace_bytes,
-    "WINOGRAD_NONFUSED": winograd_nonfused_workspace_bytes,
-    "OURS": winograd_fused_workspace_bytes,
-}
-
-# The same accounting keyed by the *dispatcher's* algorithm names
-# (repro.convolution.ALGORITHMS): the fused paper kernel is "WINOGRAD"
-# there, and DIRECT joins as the workspace-free last resort.  This is
-# the budget filter behind conv2d(..., workspace_limit_bytes=...).
+# Keyed by the dispatcher's algorithm names (repro.convolution.ALGORITHMS;
+# Fig. 14's "OURS" is "WINOGRAD" there, see workspace_mb): the budget
+# filter behind conv2d(..., workspace_limit_bytes=...).
 DISPATCH_WORKSPACE = {
     "DIRECT": direct_workspace_bytes,
     "GEMM": gemm_workspace_bytes,
@@ -135,7 +146,8 @@ DISPATCH_WORKSPACE = {
 
 
 def workspace_mb(prob: ConvProblem, algo: str) -> float:
-    return ALGORITHM_WORKSPACE[algo](prob) / MB
+    """Fig. 14's workspace in MB; the figure's "OURS" is ``WINOGRAD``."""
+    return dispatch_workspace_bytes(prob, "WINOGRAD" if algo == "OURS" else algo) / MB
 
 
 def dispatch_workspace_bytes(prob: ConvProblem, algo: str) -> int:

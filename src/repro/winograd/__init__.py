@@ -1,13 +1,6 @@
 """Winograd convolution: transforms, reference oracle, fused & non-fused pipelines."""
 
-from .fused import (
-    CUDNN_CONFIG,
-    PAPER_CONFIG,
-    BlockConfig,
-    FusedRunStats,
-    FusedWinogradConv,
-    tile_block_config,
-)
+from .fused import FusedWinogradConv
 from .fused_nchw import FusedWinogradConvNCHW, warp_load_sectors
 from .nonfused import NonFusedRunStats, NonFusedWinogradConv
 from .reference import winograd_conv2d_nchw
@@ -33,14 +26,10 @@ from .transforms import (
 )
 
 __all__ = [
-    "BlockConfig",
-    "CUDNN_CONFIG",
-    "FusedRunStats",
     "FusedWinogradConv",
     "FusedWinogradConvNCHW",
     "NonFusedRunStats",
     "NonFusedWinogradConv",
-    "PAPER_CONFIG",
     "PAPER_FTF_FLOPS",
     "PAPER_ITF_FLOPS",
     "PAPER_OTF_FLOPS",
@@ -57,7 +46,6 @@ __all__ = [
     "get_transform",
     "mask_words",
     "pack_mask",
-    "tile_block_config",
     "tile_index_grid",
     "tile_windows",
     "unpack_mask",

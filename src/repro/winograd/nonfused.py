@@ -7,8 +7,10 @@ F(4×4, 3×3) variant (4× multiplication reduction), but pays 2.25× input
 inflation in DRAM traffic — the trade the paper's §8.1 break-even
 analysis quantifies.
 
-This implementation reports its workspace consumption so Figure 14 and
-the break-even bench can be generated from real allocation numbers.
+Figure 14 and the dispatcher's budgets come from the closed form
+``repro.perfmodel.workspace.winograd_nonfused_workspace_bytes``; each
+run reports the bytes of its own arrays in :class:`NonFusedRunStats`
+(at 4 bytes an element), which equal it.
 """
 
 from __future__ import annotations
@@ -90,12 +92,3 @@ class NonFusedWinogradConv:
     def __call__(self, x_chwn: np.ndarray, f_crsk: np.ndarray) -> np.ndarray:
         y, _ = self.run(x_chwn, f_crsk)
         return y
-
-    def workspace_bytes(self, prob: ConvProblem) -> int:
-        """Workspace this pipeline would allocate for *prob* (no data)."""
-        alpha = self.transform.alpha
-        total = prob.total_tiles(self.m)
-        a2 = alpha * alpha
-        return 4 * a2 * (
-            prob.c * total + prob.c * prob.k + prob.k * total
-        )

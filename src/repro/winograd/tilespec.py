@@ -12,7 +12,9 @@ A :class:`TileSpec` makes the tile an explicit, hashable parameter:
   (the paper's §4 choice for f22; the best feasible blocking from
   ``perfmodel.f44_study`` for f44);
 * ``transform()`` — the exact transform matrices (lazy; numpy arrays
-  are not hashable, so they are not fields).
+  are not hashable, so they are not fields), whose ``reduction_2d()``
+  is the tile's multiplication reduction.  Tiles per output extent are
+  ``ConvProblem.tiles_h(m)`` / ``tiles_w(m)``.
 
 ``TILE_F22``/``TILE_F44`` are the two shipped families; ``get_tile``
 resolves either a name or a spec, so every refactored layer can accept
@@ -26,6 +28,7 @@ import dataclasses
 import numpy as np
 
 from ..common.errors import ConvConfigError
+from .tiling import mask_words
 from .transforms import WinogradTransform, get_transform
 
 
@@ -60,24 +63,17 @@ class TileSpec:
 
     @property
     def mask_words(self) -> int:
-        """32-bit registers needed to hold one tile's predicate mask.
+        """32-bit registers needed to hold one tile's predicate mask
+        (:func:`~repro.winograd.tiling.mask_words` of its alpha² bits).
 
         F(2×2,3×3) fits its 16 bits in one register (the paper's single
         P2R); F(4×4,3×3) needs 36 bits, i.e. two words.
         """
-        return -(-self.elements // 32)
+        return mask_words(self.elements)
 
     def transform(self, dtype=np.float32) -> WinogradTransform:
         """The exact transform matrices for this tile (lazily built)."""
         return get_transform(self.m, self.r, dtype)
-
-    def reduction_2d(self) -> float:
-        """Arithmetic reduction vs direct (2.25 for f22, 4 for f44)."""
-        return (self.m * self.m * self.r * self.r) / float(self.elements)
-
-    def tiles_along(self, extent: int) -> int:
-        """Number of m-strided tiles covering one output extent."""
-        return -(-extent // self.m)
 
     def label(self) -> str:
         return f"F({self.m}x{self.m},{self.r}x{self.r})"

@@ -1,5 +1,6 @@
 """ConvProblem geometry and accounting."""
 
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.common import ConvConfigError, ConvProblem
 from repro.models import resnet_layer
+from repro.perfmodel.workspace import transformed_filter_bytes
 
 
 def test_resnet_conv2_geometry():
@@ -61,7 +63,10 @@ def test_byte_accounting():
     assert p.input_bytes == 4 * 2 * 3 * 4 * 5
     assert p.filter_bytes == 4 * 6 * 3 * 9
     assert p.output_bytes == 4 * 2 * 6 * 4 * 5
-    assert p.transformed_filter_bytes(2) == 4 * 3 * 6 * 16
+    # The transformed filter is a workspace closed form (perfmodel.workspace);
+    # a fused kernel's tile is 3×3 whatever the layer's R.
+    assert transformed_filter_bytes(p, 2) == 4 * 3 * 6 * 16
+    assert transformed_filter_bytes(dataclasses.replace(p, r=5, s=5), 4) == 4 * 3 * 6 * 36
 
 
 def test_with_batch_renames():

@@ -126,6 +126,12 @@ def test_main_loop_ffma_count_is_1024_per_iteration():
     assert len(ffmas) == 1024  # §4.3: 1024 FFMAs per thread per bc-iteration
 
 
+def test_main_loop_ffma_count_halves_at_bk32():
+    """cuDNN's bk=32 blocking (Table 7): half the filters, 512 FFMAs."""
+    body = _gen(Tunables(bk=32)).loop_body()
+    assert sum(1 for l in body if "FFMA" in l) == 512
+
+
 def test_itf_is_exactly_36_fadds():
     itf = _gen().itf_stream()
     assert len(itf) == 36  # 32 transform FADDs + 4 in-place row saves

@@ -5,39 +5,48 @@ import pytest
 from repro.gpusim import RTX2070, V100
 from repro.models import resnet_layer
 from repro.perfmodel.f44_study import (
-    F44Blocking,
+    ALPHA2,
     attainable_sol,
     best_feasible,
     enumerate_blockings,
     f22_reference_blocking_infeasible,
+    feasible,
     projected_fused_f44_time,
     projected_speedup_over_f22,
+    registers,
 )
+from repro.perfmodel.roofline import Blocking
+from repro.winograd import TILE_F44
 
 
 def test_f22_blocking_does_not_transplant():
     b = f22_reference_blocking_infeasible()
-    assert b.registers > 253
+    assert registers(b) > 253
     assert b.smem_bytes > 64 * 1024
-    assert not b.feasible
+    assert not feasible(b)
 
 
 def test_accumulator_formula():
     # 36·64·32/256 = 288 accumulators per thread at the F(2×2) blocking.
-    assert F44Blocking(64, 32, 8).accumulators == 288
+    assert Blocking(64, 32, 8, elements=ALPHA2).accumulators == 288
 
 
 def test_some_blocking_is_feasible():
     best = best_feasible()
     assert best is not None
-    assert best.registers <= 253 and best.smem_bytes <= 64 * 1024
+    assert registers(best) <= 253 and best.smem_bytes <= 64 * 1024
+    # the shipped F(4×4) tile runs the study's best feasible blocking
+    assert (best.bk, best.bn, best.bc, best.elements) == (
+        TILE_F44.bk, TILE_F44.bn, TILE_F44.bc, TILE_F44.elements
+    )
+    assert registers(best) == 187
 
 
 def test_all_feasible_blockings_memory_bound():
     """The study's punchline: no feasible F(4×4) blocking reaches the
     F(2×2) kernel's 10.67 flops/B."""
     for b in enumerate_blockings():
-        if b.feasible:
+        if feasible(b):
             assert b.arithmetic_intensity < 10.67
 
 

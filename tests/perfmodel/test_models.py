@@ -22,6 +22,11 @@ from repro.perfmodel import (
     transform_intensity,
     workspace_mb,
 )
+from repro.perfmodel.selection import (
+    DWM_PART_OVERHEAD,
+    dwm_winograd_time,
+    fused_winograd_time,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +148,26 @@ def test_break_even_independent_of_nchw():
         p_hi = ConvProblem(n=8 * scale, c=32, h=14, w=14, k=k + 30)
         assert fused_time(p_lo, dev) < nonfused_time(p_lo, dev)
         assert fused_time(p_hi, dev) > nonfused_time(p_hi, dev)
+
+
+@pytest.mark.parametrize("dev", [V100, RTX2070], ids=["V100", "RTX2070"])
+def test_section_8_1_models_count_flops_over_the_output(dev):
+    """A pad-0 layer costs its same-output pad-1 twin's FLOPs; only the
+    non-fused traffic moves the larger input.  So DWM's single pad-0
+    (out + 2)² part of a Table-1 layer is priced at the fused kernel's
+    time, not ((out + 2) / out)² above it."""
+    pad0 = ConvProblem(n=32, c=64, h=9, w=9, k=64, pad=0)
+    pad1 = ConvProblem(n=32, c=64, h=7, w=7, k=64)
+    assert fused_time(pad0, dev) == fused_time(pad1, dev)
+    extra_traffic = 32 * 64 * (9 * 9 - 7 * 7) * 3.25 * 2 * 4 / (dev.dram_gbps * 1e9)
+    assert nonfused_time(pad0, dev) - nonfused_time(pad1, dev) == pytest.approx(
+        extra_traffic, rel=1e-9
+    )
+    for name in ("Conv2", "Conv3", "Conv4", "Conv5"):
+        prob = resnet_layer(name, 32)
+        assert dwm_winograd_time(prob, dev) == pytest.approx(
+            DWM_PART_OVERHEAD * fused_winograd_time(prob, dev), rel=1e-12
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_same_results_as_chwn_pipeline():
                 nchw_conv = FusedWinogradConvNCHW(tile=tile)
                 f_t = nchw_conv.transform_filters(f_crsk)
                 y_nchw = nchw_conv.run_nchw(x, f_t, prob)
-                y_chwn, _ = FusedWinogradConv(tile=tile).run(nchw_to_chwn(x), f_t, prob)
+                y_chwn = FusedWinogradConv(tile=tile).run(nchw_to_chwn(x), f_t, prob)
                 assert y_nchw.flags.c_contiguous
                 np.testing.assert_array_equal(y_nchw, khwn_to_nkhw(y_chwn))
 

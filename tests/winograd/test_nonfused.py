@@ -16,6 +16,7 @@ from repro.common import (
     random_filter,
 )
 from repro.convolution import direct_conv2d
+from repro.perfmodel.workspace import DISPATCH_WORKSPACE, winograd_nonfused_workspace_bytes
 from repro.winograd import NonFusedWinogradConv
 
 
@@ -45,8 +46,8 @@ def test_conv5_like():
 
 def test_workspace_formula_matches_run():
     prob = ConvProblem(n=2, c=4, h=8, w=8, k=6)
-    conv, stats = _run(prob)
-    assert stats.workspace_bytes == conv.workspace_bytes(prob)
+    _, stats = _run(prob)
+    assert stats.workspace_bytes == winograd_nonfused_workspace_bytes(prob)
     assert stats.workspace_bytes == (
         stats.transformed_input_bytes
         + stats.transformed_filter_bytes
@@ -56,17 +57,15 @@ def test_workspace_formula_matches_run():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_run_reports_the_modelled_workspace_in_any_dtype(dtype):
-    # The run reports 4-byte elements, as workspace_bytes(), Fig. 14 and
-    # the dispatcher's workspace model do, however wide the host arrays.
-    from repro.perfmodel.workspace import DISPATCH_WORKSPACE
-
+    # The run reports 4-byte elements, as Fig. 14 and the dispatcher's
+    # workspace model do, however wide the host arrays.
     prob = ConvProblem(n=2, c=4, h=8, w=8, k=6)
     rng = make_rng(0)
     x = random_activation(prob, rng).astype(dtype)
     f = random_filter(prob, rng).astype(dtype)
     conv = NonFusedWinogradConv()
     _, stats = conv.run(nchw_to_chwn(x), kcrs_to_crsk(f), prob)
-    assert stats.workspace_bytes == conv.workspace_bytes(prob) == 14_976
+    assert stats.workspace_bytes == winograd_nonfused_workspace_bytes(prob) == 14_976
     assert stats.workspace_bytes == DISPATCH_WORKSPACE["WINOGRAD_NONFUSED"](prob)
     assert stats.transformed_filter_bytes == 36 * 4 * 6 * 4
 

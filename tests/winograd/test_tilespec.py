@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.common import ConvConfigError
+from repro.common import ConvConfigError, ConvProblem
 from repro.winograd import TILE_F22, TILE_F44, TILE_FAMILIES, TileSpec, get_tile
 from repro.winograd.transforms import f23, f43
 
@@ -15,7 +15,7 @@ def test_f22_geometry():
     assert TILE_F22.alpha == 4
     assert TILE_F22.elements == 16
     assert TILE_F22.mask_words == 1  # one P2R register (§3.5)
-    assert TILE_F22.reduction_2d() == pytest.approx(2.25)
+    assert TILE_F22.transform().reduction_2d() == pytest.approx(2.25)
     assert (TILE_F22.bk, TILE_F22.bn, TILE_F22.bc) == (64, 32, 8)
     assert TILE_F22.label() == "F(2x2,3x3)"
 
@@ -25,7 +25,7 @@ def test_f44_geometry():
     assert TILE_F44.alpha == 6
     assert TILE_F44.elements == 36
     assert TILE_F44.mask_words == 2  # 36 predicate bits span two words
-    assert TILE_F44.reduction_2d() == pytest.approx(4.0)
+    assert TILE_F44.transform().reduction_2d() == pytest.approx(4.0)
     # the best feasible blocking from perfmodel.f44_study
     assert (TILE_F44.bk, TILE_F44.bn, TILE_F44.bc) == (16, 32, 8)
     assert TILE_F44.label() == "F(4x4,3x3)"
@@ -70,11 +70,18 @@ def test_transform_matches_tile_geometry():
 
 
 def test_tiles_along_is_ceil_div():
-    assert TILE_F22.tiles_along(8) == 4
-    assert TILE_F22.tiles_along(7) == 4
-    assert TILE_F44.tiles_along(8) == 2
-    assert TILE_F44.tiles_along(7) == 2
-    assert TILE_F44.tiles_along(1) == 1
+    """Tiles per output extent are ConvProblem's, at the tile's m."""
+
+    def tiles_along(tile, extent):
+        prob = ConvProblem(n=1, c=1, h=extent, w=extent, k=1)
+        assert prob.tiles_w(tile.m) == prob.tiles_h(tile.m)
+        return prob.tiles_h(tile.m)
+
+    assert tiles_along(TILE_F22, 8) == 4
+    assert tiles_along(TILE_F22, 7) == 4
+    assert tiles_along(TILE_F44, 8) == 2
+    assert tiles_along(TILE_F44, 7) == 2
+    assert tiles_along(TILE_F44, 1) == 1
 
 
 def test_spec_is_frozen_and_hashable():
